@@ -1,30 +1,28 @@
 """Exact enumeration and counting of burnable-configuration classes.
 
-Counts are exact integers.  The brute-force route enumerates rung
-sequences depth-first, maintaining the burning state of the prefix
-incrementally: every rung of a left-burnable configuration is a valid
-rung symbol, a prefix whose burning cannot ignite its last rung has no
-burnable extension, and a prefix is itself left-burnable exactly when
-appending an all-maximal rung lets the burning finish.  These prunes
-keep the tree close to the set being counted.
-
-The recurrent-configuration count (variant ``REC``) has no symbol
-alphabet; it enumerates raw stable height vectors, discarding rungs
-that already contain a forbidden subconfiguration on their own and
-pruning prefixes that fail the ordinary burning test.
+Counts are exact integers.  One burning engine serves every class: the
+depth-first walks keep the left-seeded burning state of the prefix as
+burnt-row bitmasks and append a rung by a closure over per-rung tables
+of within-row burn fixpoints, never re-burning the whole window.  For ``L``/``L0`` every
+rung is a symbol, a prefix that cannot ignite its last rung is pruned,
+and a fully burnt row above the prefix decides left-burnability.
+``S``/``S0`` also require the mirror image to be left-burnable (the row
+tables are symmetric in below and above).  ``REC`` walks all stable
+rungs with no forbidden subconfiguration of their own, without the
+ignition prune; the same burnt row above then decides recurrence, and
+a prefix that is not recurrent has no recurrent extension.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .burning import (RungConfig, full_burnable, is_rung_symbol,
-                      leftmost_schedule, max_rung, window_heights)
+from .burning import (RungConfig, full_burnable, is_rung_symbol, max_rung,
+                      window_heights)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph
 
@@ -142,8 +140,8 @@ def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> N
 
 
 class _SequenceDFS:
-    """Shared machinery for the pruned depth-first walks over rung
-    sequences.  A prefix is represented by its resting burnt-row masks;
+    """Shared machinery for the depth-first walks over rung sequences.
+    A prefix is represented by its resting left-seeded burnt-row masks;
     the per-rung tables along the path are managed by the caller so
     pushes stay allocation-light."""
 
@@ -158,13 +156,14 @@ class _SequenceDFS:
             c: sum(1 << x for x in range(graph.n) if c[x] == graph.max_height[x])
             for c in self.alphabet
         }
-        self.need_row = {
-            c: tuple(graph.max_height[x] - c[x] + 1 for x in range(graph.n))
-            for c in self.alphabet
-        }
-        self.row_table = {c: self._build_row_table(c) for c in self.alphabet}
-        maxh = graph.max_height
-        self.ghost_table = self._build_row_table(maxh)
+        self.row_tables: dict[RungConfig, object] = {}
+        self.ghost_table = self.row_table(self.cmax)
+
+    def row_table(self, rung: RungConfig):
+        """The rung's table, built on first use for any stable rung."""
+        if rung not in self.row_tables:
+            self.row_tables[rung] = self._build_row_table(rung)
+        return self.row_tables[rung]
 
     def _build_row_table(self, rung: RungConfig):
         n, nbrm = self.n, self.nbr_masks
@@ -189,48 +188,55 @@ class _SequenceDFS:
                     tbl[base | row] = _row_fixpoint(n, nbrm, nr, below, above, row)
         return tbl
 
-    def push(self, burnt: list[int], tbls: list, rung: RungConfig
-             ) -> Optional[list[int]]:
-        """Resting state after appending ``rung``; None when the new rung
-        cannot ignite, in which case no extension is burnable either.
-        ``tbls`` must already include the new rung's table."""
+    def push(self, burnt: list[int], tbls: list, rung: RungConfig,
+             ignite: bool = True) -> Optional[list[int]]:
+        """Resting state after appending ``rung``.  With ``ignite`` (the
+        symbol walks) None when the new rung cannot ignite, in which case
+        no extension is left-burnable either.  ``tbls`` must already
+        include the new rung's table."""
         k = len(burnt)
-        if k and not burnt[-1] & self.maxmask[rung]:
+        if ignite and k and not burnt[-1] & self.maxmask[rung]:
             return None
         child = burnt + [0]
         _close(child, tbls, 1 << k, self.full, self.n)
-        if child[k] == 0:
+        if ignite and child[k] == 0:
             return None
         return child
 
     def is_burnable(self, burnt: list[int], tbls: list) -> bool:
-        """Left-burnability of the prefix: a fully burnt all-maximal row
-        stands in for the open right half; the prefix is burnable iff
-        the closure then finishes everything."""
+        """Whether the closure finishes once a fully burnt row above the
+        prefix switches the right sink on: left-burnability after ignited
+        pushes, recurrence after any (burning is order-free)."""
         probe = burnt + [self.full]
         tbls.append(self.ghost_table)
         _close(probe, tbls, 1 << (len(burnt) - 1), self.full, self.n)
         tbls.pop()
-        full = self.full
-        return all(row == full for row in probe)
+        return probe.count(self.full) == len(probe)
 
-
-def _right_burnable_sequence(graph: Graph, seq: Sequence[RungConfig]) -> bool:
-    return leftmost_schedule(graph, list(reversed(seq))).success
+    def is_right_burnable(self, path: Sequence[RungConfig]) -> bool:
+        """Right-burnability of a nonempty symbol sequence: left-burnability
+        of its mirror image."""
+        burnt, tbls = [], []
+        for c in reversed(path):
+            tbls.append(self.row_table(c))
+            burnt = self.push(burnt, tbls, c)
+            if burnt is None:
+                return False
+        return self.is_burnable(burnt, tbls)
 
 
 def _count_burnable(graph: Graph, n_max: int, *, include_max: bool,
-                    symmetric: bool, first_symbols=None) -> list[int]:
+                    symmetric: bool) -> list[int]:
     dfs = _SequenceDFS(graph)
     cmax = dfs.cmax
     symbols = [c for c in dfs.alphabet if include_max or c != cmax]
-    sym_data = [(c, dfs.maxmask[c], dfs.row_table[c], c == cmax) for c in symbols]
+    sym_data = [(c, dfs.maxmask[c], dfs.row_table(c), c == cmax) for c in symbols]
     counts = [0] * (n_max + 1)
     path: list[RungConfig] = []
     tbls: list = []
 
     def visit(burnt: list[int], depth: int) -> None:
-        if not symmetric or _right_burnable_sequence(graph, path):
+        if not symmetric or dfs.is_right_burnable(path):
             counts[depth] += 1
         if depth == n_max:
             return
@@ -247,8 +253,8 @@ def _count_burnable(graph: Graph, n_max: int, *, include_max: bool,
                 path.pop()
             tbls.pop()
 
-    for c in (first_symbols if first_symbols is not None else symbols):
-        tbls.append(dfs.row_table[c])
+    for c in symbols:
+        tbls.append(dfs.row_table(c))
         child = dfs.push([], tbls, c)
         if child is not None:  # every symbol opens a window
             path.append(c)
@@ -270,8 +276,8 @@ def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]
             yield tuple(path)
             return
         for c in dfs.alphabet:
-            tbls.append(dfs.row_table[c])
-            child = dfs.push(burnt, tbls, c) if (depth == 0 or burnt[-1] & dfs.maxmask[c]) else None
+            tbls.append(dfs.row_table(c))
+            child = dfs.push(burnt, tbls, c)
             if child is not None and (c == cmax or dfs.is_burnable(child, tbls)):
                 path.append(c)
                 yield from walk(child, depth + 1)
@@ -281,47 +287,43 @@ def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]
     yield from walk([], 0)
 
 
+def _recurrent_prefixes(graph: Graph, n_max: int) -> Iterator[list[RungConfig]]:
+    """Recurrent rung sequences of length <= ``n_max`` (the empty one
+    first), depth first in lexicographic order, as the walk's own path."""
+    dfs = _SequenceDFS(graph)
+    steps = [(c, dfs.row_table(c)) for c in single_rung_recurrent(graph)]
+    path: list[RungConfig] = []
+    tbls: list = []
+
+    def walk(burnt: list[int]):
+        yield path
+        if len(path) == n_max:
+            return
+        for c, tbl in steps:
+            tbls.append(tbl)
+            child = dfs.push(burnt, tbls, c, ignite=False)
+            if dfs.is_burnable(child, tbls):
+                path.append(c)
+                yield from walk(child)
+                path.pop()
+            tbls.pop()
+
+    yield from walk([])
+
+
 def iter_recurrent(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
-    """All recurrent raw configurations on a window of ``n`` rungs."""
-    rungs = single_rung_recurrent(graph)
-    path: list[RungConfig] = []
-
-    def walk(depth: int):
-        if depth == n:
+    """All recurrent raw configurations on a window of ``n`` rungs, in
+    lexicographic order."""
+    if n < 0:
+        raise ValidationError("n must be >= 0")
+    for path in _recurrent_prefixes(graph, n):
+        if len(path) == n:
             yield tuple(path)
-            return
-        for c in rungs:
-            path.append(c)
-            if full_burnable(graph, window_heights(path)).success:
-                yield from walk(depth + 1)
-            path.pop()
-
-    yield from walk(0)
-
-
-def _count_recurrent(graph: Graph, n_max: int) -> list[int]:
-    rungs = single_rung_recurrent(graph)
-    counts = [0] * (n_max + 1)
-    path: list[RungConfig] = []
-
-    def walk(depth: int) -> None:
-        counts[depth] += 1
-        if depth == n_max:
-            return
-        for c in rungs:
-            path.append(c)
-            if full_burnable(graph, window_heights(path)).success:
-                walk(depth + 1)
-            path.pop()
-
-    walk(0)
-    return counts[1:]
 
 
 def count_series(graph: Graph, variant: str, n_max: int,
                  method: str = "brute", *,
-                 max_enum: int = DEFAULT_MAX_ENUM,
-                 threads: int = 1) -> CountSeries:
+                 max_enum: int = DEFAULT_MAX_ENUM) -> CountSeries:
     """Exact counts of the window classes: ``L`` left-burnable, ``L0``
     left-burnable without maximal rungs, ``S`` two-sided burnable, ``S0``
     two-sided without maximal rungs, ``REC`` all recurrent.
@@ -349,34 +351,20 @@ def count_series(graph: Graph, variant: str, n_max: int,
     if method != "brute":
         raise ValidationError(f"unknown method {method!r}")
 
-    if variant == "REC":
-        base = len(single_rung_recurrent(graph))
-        if base ** n_max > max_enum:
-            raise FeasibilityError(
-                f"raw enumeration needs {base}**{n_max} > max_enum={max_enum}")
-        return CountSeries(variant="REC", values=tuple(_count_recurrent(graph, n_max)),
-                           provenance="brute", graph_name=graph.name)
-
-    alphabet = enum_rungs(graph)
-    if len(alphabet) ** n_max > max_enum:
+    rec = variant == "REC"
+    base = len(single_rung_recurrent(graph) if rec else enum_rungs(graph))
+    if base ** n_max > max_enum:
         raise FeasibilityError(
-            f"brute enumeration needs {len(alphabet)}**{n_max} "
-            f"> max_enum={max_enum}; raise max_enum or use method='automaton'")
-    include_max = variant in ("L", "S")
-    symmetric = variant in ("S", "S0")
-    cmax = max_rung(graph)
-    firsts = [c for c in alphabet if include_max or c != cmax]
-    if threads > 1 and len(firsts) > 1:
-        # partition by first rung; totals are order-independent sums
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda c: _count_burnable(graph, n_max, include_max=include_max,
-                                          symmetric=symmetric, first_symbols=[c]),
-                firsts))
-        values = tuple(sum(p[i] for p in parts) for i in range(n_max))
+            f"brute enumeration needs {base}**{n_max} > max_enum={max_enum}; raise "
+            "max_enum" + ("" if rec else " or use method='automaton'"))
+    if rec:
+        counts = [0] * (n_max + 1)
+        for path in _recurrent_prefixes(graph, n_max):
+            counts[len(path)] += 1
+        values = tuple(counts[1:])
     else:
-        values = tuple(_count_burnable(graph, n_max, include_max=include_max,
-                                       symmetric=symmetric, first_symbols=firsts))
+        values = tuple(_count_burnable(graph, n_max, include_max=variant in ("L", "S"),
+                                       symmetric=variant in ("S", "S0")))
     return CountSeries(variant=variant, values=values, provenance="brute",
                        graph_name=graph.name)
 

@@ -42,7 +42,7 @@ def _load_graph(spec: str, vertex_cap: int) -> Graph:
     if path.is_file():
         return parse_graph(path.read_text(), name=path.stem,
                            vertex_cap=vertex_cap)
-    return builtin_graph(spec)
+    return builtin_graph(spec, vertex_cap)
 
 
 def _parse_rung(text: str) -> tuple[int, ...]:
@@ -109,7 +109,7 @@ def cmd_graph(args, graph: Graph, t0: float) -> int:
 
 def cmd_census(args, graph: Graph, t0: float) -> int:
     series = count_series(graph, args.variant, args.n, method=args.method,
-                          max_enum=args.max_enum, threads=args.threads)
+                          max_enum=args.max_enum)
     if args.format == "csv":
         rows = [(series.variant, n, v)
                 for n, v in enumerate(series.values, start=1)]
@@ -178,7 +178,7 @@ def cmd_measure(args, graph: Graph, t0: float) -> int:
         fn = right_cylinder_prob if args.right else cylinder_prob
         res = fn(graph, event, method,
                  renewal_order=args.renewal_order,
-                 dp_halfwidth=args.dp_halfwidth)
+                 dp_halfwidth=args.dp_halfwidth, max_states=args.max_states)
         budget = res.detail.get("tail_bound", "")
         rows.append((f"[{event.lo},{event.hi}]", args.event, method,
                      repr(res.value), budget))
@@ -196,12 +196,14 @@ def cmd_measure(args, graph: Graph, t0: float) -> int:
 def cmd_sample(args, graph: Graph, t0: float) -> int:
     if args.exact_window is not None:
         lo, hi = args.exact_window
-        configs = sample_finite_exact(graph, lo, hi, args.seed, count=args.count)
+        configs = sample_finite_exact(graph, lo, hi, args.seed, count=args.count,
+                                      max_states=args.max_states)
         lines = [json.dumps({"window": [lo, hi],
                              "rungs": c.heights.tolist()}, sort_keys=True)
                  for c in configs]
     else:
-        windows = sample_chain_windows(graph, args.width, args.count, args.seed)
+        windows = sample_chain_windows(graph, args.width, args.count, args.seed,
+                                       max_states=args.max_states)
         lines = [json.dumps({"rungs": [list(r) for r in w]}, sort_keys=True)
                  for w in windows]
     payload = "\n".join(lines) + "\n"
@@ -243,7 +245,8 @@ def cmd_blast(args, graph: Graph, t0: float) -> int:
     if args.config is not None:
         config = LadderConfig.from_json(json.loads(Path(args.config).read_text()))
     else:
-        config = sample_window_config(graph, args.halfwidth, args.seed or 0)
+        config = sample_window_config(graph, args.halfwidth, args.seed or 0,
+                                      max_states=args.max_states)
     final, odo = rung_zero_blast(graph, config, _schedule_from_args(args),
                                  args.step_cap)
     payload = _json_text({
@@ -261,7 +264,7 @@ def cmd_mixture(args, graph: Graph, t0: float) -> int:
     windows = [Window(-m, m) for m in args.halfwidths]
     rows = mixture_experiment(graph, windows, event, mode=args.mode,
                               samples=args.samples, seed=args.seed or 0,
-                              max_enum=args.max_enum)
+                              max_enum=args.max_enum, max_states=args.max_states)
     table = [((f"[{r.window.n},{r.window.m}]"), args.event, args.mode,
               repr(r.measured), repr(r.predicted), repr(r.gap),
               r.total_configs) for r in rows]
@@ -282,12 +285,13 @@ def cmd_experiment(args, graph: Graph, t0: float) -> int:
         raise ValidationError(f"unknown experiment {args.name!r}")
     results = []
     for n_cyc in args.cycles:
-        cyc = builtin_graph(f"cycle{n_cyc}")
+        cyc = builtin_graph(f"cycle{n_cyc}", args.vertex_cap)
         toppled = 0
         odometer_origin = 0
         for i in range(args.count):
             config = sample_window_config(cyc, args.halfwidth,
-                                          (args.seed or 0) * 1000 + i)
+                                          (args.seed or 0) * 1000 + i,
+                                          max_states=args.max_states)
             final, odo = stabilize(cyc, config, [(0, 0)],
                                    CANONICAL, args.step_cap)
             c = odo.count((0, 0))
@@ -325,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--max-states", type=int, default=10 ** 6)
         p.add_argument("--max-enum", type=int, default=10 ** 7)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--vertex-cap", type=int, default=12)
         p.add_argument("--step-cap", type=int, default=10 ** 7)
 

@@ -158,21 +158,22 @@ def parse_graph(text: str, name: str = "custom",
 
 
 @lru_cache(maxsize=None)
-def builtin_graph(name: str) -> Graph:
+def builtin_graph(name: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Named stock graphs: ``point``, ``path2``, ``path3``, ``pathN``, ``cycleN``."""
     if name == "point":
-        return make_graph(1, [], name="point")
-    if name.startswith("path"):
-        n = int(name[4:])
-        if n < 1:
-            raise ValidationError(f"bad builtin graph {name!r}")
-        return make_graph(n, [(i, i + 1) for i in range(n - 1)], name=name)
-    if name.startswith("cycle"):
-        n = int(name[5:])
-        if n < 3:
-            raise ValidationError("cycle graphs need at least 3 vertices")
-        return make_graph(n, [(i, (i + 1) % n) for i in range(n)], name=name)
-    raise ValidationError(f"unknown builtin graph {name!r}")
+        return make_graph(1, [], name="point", vertex_cap=vertex_cap)
+    kind = name.rstrip("0123456789")
+    if kind not in ("path", "cycle") or kind == name:
+        raise ValidationError(f"unknown builtin graph {name!r}")
+    n = int(name[len(kind):])
+    if kind == "path" and n >= 1:
+        return make_graph(n, [(i, i + 1) for i in range(n - 1)], name=name,
+                          vertex_cap=vertex_cap)
+    if kind == "cycle" and n >= 3:
+        return make_graph(n, [(i, (i + 1) % n) for i in range(n)], name=name,
+                          vertex_cap=vertex_cap)
+    raise ValidationError(f"bad builtin graph {name!r}; paths need >= 1 vertex, "
+                          "cycles >= 3")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ import numpy as np
 from .burning import (RungConfig, full_burnable, left_burnable, max_rung,
                       right_burnable)
 from .census import enum_rungs, iter_recurrent, single_rung_recurrent
-from .coding import (CodingAutomaton, build_coding, parry_chain, restrict,
-                     spectral)
+from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, build_coding,
+                     parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph, Window
 from .toppling import LadderConfig
@@ -71,13 +71,14 @@ class RenewalData:
 
 class _AutomatonBundle:
     """Per-graph cache of the automaton, its restriction to non-maximal
-    rungs, and both spectral data."""
+    rungs, and both spectral data.  ``max_states`` caps the automaton
+    whether it is built or found in the cache."""
 
     _cache: dict[Graph, "_AutomatonBundle"] = {}
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, max_states: int):
         self.graph = graph
-        self.automaton = build_coding(graph)
+        self.automaton = build_coding(graph, max_states=max_states)
         cmax = max_rung(graph)
         self.cmax = cmax
         if len(self.automaton.alphabet) > 1:
@@ -88,9 +89,12 @@ class _AutomatonBundle:
         self.chain = parry_chain(self.automaton, self.spec)
 
     @classmethod
-    def get(cls, graph: Graph) -> "_AutomatonBundle":
+    def get(cls, graph: Graph, max_states: int = DEFAULT_MAX_STATES) -> "_AutomatonBundle":
         if graph not in cls._cache:
-            cls._cache[graph] = cls(graph)
+            cls._cache[graph] = cls(graph, max_states)
+        elif len(cls._cache[graph].automaton) > max_states:
+            raise FeasibilityError(f"automaton has {len(cls._cache[graph].automaton)} "
+                                   f"states > max_states={max_states}")
         return cls._cache[graph]
 
 
@@ -313,8 +317,8 @@ def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
 
 def cylinder_prob(graph: Graph, event: CylinderEvent, method: str = "parry", *,
                   renewal_order: int = DEFAULT_RENEWAL_ORDER,
-                  dp_halfwidth: int = 32,
-                  exact: bool = False) -> CylinderProbability:
+                  dp_halfwidth: int = 32, exact: bool = False,
+                  max_states: int = DEFAULT_MAX_STATES) -> CylinderProbability:
     """Probability of a fixed rung assignment under the left-sided limit
     measure, by the chosen method.  Events containing an inadmissible
     rung have probability zero (flagged, not an error); an empty event
@@ -327,7 +331,7 @@ def cylinder_prob(graph: Graph, event: CylinderEvent, method: str = "parry", *,
     if not event.in_alphabet(graph):
         return CylinderProbability(0.0, method, False,
                                    {"reason": "rung outside alphabet"})
-    bundle = _AutomatonBundle.get(graph)
+    bundle = _AutomatonBundle.get(graph, max_states)
     if method == "parry":
         return CylinderProbability(_parry_prob(bundle, event), method, True, {})
     if method == "renewal":
@@ -355,13 +359,14 @@ def right_cylinder_prob(graph: Graph, event: CylinderEvent,
 # Samplers
 # ---------------------------------------------------------------------------
 
-def sample_chain_windows(graph: Graph, width: int, count: int, seed: int
+def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
+                         max_states: int = DEFAULT_MAX_STATES
                          ) -> list[tuple[RungConfig, ...]]:
     """Draw rung windows from the stationary maximal-entropy chain and
     project states onto their rungs; deterministic per seed."""
     if width < 1 or count < 1:
         raise ValidationError("width and count must be >= 1")
-    bundle = _AutomatonBundle.get(graph)
+    bundle = _AutomatonBundle.get(graph, max_states)
     chain = bundle.chain
     rng = np.random.default_rng(seed)
     size = len(bundle.automaton)
@@ -377,21 +382,23 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int
     return [tuple(rungs[i] for i in row) for row in states]
 
 
-def sample_window_config(graph: Graph, halfwidth: int, seed: int
-                         ) -> LadderConfig:
+def sample_window_config(graph: Graph, halfwidth: int, seed: int, *,
+                         max_states: int = DEFAULT_MAX_STATES) -> LadderConfig:
     """One stationary-chain sample laid out on ``[-halfwidth, halfwidth]``."""
-    rows = sample_chain_windows(graph, 2 * halfwidth + 1, 1, seed)[0]
+    rows = sample_chain_windows(graph, 2 * halfwidth + 1, 1, seed,
+                                max_states=max_states)[0]
     return LadderConfig.from_rungs(rows, start=-halfwidth)
 
 
 def sample_finite_exact(graph: Graph, n: int, m: int, seed: int,
-                        count: int = 1) -> list[LadderConfig]:
+                        count: int = 1, *, max_states: int = DEFAULT_MAX_STATES
+                        ) -> list[LadderConfig]:
     """Exactly uniform samples of the left-burnable configurations on
     the window ``[n, m]``, by sequential draws proportional to integer
     suffix path counts in the automaton."""
     window = Window(n, m)
     length = len(window)
-    bundle = _AutomatonBundle.get(graph)
+    bundle = _AutomatonBundle.get(graph, max_states)
     auto = bundle.automaton
     size = len(auto)
     # suffix[l][s]: words of length l starting at s
@@ -499,8 +506,8 @@ class MixtureRow:
 
 def mixture_experiment(graph: Graph, windows: Iterable[Window],
                        event: CylinderEvent, mode: str = "enumerate", *,
-                       samples: int = 10000, seed: int = 0,
-                       max_enum: int = 10 ** 7) -> list[MixtureRow]:
+                       samples: int = 10000, seed: int = 0, max_enum: int = 10 ** 7,
+                       max_states: int = DEFAULT_MAX_STATES) -> list[MixtureRow]:
     """Compare the uniform-recurrent probability of an event on finite
     windows against the convex mixture of the two one-sided limits.
 
@@ -515,8 +522,8 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
     ``enumerate`` computes the finite-window probability exactly;
     ``sample`` draws uniformly from the same exhaustive enumeration.
     """
-    mu_l = cylinder_prob(graph, event, "parry").value
-    mu_r = right_cylinder_prob(graph, event, "parry").value
+    mu_l = cylinder_prob(graph, event, "parry", max_states=max_states).value
+    mu_r = right_cylinder_prob(graph, event, "parry", max_states=max_states).value
     rows = []
     for window in windows:
         length = len(window)

@@ -1,14 +1,17 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from laddersand.burning import (full_burnable, max_rung, right_burnable,
-                                window_heights)
-from laddersand.census import (count_series, entropy_bounds, enum_rungs,
-                               iter_left_burnable, iter_recurrent,
+from laddersand.burning import (full_burnable, leftmost_schedule, max_rung,
+                                right_burnable, window_heights)
+from laddersand.census import (_SequenceDFS, count_series, entropy_bounds,
+                               enum_rungs, iter_left_burnable, iter_recurrent,
                                renewal_identity_check, single_rung_recurrent)
 from laddersand.errors import FeasibilityError, ValidationError
+from laddersand.graphs import builtin_graph, laplacian_entry
 
 I01_A = (5, 19, 71, 265, 989, 3691, 13775, 51409)
 I01_B = (4, 10, 22, 46, 94, 190, 382, 766)
@@ -175,12 +178,6 @@ def test_brute_matches_automaton_wider_graphs():
         assert brute.values == auto.values
 
 
-def test_threads_partition_agrees(path2):
-    seq = count_series(path2, "L", 6)
-    par = count_series(path2, "L", 6, threads=4)
-    assert seq.values == par.values
-
-
 def test_entropy_bounds(path2, point):
     a = count_series(path2, "L", 8)
     bounds = entropy_bounds(a)
@@ -201,3 +198,83 @@ def test_symmetric_strictly_smaller_at_depth_8(path2):
     s8 = count_series(path2, "S", 8).values[7]
     a8 = I01_A[7]
     assert math.log(s8) / 8 < math.log(a8) / 8
+
+
+def _stable_rungs(graph):
+    return list(itertools.product(*[range(1, m + 1) for m in graph.max_height]))
+
+
+def _engine_recurrent(dfs, seq):
+    burnt, tbls = [], []
+    for c in seq:
+        tbls.append(dfs.row_table(c))
+        burnt = dfs.push(burnt, tbls, c, ignite=False)
+    return dfs.is_burnable(burnt, tbls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_engine_matches_burning_oracles(data):
+    # the row-mask engine decides recurrence like ordinary burning and
+    # right-burnability like the rung-at-a-time schedule on the mirror
+    graph = builtin_graph(data.draw(st.sampled_from(["path2", "path3", "cycle3"])))
+    dfs = _SequenceDFS(graph)
+    seq = data.draw(st.lists(st.sampled_from(_stable_rungs(graph)),
+                             min_size=1, max_size=5))
+    assert (_engine_recurrent(dfs, seq)
+            == full_burnable(graph, window_heights(seq)).success)
+    symbols = data.draw(st.lists(st.sampled_from(dfs.alphabet.rungs),
+                                 min_size=1, max_size=5))
+    assert (dfs.is_right_burnable(symbols)
+            == leftmost_schedule(graph, list(reversed(symbols))).success)
+
+
+def _reduced_laplacian_det(graph, n):
+    sites = [(x, k) for k in range(1, n + 1) for x in range(graph.n)]
+    a = [[Fraction(laplacian_entry(graph, u, v)) for v in sites] for u in sites]
+    det = Fraction(1)
+    # positive definite, so elimination needs no pivoting
+    for k in range(len(a)):
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            for j in range(k, len(a)):
+                a[i][j] -= f * a[k][j]
+    return int(det)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("path2", (8, 45, 224, 1045, 4680)),
+    ("path3", (30, 576, 9660)),
+    ("cycle3", (50, 1728, 52900)),
+])
+def test_recurrent_counts_are_matrix_tree_counts(name, expected):
+    graph = builtin_graph(name)
+    rec = count_series(graph, "REC", len(expected))
+    assert rec.values == expected
+    assert expected == tuple(_reduced_laplacian_det(graph, n)
+                             for n in range(1, len(expected) + 1))
+
+
+@pytest.mark.parametrize("name, n", [("path2", 3), ("path3", 2), ("cycle3", 2),
+                                     ("point", 4)])
+def test_iter_recurrent_is_filtered_product(name, n):
+    graph = builtin_graph(name)
+    expected = [s for s in itertools.product(_stable_rungs(graph), repeat=n)
+                if full_burnable(graph, window_heights(s)).success]
+    assert list(iter_recurrent(graph, n)) == expected
+
+
+def test_iter_recurrent_edge_lengths(path2):
+    assert list(iter_recurrent(path2, 0)) == [()]
+    with pytest.raises(ValidationError):
+        list(iter_recurrent(path2, -1))
+
+
+def test_two_sided_counts_pinned(path2, path3, cycle3):
+    assert count_series(path2, "S", 6).values == (5, 17, 59, 205, 713, 2481)
+    assert count_series(path2, "S0", 6).values == (4, 8, 14, 24, 42, 76)
+    assert count_series(path3, "S", 3).values == (22, 258, 2944)
+    assert count_series(path3, "S0", 3).values == (21, 215, 2009)
+    assert count_series(cycle3, "S", 2).values == (34, 682)
+    assert count_series(cycle3, "S0", 2).values == (33, 615)

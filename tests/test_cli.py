@@ -173,3 +173,24 @@ def test_census_rerun_byte_identical(tmp_path, capsys):
     manifest = json.loads((tmp_path / "r1.csv.manifest.json").read_text())
     assert manifest["parameters"]["variant"] == "L"
     assert "wall_clock_s" in manifest
+
+
+def test_vertex_cap_reaches_builtin_graphs(capsys):
+    code, out, _ = run(capsys, "graph", "--graph", "path13", "--vertex-cap", "14")
+    assert code == 0 and json.loads(out)["vertices"] == 13
+    code, _, err = run(capsys, "graph", "--graph", "path13")
+    assert code == 2 and "cap" in err
+
+
+def test_malformed_builtin_name_is_invalid_input(capsys):
+    for name in ("pathx", "path", "cycle", "point3"):
+        code, _, err = run(capsys, "graph", "--graph", name)
+        assert code == 2 and "unknown builtin graph" in err
+
+
+def test_max_states_caps_the_measure_automaton(capsys):
+    # cycle4's automaton has 745 states
+    code, _, err = run(capsys, "measure", "--graph", "cycle4",
+                       "--max-states", "10", "--event", "4,4,4,4",
+                       "--method", "parry")
+    assert code == 3 and "max_states" in err

@@ -7,7 +7,7 @@ from laddersand.burning import (left_burnable, right_burnable, window_heights)
 from laddersand.census import iter_recurrent
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import Window
-from laddersand.measures import (CylinderEvent, boundary_layer,
+from laddersand.measures import (CylinderEvent, _AutomatonBundle, boundary_layer,
                                  cylinder_prob, mixture_experiment,
                                  renewal_quantities, right_cylinder_prob,
                                  sample_chain_windows, sample_finite_exact,
@@ -332,3 +332,15 @@ def test_sample_window_config(path2):
     cfg = sample_window_config(path2, 5, seed=8)
     assert cfg.window == Window(-5, 5)
     assert left_burnable(path2, cfg.heights_map()).success
+
+
+def test_max_states_caps_cold_and_cached_bundles(path2, monkeypatch):
+    event = CylinderEvent.centered([(3, 3)])
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    with pytest.raises(FeasibilityError, match="max_states"):
+        cylinder_prob(path2, event, "parry", max_states=6)  # cold build
+    assert cylinder_prob(path2, event, "parry", max_states=7).valid  # 7 states
+    with pytest.raises(FeasibilityError, match="max_states"):
+        cylinder_prob(path2, event, "parry", max_states=6)  # cached bundle
+    with pytest.raises(FeasibilityError, match="max_states"):
+        sample_chain_windows(path2, 3, 1, 0, max_states=6)

@@ -323,14 +323,16 @@ def iter_recurrent(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
 
 def count_series(graph: Graph, variant: str, n_max: int,
                  method: str = "brute", *,
-                 max_enum: int = DEFAULT_MAX_ENUM) -> CountSeries:
+                 max_enum: int = DEFAULT_MAX_ENUM,
+                 max_states: Optional[int] = None) -> CountSeries:
     """Exact counts of the window classes: ``L`` left-burnable, ``L0``
     left-burnable without maximal rungs, ``S`` two-sided burnable, ``S0``
     two-sided without maximal rungs, ``REC`` all recurrent.
 
     ``method="automaton"`` counts accepted words of the rung-coding
     automaton instead of enumerating; it exists for ``L`` and ``L0``
-    only (no automaton is built for the symmetric or recurrent classes).
+    only (no automaton is built for the symmetric or recurrent classes),
+    and builds it under ``max_states`` (default: the coding module's cap).
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; pick from {VARIANTS}")
@@ -340,8 +342,9 @@ def count_series(graph: Graph, variant: str, n_max: int,
         if variant not in ("L", "L0"):
             raise ValidationError(
                 f"variant {variant!r} has no automaton; use method='brute'")
-        from .coding import build_coding, restrict
-        auto = build_coding(graph)
+        from .coding import DEFAULT_MAX_STATES, build_coding, restrict
+        auto = build_coding(graph, max_states=DEFAULT_MAX_STATES
+                            if max_states is None else max_states)
         if variant == "L0":
             cmax = max_rung(graph)
             auto = restrict(auto, lambda c: c != cmax)

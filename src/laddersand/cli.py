@@ -109,7 +109,7 @@ def cmd_graph(args, graph: Graph, t0: float) -> int:
 
 def cmd_census(args, graph: Graph, t0: float) -> int:
     series = count_series(graph, args.variant, args.n, method=args.method,
-                          max_enum=args.max_enum)
+                          max_enum=args.max_enum, max_states=args.max_states)
     if args.format == "csv":
         rows = [(series.variant, n, v)
                 for n, v in enumerate(series.values, start=1)]

@@ -11,6 +11,13 @@ nothing about that on its own; the equivalence is exercised by
 Heights below 1 never arise from stabilizing a stable configuration
 plus additions, but arbitrary positive heights are accepted so that
 mid-avalanche states can be replayed.
+
+The parallel schedule fires whole numpy masks.  The canonical and random
+schedules topple one site at a time on flat Python lists indexed by cell
+``r * n + x`` (row ``r`` of the heights array, vertex ``x``); the cell
+index defines their order (the canonical schedule fires the least
+unstable cell), and the heights and odometer are written back to numpy
+arrays when the avalanche ends or overruns its step cap.
 """
 
 from __future__ import annotations
@@ -165,24 +172,10 @@ def stabilize(graph: Graph, config: LadderConfig,
             raise ValidationError(f"addition site ({x},{k}) outside window")
         h[k - window.n, x] += 1
 
-    mvec = np.array(graph.max_height, dtype=np.int64)
-    odo = np.zeros_like(h)
-    sink_edges = np.zeros(rows, dtype=np.int64)
-    sink_edges[0] += 1
-    sink_edges[-1] += 1  # single-rung windows get both
-
     steps = 0
-
-    def overflow():
-        raise StepCapExceeded(
-            f"avalanche exceeded step cap of {step_cap} site-topplings",
-            odometer=Odometer(window, odo, _sink_total()),
-            heights=LadderConfig(window, h))
-
-    def _sink_total() -> int:
-        return int((odo.sum(axis=1) * sink_edges).sum())
-
     if schedule.kind == "parallel":
+        mvec = np.array(graph.max_height, dtype=np.int64)
+        odo = np.zeros_like(h)
         adj = np.zeros((n, n), dtype=np.int64)
         for u, v in graph.edges:
             adj[u, v] = adj[v, u] = 1
@@ -193,59 +186,60 @@ def stabilize(graph: Graph, config: LadderConfig,
                 break
             steps += fired
             if steps > step_cap:
-                overflow()
+                break
             odo += mask
             h -= mask * mvec[None, :]
             h += mask @ adj
             h[1:] += mask[:-1]
             h[:-1] += mask[1:]
     else:
-        rng = random.Random(schedule.seed) if schedule.kind == "random" else None
-        queued: set[tuple[int, int]] = set()
-        heap: list[tuple[int, int]] = []
-        pool: list[tuple[int, int]] = []
-
-        def enqueue(rr: int, xx: int) -> None:
-            if (rr, xx) in queued:
-                return
-            queued.add((rr, xx))
-            if rng is None:
-                heappush(heap, (rr, xx))
-            else:
-                pool.append((rr, xx))
-
-        def bump(rr: int, xx: int) -> None:
-            h[rr, xx] += 1
-            if h[rr, xx] > mvec[xx]:
-                enqueue(rr, xx)
-
-        for r in range(rows):
-            for x in range(n):
-                if h[r, x] > mvec[x]:
-                    enqueue(r, x)
-        # a queued site stays unstable until it topples: heights only grow
-        while queued:
-            if rng is None:
-                r, x = heappop(heap)
-            else:
-                r, x = pool.pop(rng.randrange(len(pool)))
-            queued.discard((r, x))
+        # Site (x, window.n + r) is cell r * n + x, so heap order on cells
+        # is (rung, vertex) order.  A cell's neighbours are its graph
+        # neighbours, then the rung below, then the rung above.
+        cells = rows * n
+        cap = list(graph.max_height) * rows
+        nbrs = [[c - x + y for y in graph.neighbors[x]]
+                + [c + d for d in (-n, n) if 0 <= c + d < cells]
+                for c, x in enumerate(list(range(n)) * rows)]
+        hl = h.ravel().tolist()
+        ol = [0] * cells
+        queued = [hc > m for hc, m in zip(hl, cap)]
+        todo = [c for c in range(cells) if queued[c]]
+        draw = (random.Random(schedule.seed).randrange
+                if schedule.kind == "random" else None)
+        # a queued cell stays unstable until it topples: heights only grow
+        while todo:
+            c = heappop(todo) if draw is None else todo.pop(draw(len(todo)))
+            queued[c] = False
             steps += 1
             if steps > step_cap:
-                overflow()
-            odo[r, x] += 1
-            h[r, x] -= mvec[x]
-            for y in graph.neighbors[x]:
-                bump(r, y)
-            if r > 0:
-                bump(r - 1, x)
-            if r < rows - 1:
-                bump(r + 1, x)
-            if h[r, x] > mvec[x]:
-                enqueue(r, x)
+                break
+            ol[c] += 1
+            hl[c] -= cap[c]
+            for d in nbrs[c]:
+                hl[d] += 1
+                if hl[d] > cap[d] and not queued[d]:
+                    queued[d] = True
+                    if draw is None:
+                        heappush(todo, d)
+                    else:
+                        todo.append(d)
+            if hl[c] > cap[c]:
+                queued[c] = True
+                if draw is None:
+                    heappush(todo, c)
+                else:
+                    todo.append(c)
+        h = np.array(hl, dtype=np.int64).reshape(rows, n)
+        odo = np.array(ol, dtype=np.int64).reshape(rows, n)
 
-    return (LadderConfig(window, h),
-            Odometer(window, odo, _sink_total()))
+    # the end rungs drain to the sink; a single-rung window drains twice
+    odometer = Odometer(window, odo, int(odo[0].sum() + odo[-1].sum()))
+    if steps > step_cap:
+        raise StepCapExceeded(
+            f"avalanche exceeded step cap of {step_cap} site-topplings",
+            odometer=odometer, heights=LadderConfig(window, h))
+    return LadderConfig(window, h), odometer
 
 
 def check_abelian(graph: Graph, config: LadderConfig,

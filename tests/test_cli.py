@@ -194,3 +194,24 @@ def test_max_states_caps_the_measure_automaton(capsys):
                        "--max-states", "10", "--event", "4,4,4,4",
                        "--method", "parry")
     assert code == 3 and "max_states" in err
+
+
+def test_max_states_caps_the_census_automaton(capsys):
+    code, _, err = run(capsys, "census", "--graph", "cycle4", "--variant", "L",
+                       "--n", "2", "--method", "automaton", "--max-states", "10")
+    assert code == 3 and "max_states" in err
+
+
+def test_step_cap_on_every_dynamics_command(capsys):
+    commands = [
+        ["blast", "--graph", "path2", "--halfwidth", "8", "--seed", "1"],
+        ["topple", "--graph", "path2", "--demo", "rightward-wave",
+         "--length", "12"],
+        ["experiment", "cycle-topple", "--cycles", "3", "--halfwidth", "8",
+         "--count", "3", "--seed", "1"],
+    ]
+    for argv, cap in zip(commands, ("10", "1", "1")):
+        code, _, err = run(capsys, *argv, "--step-cap", cap)
+        assert code == 3 and "step cap" in err, argv
+        code, _, err = run(capsys, *argv, "--step-cap", "0")
+        assert code == 2 and "step_cap" in err, argv

@@ -63,6 +63,31 @@ def test_abelian_random_instances(path2):
         assert check_abelian(path2, cfg, adds, schedules)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_abelian_multi_site_additions(data):
+    graph = builtin_graph(data.draw(st.sampled_from(["path2", "path3", "cycle3"])))
+    length = data.draw(st.integers(1, 8))
+    start = data.draw(st.integers(-3, 3))
+    rows = data.draw(st.lists(
+        st.tuples(*[st.integers(1, m) for m in graph.max_height]),
+        min_size=length, max_size=length))
+    cfg = LadderConfig.from_rungs(rows, start=start)
+    adds = data.draw(st.lists(
+        st.tuples(st.integers(0, graph.n - 1),
+                  st.integers(start, start + length - 1)),
+        min_size=1, max_size=6))
+    schedules = [PARALLEL, CANONICAL,
+                 random_schedule(data.draw(st.integers(0, 2 ** 31 - 1)))]
+    assert check_abelian(graph, cfg, adds, schedules)
+    init = cfg.heights.copy()
+    for x, k in adds:
+        init[k - start, x] += 1
+    final, odo = stabilize(graph, cfg, adds, CANONICAL)
+    assert (final.heights ==
+            init - laplacian_apply(graph, cfg.window, odo.counts)).all()
+
+
 def test_abelian_empty_additions(path2):
     cfg = LadderConfig.from_rungs([(3, 3), (3, 3)], start=1)
     assert check_abelian(path2, cfg, [], [PARALLEL, CANONICAL])
@@ -139,14 +164,47 @@ def test_validation(path2):
         stabilize(path2, mis, [])
 
 
-def test_step_cap_carries_partial_state(path2):
-    cfg = LadderConfig.from_rungs([(3, 3)] * 4, start=0)
-    with pytest.raises(StepCapExceeded) as info:
-        stabilize(path2, cfg, [(0, 0)], CANONICAL, step_cap=2)
-    err = info.value
-    assert isinstance(err.odometer, Odometer)
-    assert err.odometer.counts.sum() == 2
-    assert isinstance(err.heights, LadderConfig)
+def test_step_cap_carries_partial_state():
+    from laddersand.graphs import sink_multiplicity
+    for name, rung in (("path2", (3, 3)), ("path3", (3, 4, 3)),
+                       ("cycle3", (4, 4, 4))):
+        graph = builtin_graph(name)
+        cfg = LadderConfig.from_rungs([rung] * 4, start=0)
+        adds = [(0, 0), (graph.n - 1, 2), (0, 0)]
+        init = cfg.heights.copy()
+        for x, k in adds:
+            init[k, x] += 1
+        total = int(stabilize(graph, cfg, adds)[1].counts.sum())
+        for sched in (CANONICAL, random_schedule(1), random_schedule(2)):
+            for cap in (1, 2, total // 2, total - 1):
+                with pytest.raises(StepCapExceeded) as info:
+                    stabilize(graph, cfg, adds, sched, step_cap=cap)
+                err, case = info.value, (name, sched, cap)
+                assert isinstance(err.odometer, Odometer)
+                assert isinstance(err.heights, LadderConfig)
+                counts = err.odometer.counts
+                assert counts.sum() == cap, case
+                assert (err.heights.heights == init - laplacian_apply(
+                    graph, cfg.window, counts)).all(), case
+                assert err.odometer.grains_to_sink == sum(
+                    counts[k, x] * sink_multiplicity(graph, cfg.window, (x, k))
+                    for k in range(4) for x in range(graph.n)), case
+
+
+def test_random_schedule_partial_odometer_pinned():
+    # a seed fixes the random schedule's toppling order, so the partial
+    # odometer at a cap is part of its output
+    graph = builtin_graph("path3")
+    cfg = LadderConfig.from_rungs([(3, 4, 3)] * 5, start=0)
+    expected = {
+        6: [[1, 0, 0], [1, 1, 1], [0, 0, 1], [0, 0, 1], [0, 0, 0]],
+        23: [[1, 1, 1], [2, 1, 2], [2, 2, 2], [2, 2, 2], [1, 1, 1]],
+    }
+    for cap, counts in expected.items():
+        with pytest.raises(StepCapExceeded) as info:
+            stabilize(graph, cfg, [(0, 0), (2, 3)], random_schedule(5),
+                      step_cap=cap)
+        assert info.value.odometer.counts.tolist() == counts
 
 
 def test_blast_all_max(path2):

@@ -348,7 +348,7 @@ def count_series(graph: Graph, variant: str, n_max: int,
         if variant == "L0":
             cmax = max_rung(graph)
             auto = restrict(auto, lambda c: c != cmax)
-        values = tuple(auto.count_words(n) for n in range(1, n_max + 1))
+        values = tuple(auto.word_counts(n_max))
         return CountSeries(variant=variant, values=values,
                            provenance="automaton", graph_name=graph.name)
     if method != "brute":

@@ -52,6 +52,21 @@ def _parse_rung(text: str) -> tuple[int, ...]:
         raise ValidationError(f"bad rung {text!r}; expected e.g. 3,2") from None
 
 
+def _parse_site(text: str) -> tuple[int, int]:
+    try:
+        x, k = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ValidationError(f"bad site {text!r}; expected X,K e.g. 0,0") from None
+    return x, k
+
+
+def _read_config(path: str) -> LadderConfig:
+    try:
+        return LadderConfig.from_json(json.loads(Path(path).read_text()))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad config {path!r}: {exc!r}") from None
+
+
 def _parse_event(text: str, at: Optional[int], centered: bool) -> CylinderEvent:
     rungs = tuple(_parse_rung(part) for part in text.split(";") if part)
     if centered:
@@ -227,9 +242,8 @@ def cmd_topple(args, graph: Graph, t0: float) -> int:
     else:
         if args.config is None:
             raise ValidationError("need --config FILE or --demo rightward-wave")
-        config = LadderConfig.from_json(json.loads(Path(args.config).read_text()))
-        additions = [tuple(map(int, a.split(","))) for a in (args.add or [])]
-        additions = [(x, k) for x, k in additions]
+        config = _read_config(args.config)
+        additions = [_parse_site(a) for a in (args.add or [])]
     final, odo = stabilize(graph, config, additions,
                            _schedule_from_args(args), args.step_cap)
     payload = _json_text({
@@ -243,7 +257,7 @@ def cmd_topple(args, graph: Graph, t0: float) -> int:
 
 def cmd_blast(args, graph: Graph, t0: float) -> int:
     if args.config is not None:
-        config = LadderConfig.from_json(json.loads(Path(args.config).read_text()))
+        config = _read_config(args.config)
     else:
         config = sample_window_config(graph, args.halfwidth, args.seed or 0,
                                       max_states=args.max_states)
@@ -262,14 +276,13 @@ def cmd_blast(args, graph: Graph, t0: float) -> int:
 def cmd_mixture(args, graph: Graph, t0: float) -> int:
     event = _parse_event(args.event, args.at, args.centered)
     windows = [Window(-m, m) for m in args.halfwidths]
-    rows = mixture_experiment(graph, windows, event, mode=args.mode,
-                              samples=args.samples, seed=args.seed or 0,
-                              max_enum=args.max_enum, max_states=args.max_states)
-    table = [((f"[{r.window.n},{r.window.m}]"), args.event, args.mode,
+    rows = mixture_experiment(graph, windows, event, max_enum=args.max_enum,
+                              max_states=args.max_states)
+    table = [((f"[{r.window.n},{r.window.m}]"), args.event,
               repr(r.measured), repr(r.predicted), repr(r.gap),
               r.total_configs) for r in rows]
     if args.format == "csv":
-        payload = _csv_text(("window", "event", "mode", "measured",
+        payload = _csv_text(("window", "event", "measured",
                              "predicted", "gap", "configs"), table)
     else:
         payload = _json_text([{
@@ -415,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centered", action="store_true")
     p.add_argument("--halfwidths", type=lambda s: [int(x) for x in s.split(",")],
                    default=[2, 3])
-    p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
-    p.add_argument("--samples", type=int, default=10000)
     p.set_defaults(func=cmd_mixture)
 
     p = sub.add_parser("experiment", help="exploratory runs; "

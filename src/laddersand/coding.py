@@ -11,15 +11,28 @@ is determined by its rungs and the correspondence is one-to-one.
 The transition matrix is transitive, its Perron data give the per-rung
 growth rate, and the associated stochastic matrix (the maximal-entropy
 chain on the shift) is what the measure samplers draw from.
+
+Word counts run on two lumpings of the automaton rather than on its
+states.  The suffix lumping is the coarsest partition in which all
+members of a block have the same multiset of successor blocks; the
+number of words of a given length starting at a state then depends only
+on the state's block, and one step of the count is a sum over that
+multiset (Kemeny and Snell, *Finite Markov Chains*, 1960, 6.3).  The
+prefix lumping is the same construction on predecessors, seeded with
+the start states, so the number of words ending at a state depends only
+on its block.  Both counts are exact integers, equal to the per-state
+sweeps they replace; on cycle4 the 745 states fall into 22 suffix and
+54 prefix blocks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +66,47 @@ class CodeSymbol:
         }
 
 
+class Lumping(NamedTuple):
+    """A partition of the automaton's states into blocks: ``block[i]`` is
+    state ``i``'s block, ``adj[b]`` the ``(neighbour block, count)`` pairs
+    shared by every member of block ``b``."""
+
+    block: tuple[int, ...]
+    adj: tuple[tuple[tuple[int, int], ...], ...]
+
+    def sweep(self, vec: list[int], steps: int) -> list[list[int]]:
+        """The per-block vector after 0, 1, ..., ``steps`` steps of
+        summing each block's neighbours."""
+        out = [vec]
+        for _ in range(steps):
+            vec = [sum(count * vec[b] for b, count in row) for row in self.adj]
+            out.append(vec)
+        return out
+
+
+def _lump(adj: Sequence[Sequence[int]], init: Sequence[int]) -> Lumping:
+    """Coarsest refinement of the partition ``init`` in which all members
+    of a block have the same multiset of neighbour blocks under ``adj``
+    (Moore's partition refinement); blocks are numbered in order of
+    their first member."""
+    block = list(init)
+    count = len(set(block))
+    while True:
+        names: dict[tuple, int] = {}
+        block = [names.setdefault((block[i], tuple(sorted(block[j] for j in row))),
+                                  len(names))
+                 for i, row in enumerate(adj)]
+        if len(names) == count:
+            break
+        count = len(names)
+    first: dict[int, int] = {}
+    for i, b in enumerate(block):
+        first.setdefault(b, i)
+    pairs = tuple(tuple(sorted(Counter(block[j] for j in adj[i]).items()))
+                  for i in first.values())
+    return Lumping(tuple(block), pairs)
+
+
 @dataclass
 class CodingAutomaton:
     """Deterministic presentation of the left-burnable rung sequences."""
@@ -80,15 +134,48 @@ class CodingAutomaton:
     def start_states(self) -> tuple[int, ...]:
         return tuple(sorted(self.inclusion.values()))
 
-    def count_words(self, n: int) -> int:
-        """Exact number of accepted words of length ``n`` (equivalently,
-        of left-burnable rung sequences of that length)."""
-        if n < 1:
+    @cached_property
+    def suffix_lumping(self) -> Lumping:
+        """States lumped by their successor blocks."""
+        return _lump(self.targets, [0] * len(self.states))
+
+    @cached_property
+    def prefix_lumping(self) -> Lumping:
+        """States lumped by their predecessor blocks, start states apart."""
+        preds: list[list[int]] = [[] for _ in self.states]
+        for i, row in enumerate(self.targets):
+            for j in row:
+                preds[j].append(i)
+        starts = set(self.start_states())
+        return _lump(preds, [i in starts for i in range(len(self.states))])
+
+    def suffix_counts(self, n: int) -> list[list[int]]:
+        """``[l][b]``: words of length ``l + 1`` starting at a state of
+        suffix block ``b``, for ``l < n``."""
+        lump = self.suffix_lumping
+        return lump.sweep([1] * len(lump.adj), n - 1)
+
+    def prefix_counts(self, n: int) -> list[list[int]]:
+        """``[l][b]``: accepted words of length ``l + 1`` ending at a state
+        of prefix block ``b``, for ``l < n``."""
+        lump = self.prefix_lumping
+        vec = [0] * len(lump.adj)
+        for i in self.start_states():
+            vec[lump.block[i]] = 1
+        return lump.sweep(vec, n - 1)
+
+    def word_counts(self, n_max: int) -> list[int]:
+        """Exact numbers of accepted words of lengths ``1..n_max``
+        (equivalently, of left-burnable rung sequences), in one sweep."""
+        if n_max < 1:
             raise ValidationError("word length must be >= 1")
-        vec = [1] * len(self.states)
-        for _ in range(n - 1):
-            vec = [sum(vec[t] for t in row) for row in self.targets]
-        return sum(vec[i] for i in self.start_states())
+        starts = Counter(self.suffix_lumping.block[i] for i in self.start_states())
+        return [sum(k * vec[b] for b, k in starts.items())
+                for vec in self.suffix_counts(n_max)]
+
+    def count_words(self, n: int) -> int:
+        """Exact number of accepted words of length ``n``."""
+        return self.word_counts(n)[-1]
 
     def to_json(self) -> dict:
         return {
@@ -371,7 +458,7 @@ def influence_maps_monotone(automaton: CodingAutomaton) -> bool:
 
 
 __all__ = [
-    "CodeSymbol", "CodingAutomaton", "ParryChain", "SpectralData",
+    "CodeSymbol", "CodingAutomaton", "Lumping", "ParryChain", "SpectralData",
     "build_coding", "check_transitive", "decode", "encode",
     "influence_maps_monotone", "parry_chain", "restrict", "spectral",
     "DEFAULT_MAX_STATES",

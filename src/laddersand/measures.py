@@ -11,7 +11,12 @@ are computed three independent ways:
 * ``parry``    - the stationary marginal of the maximal-entropy chain
   on the coding automaton;
 * ``finite_dp`` - exact rational probability on a large finite window
-  by integer path counting.
+  by integer path counting: the words through the event are the
+  prefix-block count of words ending at each state of the event's first
+  rung, walked through the event's rungs (the automaton is
+  deterministic, so each such state has at most one continuation), times
+  the suffix-block count of words starting where the walk ends; the
+  denominator is the number of words of the window's length.
 
 The right-sided measure is the reflection of the left-sided one, so all
 right-sided quantities are computed by reflecting events and samples.
@@ -71,8 +76,9 @@ class RenewalData:
 
 class _AutomatonBundle:
     """Per-graph cache of the automaton, its restriction to non-maximal
-    rungs, and both spectral data.  ``max_states`` caps the automaton
-    whether it is built or found in the cache."""
+    rungs, both spectral data and the per-rung state masks.
+    ``max_states`` caps the automaton whether it is built or found in
+    the cache."""
 
     _cache: dict[Graph, "_AutomatonBundle"] = {}
 
@@ -87,6 +93,7 @@ class _AutomatonBundle:
             self.nonmax = None
         self.spec = spectral(self.automaton)
         self.chain = parry_chain(self.automaton, self.spec)
+        self.masks = _state_rung_masks(self.automaton)
 
     @classmethod
     def get(cls, graph: Graph, max_states: int = DEFAULT_MAX_STATES) -> "_AutomatonBundle":
@@ -106,7 +113,8 @@ def renewal_quantities(graph: Graph, order: int = DEFAULT_RENEWAL_ORDER, *,
     The no-maximal-rung counts are taken from the restricted automaton;
     their growth rate bounds the truncation tail.  If the bound cannot
     be pushed below ``tail_tol`` at this order, a larger order is
-    requested via :class:`FeasibilityError`.
+    requested via :class:`FeasibilityError`; an order whose counts or
+    growth-rate powers overflow floating point is refused the same way.
     """
     if order < 4:
         raise ValidationError("order must be >= 4")
@@ -115,9 +123,16 @@ def renewal_quantities(graph: Graph, order: int = DEFAULT_RENEWAL_ORDER, *,
         # one admissible rung only: every window is a run of renewals
         return RenewalData(lam=1.0, order=order, p=(1.0,), tail_bound=0.0,
                            mean_gap=1.0, alpha=1.0)
-    b = [1] + [bundle.nonmax.count_words(n) for n in range(1, order)]
     rho0 = spectral(bundle.nonmax).rho
-    growth_const = max(bn / rho0 ** n for n, bn in enumerate(b))
+    try:
+        scale = [rho0 ** n for n in range(order)]
+        # as floats, which is how each count enters the sums below
+        b = [1.0] + [float(bn) for bn in bundle.nonmax.word_counts(order - 1)]
+    except OverflowError:
+        raise FeasibilityError(
+            f"renewal order {order} overflows floating point; "
+            "use a smaller order") from None
+    growth_const = max(bn / sn for bn, sn in zip(b, scale))
 
     def truncated(z: float) -> float:
         acc = 0.0
@@ -219,7 +234,7 @@ def _state_rung_masks(automaton: CodingAutomaton) -> dict[RungConfig, np.ndarray
 
 def _parry_prob(bundle: _AutomatonBundle, event: CylinderEvent) -> float:
     chain = bundle.chain
-    masks = _state_rung_masks(bundle.automaton)
+    masks = bundle.masks
     vec = chain.stationary * masks[event.rungs[0]]
     for c in event.rungs[1:]:
         vec = (vec @ chain.matrix) * masks[c]
@@ -258,7 +273,7 @@ def _renewal_prob(bundle: _AutomatonBundle, event: CylinderEvent,
         raise FeasibilityError("left flank sum did not converge")
     # entering the event block: either no left flank (the block starts
     # the window) or one transition out of the flank
-    masks = _state_rung_masks(auto)
+    masks = bundle.masks
     vec = (start + acc_f @ t) * masks[event.rungs[0]]
     for c in event.rungs[1:]:
         vec = (vec @ t) * masks[c]
@@ -286,30 +301,24 @@ def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
     """Exact probability of the event under the uniform measure on
     left-burnable windows ``[-halfwidth, halfwidth]``."""
     auto = bundle.automaton
-    size = len(auto)
     window = Window(-halfwidth, halfwidth)
     if event.lo < window.n or event.hi > window.m:
         raise ValidationError("event window larger than the DP window")
-    rung_states = {c: frozenset(i for i, s in enumerate(auto.states)
-                                if s.rung == c) for c in auto.alphabet}
-    starts = set(auto.start_states())
-    fixed = {event.lo + j: rung_states[c]
-             for j, c in enumerate(event.rungs)}
-
-    vec = [1 if i in starts else 0 for i in range(size)]
-    if window.n in fixed:
-        vec = [v if i in fixed[window.n] else 0 for i, v in enumerate(vec)]
-    for k in range(window.n + 1, window.m + 1):
-        nxt = [0] * size
-        for i, v in enumerate(vec):
-            if v:
-                for c, j in auto.delta[i].items():
-                    nxt[j] += v
-        if k in fixed:
-            keep = fixed[k]
-            nxt = [v if i in keep else 0 for i, v in enumerate(nxt)]
-        vec = nxt
-    numerator = sum(vec)
+    before = event.lo - window.n + 1  # word length up to the event's first rung
+    after = window.m - event.hi + 1  # word length from the event's last rung
+    prefix = auto.prefix_counts(before)[-1]
+    suffix = auto.suffix_counts(after)[-1]
+    pblock = auto.prefix_lumping.block
+    sblock = auto.suffix_lumping.block
+    numerator = 0
+    for state in np.flatnonzero(bundle.masks[event.rungs[0]]).tolist():
+        ways = prefix[pblock[state]]
+        for c in event.rungs[1:]:
+            state = auto.delta[state].get(c)
+            if state is None:
+                break
+        else:
+            numerator += ways * suffix[sblock[state]]
     denominator = auto.count_words(len(window))
     frac = Fraction(numerator, denominator)
     return float(frac), (frac if exact else None)
@@ -400,22 +409,19 @@ def sample_finite_exact(graph: Graph, n: int, m: int, seed: int,
     length = len(window)
     bundle = _AutomatonBundle.get(graph, max_states)
     auto = bundle.automaton
-    size = len(auto)
-    # suffix[l][s]: words of length l starting at s
-    suffix = [[1] * size]
-    for _ in range(length - 1):
-        prev = suffix[-1]
-        suffix.append([sum(prev[t] for t in row) for row in auto.targets])
+    # suffix[l][b]: words of length l + 1 starting in suffix block b
+    suffix = auto.suffix_counts(length)
+    block = auto.suffix_lumping.block
     rng = random.Random(seed)
     starts = auto.start_states()
     out = []
     for _ in range(count):
-        weights = [(suffix[length - 1][s], s) for s in starts]
+        weights = [(suffix[length - 1][block[s]], s) for s in starts]
         state = _weighted_pick(rng, weights)
         word = [state]
         for step in range(1, length):
             rem = length - 1 - step
-            weights = [(suffix[rem][t], t) for t in sorted(auto.delta[word[-1]].values())]
+            weights = [(suffix[rem][block[t]], t) for t in auto.targets[word[-1]]]
             state = _weighted_pick(rng, weights)
             word.append(state)
         rows = [auto.states[i].rung for i in word]
@@ -505,8 +511,7 @@ class MixtureRow:
 
 
 def mixture_experiment(graph: Graph, windows: Iterable[Window],
-                       event: CylinderEvent, mode: str = "enumerate", *,
-                       samples: int = 10000, seed: int = 0, max_enum: int = 10 ** 7,
+                       event: CylinderEvent, *, max_enum: int = 10 ** 7,
                        max_states: int = DEFAULT_MAX_STATES) -> list[MixtureRow]:
     """Compare the uniform-recurrent probability of an event on finite
     windows against the convex mixture of the two one-sided limits.
@@ -517,10 +522,8 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
     left weight is therefore the fraction of the window to the event's
     right.  (For an event centered in a symmetric window both
     orientations of the weight agree at one half; the asymmetric cases
-    here were checked against exact enumeration.)
-
-    ``enumerate`` computes the finite-window probability exactly;
-    ``sample`` draws uniformly from the same exhaustive enumeration.
+    here were checked against exact enumeration.)  The finite-window
+    probability is computed exactly, by enumerating the window.
     """
     mu_l = cylinder_prob(graph, event, "parry", max_states=max_states).value
     mu_r = right_cylinder_prob(graph, event, "parry", max_states=max_states).value
@@ -537,21 +540,10 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
         block = event.rungs
         matches = 0
         total = 0
-        matched_list = []
         for cfg in iter_recurrent(graph, length):
             total += 1
-            hit = cfg[offset:offset + len(block)] == block
-            matches += hit
-            if mode == "sample":
-                matched_list.append(hit)
-        if mode == "enumerate":
-            measured = matches / total
-        elif mode == "sample":
-            rng = random.Random(seed)
-            draws = rng.choices(matched_list, k=samples)
-            measured = sum(draws) / samples
-        else:
-            raise ValidationError(f"unknown mode {mode!r}")
+            matches += cfg[offset:offset + len(block)] == block
+        measured = matches / total
         if window.m == window.n:
             weight = 0.5
         else:

@@ -126,7 +126,7 @@ def test_mixture(capsys):
                        "--event", "3,3", "--centered", "--halfwidths", "2")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("window,event,mode")
+    assert lines[0].startswith("window,event,measured")
     assert len(lines) == 2
 
 
@@ -153,6 +153,38 @@ def test_exit_code_validation(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "measure", "--graph", "path2", "--event", "x,y")
     assert code == 2
+
+
+def test_renewal_order_overflow_is_a_feasibility_error(capsys):
+    code, _, err = run(capsys, "measure", "--graph", "cycle3", "--event",
+                       "4,4,4", "--method", "renewal", "--renewal-order", "384")
+    assert code == 3 and "order 384" in err
+
+
+def _topple_with(tmp_path, capsys, cfg, *add):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["topple", "--graph", "path2", "--config", str(path)]
+    for site in add:
+        argv += ["--add", site]
+    return run(capsys, *argv)
+
+
+def test_topple_rejects_a_malformed_site(tmp_path, capsys):
+    cfg = {"window": [0, 1], "heights": [[3, 3], [3, 3]]}
+    code, _, err = _topple_with(tmp_path, capsys, cfg, "1,x")
+    assert code == 2 and "bad site '1,x'" in err
+
+
+def test_topple_rejects_a_site_without_a_rung(tmp_path, capsys):
+    cfg = {"window": [0, 1], "heights": [[3, 3], [3, 3]]}
+    code, _, err = _topple_with(tmp_path, capsys, cfg, "1")
+    assert code == 2 and "bad site '1'" in err
+
+
+def test_topple_rejects_a_config_without_heights(tmp_path, capsys):
+    code, _, err = _topple_with(tmp_path, capsys, {"window": [0, 1]}, "0,0")
+    assert code == 2 and "heights" in err
 
 
 def test_exit_code_feasibility(capsys):

@@ -1,9 +1,12 @@
 import itertools
 import json
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laddersand.burning import max_rung
 from laddersand.census import count_series, enum_rungs
@@ -11,7 +14,8 @@ from laddersand.coding import (build_coding, check_transitive, decode, encode,
                                influence_maps_monotone, parry_chain, restrict,
                                spectral)
 from laddersand.errors import FeasibilityError, ValidationError
-from laddersand.measures import sample_chain_windows
+from laddersand.graphs import Window, builtin_graph
+from laddersand.measures import CylinderEvent, cylinder_prob, sample_chain_windows
 
 PRINTED_MATRIX = np.array([
     [1, 1, 1, 1, 1, 0, 0],
@@ -181,3 +185,104 @@ def test_path3_automaton_counts(path3):
     auto = build_coding(path3)
     a = count_series(path3, "L", 4, max_enum=10 ** 8)
     assert tuple(auto.count_words(n) for n in range(1, 5)) == a.values
+
+
+# reference per-state sweeps: what the lumped counts replace
+
+def _word_counts_by_state(auto, n_max):
+    vec = [1] * len(auto.states)
+    counts = [sum(vec[i] for i in auto.start_states())]
+    for _ in range(n_max - 1):
+        vec = [sum(vec[t] for t in row) for row in auto.targets]
+        counts.append(sum(vec[i] for i in auto.start_states()))
+    return counts
+
+
+def _finite_dp_by_state(auto, event, halfwidth):
+    window = Window(-halfwidth, halfwidth)
+    fixed = {event.lo + j: c for j, c in enumerate(event.rungs)}
+    starts = set(auto.start_states())
+    vec = [int(i in starts) for i in range(len(auto))]
+    for k in window.rungs:
+        if k > window.n:
+            nxt = [0] * len(auto)
+            for i, v in enumerate(vec):
+                for j in auto.targets[i]:
+                    nxt[j] += v
+            vec = nxt
+        if k in fixed:
+            vec = [v if auto.states[i].rung == fixed[k] else 0
+                   for i, v in enumerate(vec)]
+    return Fraction(sum(vec), _word_counts_by_state(auto, len(window))[-1])
+
+
+_AUTOMATA = {}
+
+
+def _automata(name):
+    """The graph, its automaton and the restriction to non-maximal rungs."""
+    if name not in _AUTOMATA:
+        graph = builtin_graph(name)
+        auto = build_coding(graph)
+        cmax = max_rung(graph)
+        _AUTOMATA[name] = (graph, auto, restrict(auto, lambda c: c != cmax))
+    return _AUTOMATA[name]
+
+
+def _assert_stable(lumping, adj):
+    """Every member of a block has the block's neighbour-block multiset."""
+    for i, row in enumerate(adj):
+        pairs = dict(lumping.adj[lumping.block[i]])
+        assert Counter(lumping.block[j] for j in row) == pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lumped_counts_match_per_state_sweep(data):
+    # path2, path3 and cycle3 lump in one round of refinement; path4
+    # needs two
+    name = data.draw(st.sampled_from(["path2", "path3", "cycle3", "path4"]))
+    _, full, nonmax = _automata(name)
+    auto = data.draw(st.sampled_from([full, nonmax]))
+    n = data.draw(st.integers(1, 20))
+    counts = _word_counts_by_state(auto, n)
+    assert auto.word_counts(n) == counts
+    assert auto.count_words(n) == counts[-1]
+    _assert_stable(auto.suffix_lumping, auto.targets)
+    preds = [[] for _ in auto.states]
+    for i, row in enumerate(auto.targets):
+        for j in row:
+            preds[j].append(i)
+    _assert_stable(auto.prefix_lumping, preds)
+    starts = set(auto.start_states())
+    flags = {}
+    for i, b in enumerate(auto.prefix_lumping.block):
+        flags.setdefault(b, set()).add(i in starts)
+    assert all(len(f) == 1 for f in flags.values())
+
+
+def test_word_counts_guard(auto2):
+    with pytest.raises(ValidationError):
+        auto2.word_counts(0)
+    with pytest.raises(ValidationError):
+        auto2.count_words(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_finite_dp_matches_per_state_dp(data):
+    name = data.draw(st.sampled_from(["path2", "path3", "cycle3"]))
+    graph, auto, _ = _automata(name)
+    halfwidth = data.draw(st.integers(0, 8))
+    size = data.draw(st.integers(1, min(3, 2 * halfwidth + 1)))
+    last = halfwidth - size + 1
+    lo = data.draw(st.one_of(st.sampled_from([-halfwidth, last]),
+                             st.integers(-halfwidth, last)))
+    rungs = data.draw(st.lists(st.sampled_from(auto.alphabet),
+                               min_size=size, max_size=size))
+    event = CylinderEvent(rungs=tuple(rungs), lo=lo)
+    res = cylinder_prob(graph, event, "finite_dp", dp_halfwidth=halfwidth,
+                        exact=True)
+    expected = _finite_dp_by_state(auto, event, halfwidth)
+    assert res.detail["exact"] == expected
+    assert res.value == float(expected)

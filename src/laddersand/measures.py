@@ -16,7 +16,9 @@ are computed three independent ways:
   rung, walked through the event's rungs (the automaton is
   deterministic, so each such state has at most one continuation), times
   the suffix-block count of words starting where the walk ends; the
-  denominator is the number of words of the window's length.
+  denominator is the number of words of the window's length.  Both
+  block tables are swept once per window length and kept with the
+  automaton, so a query costs the same wherever its event sits.
 
 The right-sided measure is the reflection of the left-sided one, so all
 right-sided quantities are computed by reflecting events and samples.
@@ -25,6 +27,7 @@ right-sided quantities are computed by reflecting events and samples.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -76,9 +79,9 @@ class RenewalData:
 
 class _AutomatonBundle:
     """Per-graph cache of the automaton, its restriction to non-maximal
-    rungs, both spectral data and the per-rung state masks.
-    ``max_states`` caps the automaton whether it is built or found in
-    the cache."""
+    rungs, both spectral data, the states reading each rung and the
+    finite_dp window counts.  ``max_states`` caps the automaton whether
+    it is built or found in the cache."""
 
     _cache: dict[Graph, "_AutomatonBundle"] = {}
 
@@ -93,7 +96,8 @@ class _AutomatonBundle:
             self.nonmax = None
         self.spec = spectral(self.automaton)
         self.chain = parry_chain(self.automaton, self.spec)
-        self.masks = _state_rung_masks(self.automaton)
+        self.rung_states = _rung_states(self.automaton)
+        self._window_counts: dict[int, tuple] = {}
 
     @classmethod
     def get(cls, graph: Graph, max_states: int = DEFAULT_MAX_STATES) -> "_AutomatonBundle":
@@ -103,6 +107,22 @@ class _AutomatonBundle:
             raise FeasibilityError(f"automaton has {len(cls._cache[graph].automaton)} "
                                    f"states > max_states={max_states}")
         return cls._cache[graph]
+
+    def window_counts(self, length: int
+                      ) -> tuple[list[list[int]], list[list[int]], int]:
+        """Prefix- and suffix-block counts for every word length up to
+        ``length``, and the number of accepted words of that length.
+        Swept once per window length, so a finite_dp query's cost does
+        not depend on where its event sits in the window."""
+        if length not in self._window_counts:
+            auto = self.automaton
+            prefix = auto.prefix_counts(length)
+            # each state of prefix block b ends prefix[-1][b] words
+            sizes = Counter(auto.prefix_lumping.block)
+            total = sum(size * prefix[-1][b] for b, size in sizes.items())
+            self._window_counts[length] = (prefix, auto.suffix_counts(length),
+                                           total)
+        return self._window_counts[length]
 
 
 def renewal_quantities(graph: Graph, order: int = DEFAULT_RENEWAL_ORDER, *,
@@ -224,20 +244,34 @@ class CylinderProbability:
     detail: dict
 
 
-def _state_rung_masks(automaton: CodingAutomaton) -> dict[RungConfig, np.ndarray]:
-    masks: dict[RungConfig, np.ndarray] = {}
-    for c in automaton.alphabet:
-        masks[c] = np.array([1.0 if s.rung == c else 0.0
-                             for s in automaton.states])
-    return masks
+def _rung_states(automaton: CodingAutomaton) -> dict[RungConfig, np.ndarray]:
+    """The indices of the states reading each rung."""
+    states: dict[RungConfig, list[int]] = {c: [] for c in automaton.alphabet}
+    for i, s in enumerate(automaton.states):
+        states[s.rung].append(i)
+    return {c: np.array(ix, dtype=np.intp) for c, ix in states.items()}
+
+
+def _walk(weights: np.ndarray, matrix: np.ndarray, bundle: _AutomatonBundle,
+          event: CylinderEvent) -> tuple[np.ndarray, np.ndarray]:
+    """Carry ``weights`` from the states of the event's first rung
+    through ``matrix`` onto the states of each later rung; returns the
+    weights on the states of the last rung and those states.  Only the
+    states of the event's rungs enter, so a step is a product over their
+    few states, not a vector-matrix product over the whole automaton."""
+    states = bundle.rung_states
+    idx = states[event.rungs[0]]
+    vec = weights[idx]
+    for c in event.rungs[1:]:
+        nxt = states[c]
+        vec = vec @ matrix[np.ix_(idx, nxt)]
+        idx = nxt
+    return vec, idx
 
 
 def _parry_prob(bundle: _AutomatonBundle, event: CylinderEvent) -> float:
     chain = bundle.chain
-    masks = bundle.masks
-    vec = chain.stationary * masks[event.rungs[0]]
-    for c in event.rungs[1:]:
-        vec = (vec @ chain.matrix) * masks[c]
+    vec, _ = _walk(chain.stationary, chain.matrix, bundle, event)
     return float(vec.sum())
 
 
@@ -273,10 +307,7 @@ def _renewal_prob(bundle: _AutomatonBundle, event: CylinderEvent,
         raise FeasibilityError("left flank sum did not converge")
     # entering the event block: either no left flank (the block starts
     # the window) or one transition out of the flank
-    masks = bundle.masks
-    vec = (start + acc_f @ t) * masks[event.rungs[0]]
-    for c in event.rungs[1:]:
-        vec = (vec @ t) * masks[c]
+    vec, last = _walk(start + acc_f @ t, t, bundle, event)
 
     # backward: lam-weighted flank suffixes, including the empty one
     acc_b = np.ones(len(auto))
@@ -292,7 +323,7 @@ def _renewal_prob(bundle: _AutomatonBundle, event: CylinderEvent,
     # with ell_s = ell_t = 0 the nearest renewals hug the event block,
     # sitting len(event)+2 rungs apart
     base = lam ** (len(event.rungs) + 2)
-    return float(data.alpha * base * (vec @ tail))
+    return float(data.alpha * base * (vec @ tail[last]))
 
 
 def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
@@ -306,12 +337,13 @@ def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
         raise ValidationError("event window larger than the DP window")
     before = event.lo - window.n + 1  # word length up to the event's first rung
     after = window.m - event.hi + 1  # word length from the event's last rung
-    prefix = auto.prefix_counts(before)[-1]
-    suffix = auto.suffix_counts(after)[-1]
+    prefixes, suffixes, denominator = bundle.window_counts(len(window))
+    prefix = prefixes[before - 1]
+    suffix = suffixes[after - 1]
     pblock = auto.prefix_lumping.block
     sblock = auto.suffix_lumping.block
     numerator = 0
-    for state in np.flatnonzero(bundle.masks[event.rungs[0]]).tolist():
+    for state in bundle.rung_states[event.rungs[0]].tolist():
         ways = prefix[pblock[state]]
         for c in event.rungs[1:]:
             state = auto.delta[state].get(c)
@@ -319,7 +351,6 @@ def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
                 break
         else:
             numerator += ways * suffix[sblock[state]]
-    denominator = auto.count_words(len(window))
     frac = Fraction(numerator, denominator)
     return float(frac), (frac if exact else None)
 

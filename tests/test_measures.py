@@ -1,6 +1,8 @@
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from laddersand.burning import (left_burnable, right_burnable, window_heights)
@@ -149,6 +151,34 @@ def test_cylinder_exact_dp(path2):
     from laddersand.coding import build_coding
     total = build_coding(path2).count_words(17)
     assert total % frac.denominator == 0
+
+
+@pytest.mark.parametrize("name", ["path2", "path3", "cycle3"])
+def test_window_counts_total_is_the_word_count(name):
+    bundle = _AutomatonBundle.get(builtin_graph(name))
+    for length in (1, 2, 9, 17):
+        prefix, suffix, total = bundle.window_counts(length)
+        assert len(prefix) == len(suffix) == length
+        assert total == bundle.automaton.count_words(length)
+    assert bundle.window_counts(17)[0] is bundle.window_counts(17)[0]
+
+
+@pytest.mark.parametrize("name", ["path2", "path3", "cycle3"])
+def test_parry_walk_matches_dense_product(name):
+    # reference: the stationary chain carried through full vector-matrix
+    # products, masked to each rung's states over the whole automaton
+    g = builtin_graph(name)
+    bundle = _AutomatonBundle.get(g)
+    chain, states = bundle.chain, bundle.automaton.states
+    alphabet = bundle.automaton.alphabet
+    rng = random.Random(3)
+    for _ in range(60):
+        rungs = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+        vec = chain.stationary * np.array([s.rung == rungs[0] for s in states])
+        for c in rungs[1:]:
+            vec = (vec @ chain.matrix) * np.array([s.rung == c for s in states])
+        value = cylinder_prob(g, CylinderEvent(rungs=rungs), "parry").value
+        assert value == pytest.approx(float(vec.sum()), rel=1e-12, abs=1e-300)
 
 
 def test_reflection_identity(path2):

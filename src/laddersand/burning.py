@@ -11,8 +11,8 @@ never disables another candidate, so a greedy maximal burn reaches the
 same verdict as any other.  Traces are made deterministic by burning the
 lowest ``(rung, vertex)`` candidate first.
 
-The module also provides the rung-at-a-time schedule used by the coding
-construction, and the one-rung primitives it is built from:
+The module also provides the rung-at-a-time schedule behind the coding
+construction, and the one-rung primitives that define it:
 
 * :func:`rung_burn` burns a single rung between two pre-declared burnt
   vertex sets (the right-hand set only participates once the burning
@@ -20,6 +20,12 @@ construction, and the one-rung primitives it is built from:
 * :func:`first_rung_state` and :func:`advance_rung_state` propagate the
   pair (burnt set, influence map) that makes the per-rung burning data
   a Markov chain.
+
+The construction itself does not call them: it reads every one-rung burn
+from a table built at once (:func:`laddersand.coding.rung_burn_table`)
+and advances all influence maps of a layer together.  These primitives
+are the reference that the table and the construction are tested
+against.
 """
 
 from __future__ import annotations
@@ -420,7 +426,7 @@ def rung_burn(graph: Graph, left_burnt: int, rung: RungConfig,
     the far side of the rung: they only start counting once some burnt
     vertex of the rung itself touches one, at which point they all do
     (they are mutually connected beyond the rung).  Cached: the advance
-    loops of the coding construction revisit the same arguments heavily.
+    loops of :func:`advance_rung_state` revisit the same arguments heavily.
     """
     n = graph.n
     maxh = graph.max_height
@@ -448,22 +454,7 @@ def rung_burn(graph: Graph, left_burnt: int, rung: RungConfig,
     return burnt
 
 
-class InfluenceInterner:
-    """Structural deduplication of influence-map tables, so equal maps
-    share one tuple and automaton states compare fast."""
-
-    def __init__(self) -> None:
-        self._table: dict[InfluenceMap, InfluenceMap] = {}
-
-    def intern(self, table: InfluenceMap) -> InfluenceMap:
-        return self._table.setdefault(table, table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
-def first_rung_state(graph: Graph, rung: RungConfig,
-                     interner: Optional[InfluenceInterner] = None
+def first_rung_state(graph: Graph, rung: RungConfig
                      ) -> tuple[int, InfluenceMap]:
     """Burnt set and influence map of the leftmost rung of a window:
     the left side is fully open, so the burnt set is the left-assisted
@@ -471,15 +462,11 @@ def first_rung_state(graph: Graph, rung: RungConfig,
     the next rung feeds back."""
     full = graph.full_mask
     table = tuple(rung_burn(graph, full, rung, a) for a in range(full + 1))
-    if interner is not None:
-        table = interner.intern(table)
     return table[0], table
 
 
 def advance_rung_state(graph: Graph, burnt: int, rung: RungConfig,
-                       influence: InfluenceMap,
-                       interner: Optional[InfluenceInterner] = None
-                       ) -> tuple[int, InfluenceMap]:
+                       influence: InfluenceMap) -> tuple[int, InfluenceMap]:
     """Advance the (burnt set, influence map) pair across one rung.
 
     Both components are fixed points of alternating the one-rung burn
@@ -511,10 +498,7 @@ def advance_rung_state(graph: Graph, burnt: int, rung: RungConfig,
         else:
             raise InternalInvariantError("influence alternation failed to settle")
         table.append(abar)
-    out = tuple(table)
-    if interner is not None:
-        out = interner.intern(out)
-    return new_burnt, out
+    return new_burnt, tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +538,7 @@ def path2_characterization(graph: Graph, rungs: Sequence[RungConfig]) -> bool:
 
 
 __all__ = [
-    "BurnTrace", "InfluenceInterner", "InfluenceMap", "LeftmostResult",
+    "BurnTrace", "InfluenceMap", "LeftmostResult",
     "RungConfig", "advance_rung_state", "first_rung_state", "full_burnable",
     "is_rung_symbol", "left_burnable", "leftmost_schedule", "max_rung",
     "path2_characterization", "reflect_heights", "right_burnable",

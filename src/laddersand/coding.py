@@ -8,6 +8,18 @@ under the one-rung advance; reading a rung from a state either yields a
 unique successor or is impossible, so the word coding a configuration
 is determined by its rungs and the correspondence is one-to-one.
 
+The construction runs on integer tables.  One table holds the one-rung
+burn for every rung and every pair of burnt sets declared on its left
+and right (:func:`rung_burn_table`; :func:`~laddersand.burning.rung_burn`
+is its reference).  A state's burnt set is its influence map's value at
+the empty set, and its successors depend on the map alone, so the
+closure is taken over maps, one layer of newly found maps at a time:
+each layer is advanced under every rung at once, both alternation
+fixed points becoming gathers into the table repeated until they
+settle.  The states, (rung, map) pairs, are then numbered in
+breadth-first order from the first-rung states, reading successors in
+alphabet order (:func:`build_coding`).
+
 The transition matrix is transitive, its Perron data give the per-rung
 growth rate, and the associated stochastic matrix (the maximal-entropy
 chain on the shift) is what the measure samplers draw from.
@@ -29,17 +41,17 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .burning import (InfluenceInterner, InfluenceMap, RungConfig,
-                      advance_rung_state, first_rung_state)
+from .burning import InfluenceMap, RungConfig
 from .census import enum_rungs
-from .errors import ConvergenceError, FeasibilityError, ValidationError
+from .errors import (ConvergenceError, FeasibilityError,
+                     InternalInvariantError, ValidationError)
 from .graphs import Graph, mask_to_vertices
 
 DEFAULT_MAX_STATES = 10 ** 6
@@ -190,84 +202,226 @@ class CodingAutomaton:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
 
 
+# The one-rung burn table holds |alphabet| * 4**|G| entries; above this
+# many the automaton is out of reach anyway, and the table is refused
+# rather than built.  Every rung whose heights are all maximal or one
+# below, with one maximal, is in the alphabet, so |alphabet| >= 2**|G| - 1
+# and the limit leaves |G| <= 8: vertex sets fit in one byte.
+_MAX_TABLE_ENTRIES = 1 << 26
+# Entries (source map x rung x declared set) per chunk of a discovery
+# layer, which bounds the gather arrays of one chunk.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def rung_burn_table(graph: Graph, alphabet: Sequence[RungConfig]) -> np.ndarray:
+    """``table[c, left << n | right]`` is ``rung_burn(graph, left,
+    alphabet[c], right)``, for every rung and pair of declared burnt sets
+    at once.
+
+    The one-rung burn is the least fixed point of burning every vertex
+    whose burnt neighbours (the right copies counting once the burnt set
+    touches them) reach its need ``max - height + 1``; sweeping the
+    vertices until nothing changes reaches it in any order.
+    """
+    n = graph.n
+    size = 1 << n
+    entries = len(alphabet) * size * size
+    if entries > _MAX_TABLE_ENTRIES:
+        raise FeasibilityError(
+            f"one-rung burn table needs {entries} entries for {len(alphabet)} "
+            f"rungs on {n} vertices; the limit is {_MAX_TABLE_ENTRIES}")
+    pairs = np.arange(size * size)
+    left = (pairs >> n).astype(np.uint8)
+    right = (pairs & (size - 1)).astype(np.uint8)
+    left_bits = [(left >> x) & 1 for x in range(n)]
+    right_bits = [(right >> x) & 1 for x in range(n)]
+    need = np.array([[m - h + 1 for m, h in zip(graph.max_height, c)]
+                     for c in alphabet], dtype=np.uint8)
+    table = np.zeros((len(alphabet), size * size), dtype=np.uint8)
+    step = max(1, _CHUNK_ENTRIES // (size * size))
+    for lo in range(0, len(alphabet), step):
+        burnt = table[lo:lo + step]
+        while True:
+            before = burnt.copy()
+            merged = ((burnt & right) != 0).astype(np.uint8)
+            for x in range(n):
+                count = left_bits[x] + merged * right_bits[x]
+                for y in graph.neighbors[x]:
+                    count = count + ((burnt >> y) & 1)
+                burnt |= (count >= need[lo:lo + step, x, None]).astype(np.uint8) << x
+            if np.array_equal(before, burnt):
+                break
+    return table
+
+
+def _settle(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
+            rounds: int, what: str) -> np.ndarray:
+    """Iterate ``step`` from ``start`` until no entry moves; the entries
+    are independent, so each reaches the fixed point it would alone."""
+    cur = start
+    for _ in range(rounds):
+        nxt = step(cur)
+        if np.array_equal(nxt, cur):
+            return cur
+        cur = nxt
+    raise InternalInvariantError(f"{what} alternation failed to settle")
+
+
+def _advance(flat: np.ndarray, n: int, maps: np.ndarray,
+             rungs: np.ndarray) -> np.ndarray:
+    """Row ``i`` of the result is the influence map that
+    :func:`~laddersand.burning.advance_rung_state` gives for map
+    ``maps[i]`` and rung ``rungs[i]``, read from the flattened one-rung
+    burn table."""
+    size = 1 << n
+    rows = np.arange(len(maps))
+    base = rungs * (size * size)
+    left = maps.astype(np.intp) << n  # each value as a set declared on the left
+    # the burnt set, starting from the map's value at the empty set
+    burnt = _settle(lambda a: flat[base + left[rows, a]], flat[base + left[:, 0]],
+                    size + 2, "burnt-set")
+    cells = base[:, None] + np.arange(size)
+    return _settle(
+        lambda b: flat[cells + np.take_along_axis(left, b.astype(np.intp), 1)],
+        flat[cells + left[rows, burnt][:, None]], size + 2, "influence")
+
+
+class _Maps(NamedTuple):
+    """The distinct influence maps (``maps[q]``), the map of each rung's
+    first-rung state (``first[c]``), and the advance of map ``src[k]``
+    under rung ``rung[k]`` to map ``dst[k]``, ordered by source map and
+    then rung."""
+
+    maps: np.ndarray
+    first: np.ndarray
+    src: np.ndarray
+    rung: np.ndarray
+    dst: np.ndarray
+
+
+def _discover(graph: Graph, alphabet: Sequence[RungConfig], table: np.ndarray,
+              max_states: int) -> _Maps:
+    """Every influence map reachable from a first rung, one layer of new
+    maps at a time, each layer advanced under every rung at once.
+
+    A state's burnt set is its map's value at the empty set and its
+    successors depend on the map alone, not on its rung, so the closure
+    runs on maps.  The states are the (rung, map) pairs that start a
+    window or that an advance reaches; they are counted as they are
+    found, and the search stops as soon as there are more than
+    ``max_states``.
+    """
+    n = graph.n
+    size = 1 << n
+    full = size - 1
+    flat = table.reshape(-1)
+    maxmask = np.array([sum(1 << x for x in range(n) if c[x] == graph.max_height[x])
+                        for c in alphabet])
+    index: dict[bytes, int] = {}
+    states: set[int] = set()  # map id * len(alphabet) + rung
+
+    def intern(maps: np.ndarray, rungs: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the maps, numbered on first sight, and the maps seen for
+        the first time; the maps are reached under ``rungs``."""
+        buf = maps.tobytes()  # one byte per entry
+        ids, fresh = [], []
+        for row, at in enumerate(range(0, len(buf), size)):
+            key = buf[at:at + size]
+            if key not in index:
+                index[key] = len(index)
+                fresh.append(row)
+            ids.append(index[key])
+        ids = np.array(ids, dtype=np.int64)
+        states.update((ids * len(alphabet) + rungs).tolist())
+        if len(states) > max_states:
+            raise FeasibilityError(f"automaton exceeded max_states={max_states}")
+        return ids, maps[fresh]
+
+    first, layer = intern(table[:, (full << n) + np.arange(size)],
+                          np.arange(len(alphabet)))
+    layers = [layer]
+    src, rung, dst = [], [], []
+    offset = 0
+    chunk = max(1, _CHUNK_ENTRIES // size)
+    while len(layer):
+        # burning enters rung c only where the burnt set meets its maximal
+        # vertices
+        pick, cs = np.nonzero(layer[:, :1] & maxmask)
+        fresh = []
+        for lo in range(0, len(pick), chunk):
+            p, c = pick[lo:lo + chunk], cs[lo:lo + chunk]
+            infl = _advance(flat, n, layer[p], c)
+            # the extended window must still finish burning
+            ok = infl[:, full] == full
+            ids, new = intern(infl[ok], c[ok])
+            src.append(p[ok] + offset)
+            rung.append(c[ok])
+            dst.append(ids)
+            fresh.append(new)
+        offset += len(layer)
+        layer = np.concatenate(fresh) if fresh else layer[:0]
+        layers.append(layer)
+    empty = np.zeros(0, dtype=np.int64)
+    return _Maps(np.concatenate(layers), first, np.concatenate(src or [empty]),
+                 np.concatenate(rung or [empty]), np.concatenate(dst or [empty]))
+
+
 def build_coding(graph: Graph, *, max_states: int = DEFAULT_MAX_STATES
                  ) -> CodingAutomaton:
-    """Breadth-first closure of the one-rung advance, seeded with the
-    states a window's first rung can take.
+    """Closure of the one-rung advance from the states a window's first
+    rung can take, numbered breadth first.
 
     A successor exists for a rung exactly when the burning can enter it
     (the burnt set below touches one of its maximal-height vertices) and
     the advanced influence map still maps the full vertex set to itself;
-    states failing that cannot occur in any burnable sequence.
+    states failing that cannot occur in any burnable sequence.  The
+    advances are read from the one-rung burn table (:func:`_discover`);
+    a state is a (rung, map) pair, numbered in the order of a breadth
+    first search that reads successors in alphabet order.  ``max_states``
+    refuses exactly the automata with more states, as soon as the rung
+    count or the states found so far exceed it.
     """
     alphabet = enum_rungs(graph).rungs
-    full = graph.full_mask
-    interner = InfluenceInterner()
-    maxmask = {c: sum(1 << x for x in range(graph.n)
-                      if c[x] == graph.max_height[x]) for c in alphabet}
+    nrungs = len(alphabet)
+    if nrungs > max_states:  # each rung starts a state of its own
+        raise FeasibilityError(f"automaton exceeded max_states={max_states}")
+    found = _discover(graph, alphabet, rung_burn_table(graph, alphabet), max_states)
 
-    states: list[CodeSymbol] = []
-    index: dict[tuple, int] = {}
-    inclusion: dict[RungConfig, int] = {}
+    # a state is the key map * nrungs + rung
+    starts = found.first * nrungs + np.arange(nrungs)
+    targets = found.dst * nrungs + found.rung
+    bounds = np.searchsorted(found.src, np.arange(len(found.maps) + 1))
 
-    def add(sym: CodeSymbol) -> int:
-        key = sym.key()
-        found = index.get(key)
-        if found is not None:
-            return found
-        if len(states) >= max_states:
-            raise FeasibilityError(
-                f"automaton exceeded max_states={max_states}")
-        index[key] = len(states)
-        states.append(sym)
-        return index[key]
+    # breadth first, one generation at a time: a generation's new states
+    # are numbered in order of first appearance among its successors
+    number = dict(zip(starts.tolist(), range(nrungs)))
+    frontier = starts
+    while len(frontier):
+        maps = frontier // nrungs
+        lo, count = bounds[maps], bounds[maps + 1] - bounds[maps]
+        ends = np.cumsum(count)
+        succ = targets[np.arange(ends[-1]) + np.repeat(lo - ends + count, count)]
+        new = [k for k in dict.fromkeys(succ.tolist()) if k not in number]
+        number.update(zip(new, range(len(number), len(number) + len(new))))
+        frontier = np.array(new, dtype=np.int64)
 
-    queue: deque[int] = deque()
-    for c in alphabet:
-        burnt, infl = first_rung_state(graph, c, interner)
-        if infl[full] != full:  # pragma: no cover - alphabet rungs self-burn
-            continue
-        inclusion[c] = add(CodeSymbol(c, burnt, infl))
-        queue.append(inclusion[c])
-
-    # many states share (burnt set, influence map); their outgoing
-    # advances are identical, so compute each advance once
-    advance_cache: dict[tuple, Optional[tuple[int, InfluenceMap]]] = {}
-
-    def advanced(burnt: int, infl: InfluenceMap, c: RungConfig):
-        key = (burnt, infl, c)
-        if key not in advance_cache:
-            burnt2, infl2 = advance_rung_state(graph, burnt, c, infl, interner)
-            advance_cache[key] = (burnt2, infl2) if infl2[full] == full else None
-        return advance_cache[key]
-
-    delta: dict[int, dict[RungConfig, int]] = {}
-    seen_from: set[int] = set()
-    while queue:
-        i = queue.popleft()
-        if i in seen_from:
-            continue
-        seen_from.add(i)
-        sym = states[i]
-        row: dict[RungConfig, int] = {}
-        for c in alphabet:
-            if not sym.burnt & maxmask[c]:
-                continue  # burning cannot enter the next rung
-            nxt = advanced(sym.burnt, sym.influence, c)
-            if nxt is None:
-                continue  # the extended window cannot finish burning
-            j = add(CodeSymbol(c, nxt[0], nxt[1]))
-            row[c] = j
-            if j not in seen_from:
-                queue.append(j)
-        delta[i] = row
-
+    influence = [tuple(row) for row in found.maps.tolist()]
+    succ_rungs = [alphabet[c] for c in found.rung.tolist()]
+    succ_numbers = [number[k] for k in targets.tolist()]
+    bounds = bounds.tolist()
+    states, delta = [], []
+    for key in number:  # in order of their numbers
+        q = key // nrungs
+        states.append(CodeSymbol(alphabet[key % nrungs], influence[q][0], influence[q]))
+        delta.append(dict(zip(succ_rungs[bounds[q]:bounds[q + 1]],
+                              succ_numbers[bounds[q]:bounds[q + 1]])))
     return CodingAutomaton(
         graph=graph,
         alphabet=alphabet,
         states=tuple(states),
-        inclusion=inclusion,
-        delta=tuple(delta[i] for i in range(len(states))),
+        inclusion={c: i for i, c in enumerate(alphabet)},
+        delta=tuple(delta),
     )
 
 
@@ -460,6 +614,7 @@ def influence_maps_monotone(automaton: CodingAutomaton) -> bool:
 __all__ = [
     "CodeSymbol", "CodingAutomaton", "Lumping", "ParryChain", "SpectralData",
     "build_coding", "check_transitive", "decode", "encode",
-    "influence_maps_monotone", "parry_chain", "restrict", "spectral",
+    "influence_maps_monotone", "parry_chain", "restrict", "rung_burn_table",
+    "spectral",
     "DEFAULT_MAX_STATES",
 ]

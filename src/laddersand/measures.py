@@ -30,6 +30,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -79,9 +80,10 @@ class RenewalData:
 
 class _AutomatonBundle:
     """Per-graph cache of the automaton, its restriction to non-maximal
-    rungs, both spectral data, the states reading each rung and the
-    finite_dp window counts.  ``max_states`` caps the automaton whether
-    it is built or found in the cache."""
+    rungs, the spectral data of the automaton and the Perron value of the
+    restriction, the states reading each rung and the finite_dp window
+    counts.  ``max_states`` caps the automaton whether it is built or
+    found in the cache."""
 
     _cache: dict[Graph, "_AutomatonBundle"] = {}
 
@@ -107,6 +109,12 @@ class _AutomatonBundle:
             raise FeasibilityError(f"automaton has {len(cls._cache[graph].automaton)} "
                                    f"states > max_states={max_states}")
         return cls._cache[graph]
+
+    @cached_property
+    def nonmax_rho(self) -> float:
+        """Growth rate of the windows with no maximal rung; only renewal
+        needs it, so it is computed on first use."""
+        return spectral(self.nonmax).rho
 
     def window_counts(self, length: int
                       ) -> tuple[list[list[int]], list[list[int]], int]:
@@ -143,7 +151,7 @@ def renewal_quantities(graph: Graph, order: int = DEFAULT_RENEWAL_ORDER, *,
         # one admissible rung only: every window is a run of renewals
         return RenewalData(lam=1.0, order=order, p=(1.0,), tail_bound=0.0,
                            mean_gap=1.0, alpha=1.0)
-    rho0 = spectral(bundle.nonmax).rho
+    rho0 = bundle.nonmax_rho
     try:
         scale = [rho0 ** n for n in range(order)]
         # as floats, which is how each count enters the sums below

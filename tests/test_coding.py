@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -8,13 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laddersand.burning import max_rung
+from laddersand.burning import (advance_rung_state, first_rung_state, max_rung,
+                                rung_burn)
 from laddersand.census import count_series, enum_rungs
-from laddersand.coding import (build_coding, check_transitive, decode, encode,
+from laddersand.coding import (CodeSymbol, CodingAutomaton, build_coding,
+                               check_transitive, decode, encode,
                                influence_maps_monotone, parry_chain, restrict,
-                               spectral)
+                               rung_burn_table, spectral)
 from laddersand.errors import FeasibilityError, ValidationError
-from laddersand.graphs import Window, builtin_graph
+from laddersand.graphs import Window, builtin_graph, make_graph
 from laddersand.measures import CylinderEvent, cylinder_prob, sample_chain_windows
 
 PRINTED_MATRIX = np.array([
@@ -160,6 +163,31 @@ def test_max_states_cap(path3):
         build_coding(path3, max_states=3)
 
 
+@pytest.mark.parametrize("name", ["path4", "cycle4"])
+def test_max_states_cap_is_exact(name):
+    # the cap refuses exactly the automata with more states than it allows,
+    # whichever stage notices: cycle4 has 147 rungs and 745 states
+    graph = builtin_graph(name)
+    size = len(build_coding(graph))
+    assert len(build_coding(graph, max_states=size)) == size
+    for cap in (size - 1, 200, 150, 100):
+        with pytest.raises(FeasibilityError, match=f"max_states={cap}"):
+            build_coding(graph, max_states=cap)
+
+
+@pytest.mark.parametrize("name, cap", [("path5", 50), ("cycle5", 50),
+                                       ("path5", 1000)])
+def test_max_states_refuses_fast(name, cap):
+    # 50 is below the rung count (363 on path5) and 1000 above it, so the
+    # search for states must notice; path5 has 4766 states
+    graph = builtin_graph(name)
+    enum_rungs(graph)
+    start = time.perf_counter()
+    with pytest.raises(FeasibilityError, match=f"max_states={cap}"):
+        build_coding(graph, max_states=cap)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_monotonicity_report(auto2, path3, cycle3):
     # recorded as data; the construction never relies on it
     results = {
@@ -185,6 +213,12 @@ def test_path3_automaton_counts(path3):
     auto = build_coding(path3)
     a = count_series(path3, "L", 4, max_enum=10 ** 8)
     assert tuple(auto.count_words(n) for n in range(1, 5)) == a.values
+
+
+def test_burn_table_too_large_is_refused():
+    # path7 has 5445 rungs, so its table would hold 5445 * 4**7 entries
+    with pytest.raises(FeasibilityError, match="one-rung burn table"):
+        build_coding(builtin_graph("path7"))
 
 
 # reference per-state sweeps: what the lumped counts replace
@@ -286,3 +320,91 @@ def test_finite_dp_matches_per_state_dp(data):
     expected = _finite_dp_by_state(auto, event, halfwidth)
     assert res.detail["exact"] == expected
     assert res.value == float(expected)
+
+
+# reference construction: the breadth-first search over the one-rung
+# primitives that the batched construction replaces
+
+def _build_coding_by_rung(graph):
+    alphabet = enum_rungs(graph).rungs
+    maxmask = {c: sum(1 << x for x in range(graph.n)
+                      if c[x] == graph.max_height[x]) for c in alphabet}
+    states, index = [], {}
+
+    def add(sym):
+        if sym.key() not in index:
+            index[sym.key()] = len(states)
+            states.append(sym)
+        return index[sym.key()]
+
+    inclusion = {}
+    for c in alphabet:
+        burnt, infl = first_rung_state(graph, c)
+        inclusion[c] = add(CodeSymbol(c, burnt, infl))
+    delta = []
+    i = 0
+    while i < len(states):
+        sym = states[i]
+        row = {}
+        for c in alphabet:
+            if sym.burnt & maxmask[c]:
+                burnt, infl = advance_rung_state(graph, sym.burnt, c, sym.influence)
+                if infl[graph.full_mask] == graph.full_mask:
+                    row[c] = add(CodeSymbol(c, burnt, infl))
+        delta.append(row)
+        i += 1
+    return CodingAutomaton(graph=graph, alphabet=alphabet, states=tuple(states),
+                           inclusion=inclusion, delta=tuple(delta))
+
+
+_REFERENCE = {}
+
+
+def _assert_same_as_reference(graph):
+    key = (graph.n, graph.edges)
+    if key not in _REFERENCE:
+        _REFERENCE[key] = _build_coding_by_rung(graph)
+    ref = _REFERENCE[key]
+    auto = build_coding(graph)
+    assert auto.states == ref.states
+    assert auto.delta == ref.delta
+    assert auto.inclusion == ref.inclusion
+    assert auto.dumps() == ref.dumps()
+
+
+BUILTINS = ["point", "path2", "path3", "cycle3", "path4", "cycle4"]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_build_matches_reference_on_builtins(name):
+    _assert_same_as_reference(builtin_graph(name))
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=4):
+    """A random spanning tree plus any subset of the other edges."""
+    n = draw(st.integers(1, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [e for e in itertools.combinations(range(n), 2)
+              if e not in tree and e[::-1] not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return make_graph(n, tree + extra)
+
+
+@settings(max_examples=10, deadline=None)
+@given(graph=connected_graphs())
+def test_build_matches_reference_on_random_graphs(graph):
+    _assert_same_as_reference(graph)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_rung_burn_table_matches_rung_burn(name):
+    graph = builtin_graph(name)
+    alphabet = enum_rungs(graph).rungs
+    table = rung_burn_table(graph, alphabet)
+    size = 1 << graph.n
+    assert table.shape == (len(alphabet), size * size)
+    for c, rung in enumerate(alphabet):
+        assert table[c].tolist() == [rung_burn(graph, left, rung, right)
+                                     for left in range(size)
+                                     for right in range(size)]

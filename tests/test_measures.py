@@ -100,6 +100,24 @@ def test_cycles_refuse_renewal(name):
         renewal_quantities(graph, 384)
 
 
+def test_renewal_reuses_the_bundles_perron_value(path3, monkeypatch):
+    import laddersand.measures as measures
+    calls = []
+
+    def counted(auto, *args, **kwargs):
+        calls.append(len(auto))
+        return spectral(auto, *args, **kwargs)
+
+    first = renewal_quantities(path3, order=192)
+    rho0 = spectral(_AutomatonBundle.get(path3).nonmax).rho
+    assert _AutomatonBundle.get(path3).nonmax_rho == rho0
+    monkeypatch.setattr(measures, "spectral", counted)
+    assert renewal_quantities(path3, order=192) == first
+    with pytest.raises(FeasibilityError):
+        renewal_quantities(path3)
+    assert calls == []
+
+
 def test_renewal_point_degenerate(point):
     rd = renewal_quantities(point)
     assert rd.p == (1.0,) and rd.mean_gap == 1.0 and rd.alpha == 1.0

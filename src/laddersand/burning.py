@@ -12,8 +12,14 @@ same verdict as any other.  Traces are made deterministic by burning the
 lowest ``(rung, vertex)`` candidate first.
 
 The module also provides the rung-at-a-time schedule behind the coding
-construction, and the one-rung primitives that define it:
+construction, the one table every production one-rung burn is read
+from, and the one-rung primitives that define the construction:
 
+* :func:`burn_table` burns each rung of a list between two vertex sets
+  declared burnt on its sides, for every rung and pair of sets at once;
+  the census walks read its rows, and the coding construction derives
+  the one-sided burn of :func:`rung_burn` from it
+  (:func:`laddersand.coding.rung_burn_table`);
 * :func:`rung_burn` burns a single rung between two pre-declared burnt
   vertex sets (the right-hand set only participates once the burning
   wave actually reaches a site above it);
@@ -21,11 +27,9 @@ construction, and the one-rung primitives that define it:
   pair (burnt set, influence map) that makes the per-rung burning data
   a Markov chain.
 
-The construction itself does not call them: it reads every one-rung burn
-from a table built at once (:func:`laddersand.coding.rung_burn_table`)
-and advances all influence maps of a layer together.  These primitives
-are the reference that the table and the construction are tested
-against.
+The construction does not call the last three: it advances all
+influence maps of a layer together by gathers into the table.  They are
+the reference that the table and the construction are tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from functools import lru_cache
 from heapq import heappush, heappop
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InternalInvariantError, ValidationError
+import numpy as np
+
+from .errors import FeasibilityError, InternalInvariantError, ValidationError
 from .graphs import Graph, Site
 
 RungConfig = tuple[int, ...]
@@ -413,6 +419,62 @@ def leftmost_schedule(graph: Graph, rungs: Sequence[RungConfig]) -> LeftmostResu
 
 
 # ---------------------------------------------------------------------------
+# One-rung burn table
+# ---------------------------------------------------------------------------
+
+# The one-rung burn table holds |rungs| * 4**|G| entries; above this many
+# the walks and the automaton that read it are out of reach anyway, and
+# the table is refused rather than built.  Every rung whose heights are
+# all maximal or one below, with one maximal, is in the alphabet, so
+# |alphabet| >= 2**|G| - 1 and the limit leaves |G| <= 8 for any rung set
+# holding the alphabet: vertex sets fit in one byte.
+_MAX_TABLE_ENTRIES = 1 << 26
+# Entries per chunk of a vectorised sweep, which bounds its temporary
+# arrays.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def burn_table(graph: Graph, rungs: Sequence[RungConfig]) -> np.ndarray:
+    """``table[c, below << n | above]`` is the burnt vertex set of rung
+    ``rungs[c]`` when the vertex sets ``below`` and ``above`` are burnt
+    on its two sides, for every rung and pair of sets at once (uint8).
+
+    The burn is the least fixed point of burning every vertex whose
+    burnt neighbours reach its need ``max - height + 1``; sweeping the
+    vertices until nothing changes reaches it in any order.  Refused
+    with a :class:`FeasibilityError` above 2**26 entries or 8 vertices.
+    """
+    n = graph.n
+    size = 1 << n
+    entries = len(rungs) * size * size
+    if entries > _MAX_TABLE_ENTRIES or n > 8:
+        raise FeasibilityError(
+            f"one-rung burn table needs {entries} entries for {len(rungs)} "
+            f"rungs on {n} vertices; the limit is {_MAX_TABLE_ENTRIES} entries "
+            "on at most 8 vertices")
+    pairs = np.arange(size * size)
+    # burnt copies of vertex x on the two sides of the rung
+    sides = [(((pairs >> (n + x)) & 1) + ((pairs >> x) & 1)).astype(np.uint8)
+             for x in range(n)]
+    need = np.array([[m - h + 1 for m, h in zip(graph.max_height, c)]
+                     for c in rungs], dtype=np.uint8)
+    table = np.zeros((len(rungs), size * size), dtype=np.uint8)
+    step = max(1, _CHUNK_ENTRIES // (size * size))
+    for lo in range(0, len(rungs), step):
+        burnt = table[lo:lo + step]
+        while True:
+            before = burnt.copy()
+            for x in range(n):
+                count = sides[x]
+                for y in graph.neighbors[x]:
+                    count = count + ((burnt >> y) & 1)
+                burnt |= (count >= need[lo:lo + step, x, None]).astype(np.uint8) << x
+            if np.array_equal(before, burnt):
+                break
+    return table
+
+
+# ---------------------------------------------------------------------------
 # One-rung primitives and influence maps
 # ---------------------------------------------------------------------------
 
@@ -539,8 +601,8 @@ def path2_characterization(graph: Graph, rungs: Sequence[RungConfig]) -> bool:
 
 __all__ = [
     "BurnTrace", "InfluenceMap", "LeftmostResult",
-    "RungConfig", "advance_rung_state", "first_rung_state", "full_burnable",
-    "is_rung_symbol", "left_burnable", "leftmost_schedule", "max_rung",
-    "path2_characterization", "reflect_heights", "right_burnable",
+    "RungConfig", "advance_rung_state", "burn_table", "first_rung_state",
+    "full_burnable", "is_rung_symbol", "left_burnable", "leftmost_schedule",
+    "max_rung", "path2_characterization", "reflect_heights", "right_burnable",
     "rung_burn", "window_heights",
 ]

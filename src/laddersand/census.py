@@ -2,15 +2,18 @@
 
 Counts are exact integers.  One burning engine serves every class: the
 depth-first walks keep the left-seeded burning state of the prefix as
-burnt-row bitmasks and append a rung by a closure over per-rung tables
-of within-row burn fixpoints, never re-burning the whole window.  For ``L``/``L0`` every
-rung is a symbol, a prefix that cannot ignite its last rung is pruned,
-and a fully burnt row above the prefix decides left-burnability.
-``S``/``S0`` also require the mirror image to be left-burnable (the row
-tables are symmetric in below and above).  ``REC`` walks all stable
-rungs with no forbidden subconfiguration of their own, without the
-ignition prune; the same burnt row above then decides recurrence, and
-a prefix that is not recurrent has no recurrent extension.
+burnt-row bitmasks and append a rung by a closure that reads each row's
+burn from the one-rung burn table
+(:func:`~laddersand.burning.burn_table`, built once per walk for the
+rungs it reads), never re-burning the whole window.  For ``L``/``L0``
+every rung is a symbol, a prefix that cannot ignite its last rung is
+pruned, and a fully burnt row above the prefix decides
+left-burnability.  ``S``/``S0`` also require the mirror image to be
+left-burnable (the table is symmetric in below and above).  ``REC``
+walks all stable rungs with no forbidden subconfiguration of their own,
+without the ignition prune; the same burnt row above then decides
+recurrence, and a prefix that is not recurrent has no recurrent
+extension.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .burning import (RungConfig, full_burnable, is_rung_symbol, max_rung,
-                      window_heights)
+from .burning import (RungConfig, burn_table, full_burnable, is_rung_symbol,
+                      max_rung, window_heights)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph
 
@@ -91,36 +94,15 @@ def single_rung_recurrent(graph: Graph) -> tuple[RungConfig, ...]:
 # Depth-first enumeration with an incremental burning state
 # ---------------------------------------------------------------------------
 
-# Per-rung row tables are affordable up to this many base vertices:
-# each table holds 2**(3n) precomputed within-row burn fixpoints.
-_TABLE_MAX_VERTICES = 4
-
-
-def _row_fixpoint(n: int, nbrm: tuple[int, ...], nr: tuple[int, ...],
-                  below: int, above: int, row: int) -> int:
-    progress = True
-    while progress:
-        progress = False
-        for x in range(n):
-            bit = 1 << x
-            if row & bit:
-                continue
-            c = ((row & nbrm[x]).bit_count()
-                 + ((below >> x) & 1) + ((above >> x) & 1))
-            if c >= nr[x]:
-                row |= bit
-                progress = True
-    return row
-
-
 def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> None:
     """Burning closure over burnt-row masks: reprocess dirty rows (a
-    bitmask of row indices) until nothing new burns.  ``tbls[j]`` maps
-    ``(below, above, row)`` of row ``j`` to its within-row fixpoint; a
-    row's candidates see burnt vertices beside them and the open left
-    end below row 0."""
+    bitmask of row indices) until nothing new burns.  ``tbls[j]`` is the
+    one-rung burn table's row for the rung of row ``j``, indexed by
+    ``below << n | above``: a row's burn sees the burnt vertices beside
+    it and the open left end below row 0.  A row only grows and always
+    lies inside the burn of its current neighbours, so that burn is its
+    new value."""
     top = len(burnt) - 1
-    n2 = 2 * n
     while dirty:
         jbit = dirty & -dirty
         dirty ^= jbit
@@ -130,7 +112,7 @@ def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> N
             continue
         below = burnt[j - 1] if j else full
         above = burnt[j + 1] if j < top else 0
-        new = tbls[j][(below << n2) | (above << n) | row]
+        new = tbls[j][(below << n) | above]
         if new != row:
             burnt[j] = new
             if j:
@@ -140,60 +122,28 @@ def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> N
 
 
 class _SequenceDFS:
-    """Shared machinery for the depth-first walks over rung sequences.
-    A prefix is represented by its resting left-seeded burnt-row masks;
-    the per-rung tables along the path are managed by the caller so
-    pushes stay allocation-light."""
+    """Shared machinery for the depth-first walks over sequences of the
+    given rungs.  A prefix is represented by its resting left-seeded
+    burnt-row masks; the rungs' rows of the one-rung burn table along the
+    path are managed by the caller so pushes stay allocation-light."""
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, rungs: Sequence[RungConfig]):
         self.graph = graph
         self.n = graph.n
         self.alphabet = enum_rungs(graph)
-        self.cmax = max_rung(graph)
         self.full = graph.full_mask
-        self.nbr_masks = tuple(graph.neighbor_mask(x) for x in range(graph.n))
         self.maxmask = {
             c: sum(1 << x for x in range(graph.n) if c[x] == graph.max_height[x])
             for c in self.alphabet
         }
-        self.row_tables: dict[RungConfig, object] = {}
-        self.ghost_table = self.row_table(self.cmax)
-
-    def row_table(self, rung: RungConfig):
-        """The rung's table, built on first use for any stable rung."""
-        if rung not in self.row_tables:
-            self.row_tables[rung] = self._build_row_table(rung)
-        return self.row_tables[rung]
-
-    def _build_row_table(self, rung: RungConfig):
-        n, nbrm = self.n, self.nbr_masks
-        nr = tuple(self.graph.max_height[x] - rung[x] + 1 for x in range(n))
-        if n > _TABLE_MAX_VERTICES:
-            # too wide to tabulate; fall back to direct evaluation
-            class _Lazy:
-                __slots__ = ()
-
-                def __getitem__(_, key: int) -> int:
-                    below, rest = divmod(key, 1 << (2 * n))
-                    above, row = divmod(rest, 1 << n)
-                    return _row_fixpoint(n, nbrm, nr, below, above, row)
-
-            return _Lazy()
-        size = 1 << n
-        tbl = [0] * (size * size * size)
-        for below in range(size):
-            for above in range(size):
-                base = (below << (2 * n)) | (above << n)
-                for row in range(size):
-                    tbl[base | row] = _row_fixpoint(n, nbrm, nr, below, above, row)
-        return tbl
+        self.tables = dict(zip(rungs, burn_table(graph, rungs).tolist()))
 
     def push(self, burnt: list[int], tbls: list, rung: RungConfig,
              ignite: bool = True) -> Optional[list[int]]:
         """Resting state after appending ``rung``.  With ``ignite`` (the
         symbol walks) None when the new rung cannot ignite, in which case
         no extension is left-burnable either.  ``tbls`` must already
-        include the new rung's table."""
+        include the new rung's table row."""
         k = len(burnt)
         if ignite and k and not burnt[-1] & self.maxmask[rung]:
             return None
@@ -208,7 +158,7 @@ class _SequenceDFS:
         prefix switches the right sink on: left-burnability after ignited
         pushes, recurrence after any (burning is order-free)."""
         probe = burnt + [self.full]
-        tbls.append(self.ghost_table)
+        tbls.append(None)  # a full row is never reprocessed
         _close(probe, tbls, 1 << (len(burnt) - 1), self.full, self.n)
         tbls.pop()
         return probe.count(self.full) == len(probe)
@@ -218,7 +168,7 @@ class _SequenceDFS:
         of its mirror image."""
         burnt, tbls = [], []
         for c in reversed(path):
-            tbls.append(self.row_table(c))
+            tbls.append(self.tables[c])
             burnt = self.push(burnt, tbls, c)
             if burnt is None:
                 return False
@@ -227,10 +177,10 @@ class _SequenceDFS:
 
 def _count_burnable(graph: Graph, n_max: int, *, include_max: bool,
                     symmetric: bool) -> list[int]:
-    dfs = _SequenceDFS(graph)
-    cmax = dfs.cmax
-    symbols = [c for c in dfs.alphabet if include_max or c != cmax]
-    sym_data = [(c, dfs.maxmask[c], dfs.row_table(c), c == cmax) for c in symbols]
+    cmax = max_rung(graph)
+    symbols = [c for c in enum_rungs(graph) if include_max or c != cmax]
+    dfs = _SequenceDFS(graph, symbols)
+    sym_data = [(c, dfs.maxmask[c], dfs.tables[c], c == cmax) for c in symbols]
     counts = [0] * (n_max + 1)
     path: list[RungConfig] = []
     tbls: list = []
@@ -253,8 +203,8 @@ def _count_burnable(graph: Graph, n_max: int, *, include_max: bool,
                 path.pop()
             tbls.pop()
 
-    for c in symbols:
-        tbls.append(dfs.row_table(c))
+    for c, _, tbl, _ in sym_data:
+        tbls.append(tbl)
         child = dfs.push([], tbls, c)
         if child is not None:  # every symbol opens a window
             path.append(c)
@@ -266,8 +216,8 @@ def _count_burnable(graph: Graph, n_max: int, *, include_max: bool,
 
 def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
     """All left-burnable rung sequences of length exactly ``n``."""
-    dfs = _SequenceDFS(graph)
-    cmax = dfs.cmax
+    cmax = max_rung(graph)
+    dfs = _SequenceDFS(graph, enum_rungs(graph).rungs)
     path: list[RungConfig] = []
     tbls: list = []
 
@@ -276,7 +226,7 @@ def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]
             yield tuple(path)
             return
         for c in dfs.alphabet:
-            tbls.append(dfs.row_table(c))
+            tbls.append(dfs.tables[c])
             child = dfs.push(burnt, tbls, c)
             if child is not None and (c == cmax or dfs.is_burnable(child, tbls)):
                 path.append(c)
@@ -290,8 +240,8 @@ def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]
 def _recurrent_prefixes(graph: Graph, n_max: int) -> Iterator[list[RungConfig]]:
     """Recurrent rung sequences of length <= ``n_max`` (the empty one
     first), depth first in lexicographic order, as the walk's own path."""
-    dfs = _SequenceDFS(graph)
-    steps = [(c, dfs.row_table(c)) for c in single_rung_recurrent(graph)]
+    dfs = _SequenceDFS(graph, single_rung_recurrent(graph))
+    steps = list(dfs.tables.items())
     path: list[RungConfig] = []
     tbls: list = []
 
@@ -331,8 +281,10 @@ def count_series(graph: Graph, variant: str, n_max: int,
 
     ``method="automaton"`` counts accepted words of the rung-coding
     automaton instead of enumerating; it exists for ``L`` and ``L0``
-    only (no automaton is built for the symmetric or recurrent classes),
-    and builds it under ``max_states`` (default: the coding module's cap).
+    only (no automaton is built for the symmetric or recurrent classes).
+    It reads the automaton, or its restriction to non-maximal rungs, from
+    the per-graph cache the measures share, under ``max_states``
+    (default: the coding module's cap).
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; pick from {VARIANTS}")
@@ -342,13 +294,14 @@ def count_series(graph: Graph, variant: str, n_max: int,
         if variant not in ("L", "L0"):
             raise ValidationError(
                 f"variant {variant!r} has no automaton; use method='brute'")
-        from .coding import DEFAULT_MAX_STATES, build_coding, restrict
-        auto = build_coding(graph, max_states=DEFAULT_MAX_STATES
-                            if max_states is None else max_states)
-        if variant == "L0":
-            cmax = max_rung(graph)
-            auto = restrict(auto, lambda c: c != cmax)
-        values = tuple(auto.word_counts(n_max))
+        from .coding import DEFAULT_MAX_STATES
+        from .measures import _AutomatonBundle
+        bundle = _AutomatonBundle.get(graph, DEFAULT_MAX_STATES
+                                      if max_states is None else max_states)
+        auto = bundle.automaton if variant == "L" else bundle.nonmax
+        # with the maximal rung alone in the alphabet no L0 window exists
+        values = (tuple(auto.word_counts(n_max)) if auto is not None
+                  else (0,) * n_max)
         return CountSeries(variant=variant, values=values,
                            provenance="automaton", graph_name=graph.name)
     if method != "brute":

@@ -10,15 +10,17 @@ is determined by its rungs and the correspondence is one-to-one.
 
 The construction runs on integer tables.  One table holds the one-rung
 burn for every rung and every pair of burnt sets declared on its left
-and right (:func:`rung_burn_table`; :func:`~laddersand.burning.rung_burn`
-is its reference).  A state's burnt set is its influence map's value at
-the empty set, and its successors depend on the map alone, so the
-closure is taken over maps, one layer of newly found maps at a time:
-each layer is advanced under every rung at once, both alternation
-fixed points becoming gathers into the table repeated until they
-settle.  The states, (rung, map) pairs, are then numbered in
-breadth-first order from the first-rung states, reading successors in
-alphabet order (:func:`build_coding`).
+and right, the right-hand set counting once the burn reaches it
+(:func:`rung_burn_table`, read from the two-sided table
+:func:`~laddersand.burning.burn_table` that the census walks share;
+:func:`~laddersand.burning.rung_burn` is its reference).  A state's
+burnt set is its influence map's value at the empty set, and its
+successors depend on the map alone, so the closure is taken over maps,
+one layer of newly found maps at a time: each layer is advanced under
+every rung at once, both alternation fixed points becoming gathers into
+the table repeated until they settle.  The states, (rung, map) pairs,
+are then numbered in breadth-first order from the first-rung states,
+reading successors in alphabet order (:func:`build_coding`).
 
 The transition matrix is transitive, its Perron data give the per-rung
 growth rate, and the associated stochastic matrix (the maximal-entropy
@@ -48,7 +50,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .burning import InfluenceMap, RungConfig
+from .burning import _CHUNK_ENTRIES, InfluenceMap, RungConfig, burn_table
 from .census import enum_rungs
 from .errors import (ConvergenceError, FeasibilityError,
                      InternalInvariantError, ValidationError)
@@ -137,10 +139,11 @@ class CodingAutomaton:
         return len(self.states)
 
     def matrix(self) -> np.ndarray:
-        t = np.zeros((len(self.states), len(self.states)), dtype=np.int64)
-        for i, d in enumerate(self.delta):
-            for j in d.values():
-                t[i, j] = 1
+        size = len(self.states)
+        t = np.zeros((size, size), dtype=np.int64)
+        rows = np.repeat(np.arange(size), [len(row) for row in self.targets])
+        cols = np.array([j for row in self.targets for j in row], dtype=np.intp)
+        t[rows, cols] = 1
         return t
 
     def start_states(self) -> tuple[int, ...]:
@@ -202,56 +205,20 @@ class CodingAutomaton:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
 
 
-# The one-rung burn table holds |alphabet| * 4**|G| entries; above this
-# many the automaton is out of reach anyway, and the table is refused
-# rather than built.  Every rung whose heights are all maximal or one
-# below, with one maximal, is in the alphabet, so |alphabet| >= 2**|G| - 1
-# and the limit leaves |G| <= 8: vertex sets fit in one byte.
-_MAX_TABLE_ENTRIES = 1 << 26
-# Entries (source map x rung x declared set) per chunk of a discovery
-# layer, which bounds the gather arrays of one chunk.
-_CHUNK_ENTRIES = 1 << 16
-
-
 def rung_burn_table(graph: Graph, alphabet: Sequence[RungConfig]) -> np.ndarray:
     """``table[c, left << n | right]`` is ``rung_burn(graph, left,
     alphabet[c], right)``, for every rung and pair of declared burnt sets
-    at once.
+    at once, read from :func:`~laddersand.burning.burn_table`.
 
-    The one-rung burn is the least fixed point of burning every vertex
-    whose burnt neighbours (the right copies counting once the burnt set
-    touches them) reach its need ``max - height + 1``; sweeping the
-    vertices until nothing changes reaches it in any order.
+    The right-hand copies count only once the burn touches them: the
+    burn with ``left`` alone stands where it misses ``right``, and where
+    it touches ``right`` the burn goes on to the one with both sides.
     """
-    n = graph.n
-    size = 1 << n
-    entries = len(alphabet) * size * size
-    if entries > _MAX_TABLE_ENTRIES:
-        raise FeasibilityError(
-            f"one-rung burn table needs {entries} entries for {len(alphabet)} "
-            f"rungs on {n} vertices; the limit is {_MAX_TABLE_ENTRIES}")
-    pairs = np.arange(size * size)
-    left = (pairs >> n).astype(np.uint8)
-    right = (pairs & (size - 1)).astype(np.uint8)
-    left_bits = [(left >> x) & 1 for x in range(n)]
-    right_bits = [(right >> x) & 1 for x in range(n)]
-    need = np.array([[m - h + 1 for m, h in zip(graph.max_height, c)]
-                     for c in alphabet], dtype=np.uint8)
-    table = np.zeros((len(alphabet), size * size), dtype=np.uint8)
-    step = max(1, _CHUNK_ENTRIES // (size * size))
-    for lo in range(0, len(alphabet), step):
-        burnt = table[lo:lo + step]
-        while True:
-            before = burnt.copy()
-            merged = ((burnt & right) != 0).astype(np.uint8)
-            for x in range(n):
-                count = left_bits[x] + merged * right_bits[x]
-                for y in graph.neighbors[x]:
-                    count = count + ((burnt >> y) & 1)
-                burnt |= (count >= need[lo:lo + step, x, None]).astype(np.uint8) << x
-            if np.array_equal(before, burnt):
-                break
-    return table
+    size = 1 << graph.n
+    both = burn_table(graph, alphabet).reshape(len(alphabet), size, size)
+    alone = both[:, :, :1]
+    right = np.arange(size, dtype=np.uint8)
+    return np.where(alone & right, both, alone).reshape(len(alphabet), size * size)
 
 
 def _settle(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
@@ -480,13 +447,15 @@ def check_transitive(automaton: CodingAutomaton
     irreducible = len(reach(fwd)) == size and len(reach(bwd)) == size
     if not irreducible:
         return False, None
-    m = automaton.matrix() > 0
-    power = m.copy()
+    # float64 products run on BLAS; their entries count walks, at most
+    # the state count, so they are exact and keep the boolean pattern
+    m = automaton.matrix().astype(np.float64)
+    power = m
     cap = (size - 1) ** 2 + 1 if size > 1 else 1
     for p in range(1, cap + 1):
         if power.all():
             return True, p
-        power = (power.astype(np.int64) @ m.astype(np.int64)) > 0
+        power = ((power @ m) > 0).astype(np.float64)
     return True, None
 
 

@@ -38,8 +38,9 @@ import numpy as np
 from .burning import (RungConfig, full_burnable, left_burnable, max_rung,
                       right_burnable)
 from .census import enum_rungs, iter_recurrent, single_rung_recurrent
-from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, build_coding,
-                     parry_chain, restrict, spectral)
+from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain,
+                     SpectralData, build_coding, parry_chain, restrict,
+                     spectral)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph, Window
 from .toppling import LadderConfig
@@ -80,10 +81,11 @@ class RenewalData:
 
 class _AutomatonBundle:
     """Per-graph cache of the automaton, its restriction to non-maximal
-    rungs, the spectral data of the automaton and the Perron value of the
-    restriction, the states reading each rung and the finite_dp window
-    counts.  ``max_states`` caps the automaton whether it is built or
-    found in the cache."""
+    rungs (None when the maximal rung is the only one), the states
+    reading each rung and, computed on first use, the spectral data and
+    Parry chain of the automaton, the Perron value of the restriction and
+    the finite_dp window counts.  ``max_states`` caps the automaton
+    whether it is built or found in the cache."""
 
     _cache: dict[Graph, "_AutomatonBundle"] = {}
 
@@ -96,8 +98,6 @@ class _AutomatonBundle:
             self.nonmax = restrict(self.automaton, lambda c: c != cmax)
         else:
             self.nonmax = None
-        self.spec = spectral(self.automaton)
-        self.chain = parry_chain(self.automaton, self.spec)
         self.rung_states = _rung_states(self.automaton)
         self._window_counts: dict[int, tuple] = {}
 
@@ -109,6 +109,14 @@ class _AutomatonBundle:
             raise FeasibilityError(f"automaton has {len(cls._cache[graph].automaton)} "
                                    f"states > max_states={max_states}")
         return cls._cache[graph]
+
+    @cached_property
+    def spec(self) -> SpectralData:
+        return spectral(self.automaton)
+
+    @cached_property
+    def chain(self) -> ParryChain:
+        return parry_chain(self.automaton, self.spec)
 
     @cached_property
     def nonmax_rho(self) -> float:

@@ -1,15 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laddersand.burning import (advance_rung_state, first_rung_state,
+from laddersand.burning import (advance_rung_state, burn_table, first_rung_state,
                                 full_burnable, is_rung_symbol, left_burnable,
                                 leftmost_schedule, max_rung,
                                 path2_characterization, reflect_heights,
                                 right_burnable, rung_burn, window_heights)
-from laddersand.errors import ValidationError
+from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import builtin_graph
 
 I01_ALPHABET = [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)]
@@ -352,6 +353,47 @@ def test_rung_burn_against_engine(name):
             for right in range(full + 1):
                 assert rung_burn(graph, left, rung, right) == \
                     rung_burn_oracle(graph, left, rung, right)
+
+
+def burn_table_oracle(graph, below, rung, above):
+    """Burn of one rung with both sides declared, via the general engine
+    under ordinary burning: declared vertices are removed from the site
+    set, so they join complement components that count as burnt; the
+    rest of the two side rungs are pinned by restricting which sites may
+    burn."""
+    from laddersand.burning import _burn
+    heights = {}
+    allowed = set()
+    for x in range(graph.n):
+        heights[(x, 1)] = rung[x]
+        allowed.add((x, 1))
+        if not (below >> x) & 1:
+            heights[(x, 0)] = 1
+        if not (above >> x) & 1:
+            heights[(x, 2)] = 1
+    trace = _burn(graph, heights, "both", allowed=frozenset(allowed))
+    return sum(1 << x for x, k in trace.order if k == 1)
+
+
+@pytest.mark.parametrize("name", ["path2", "path3", "cycle3"])
+def test_burn_table_against_engine(name):
+    graph = builtin_graph(name)
+    rungs = list(itertools.product(*[range(1, m + 1) for m in graph.max_height]))
+    table = burn_table(graph, rungs)
+    size = 1 << graph.n
+    assert table.shape == (len(rungs), size * size) and table.dtype == np.uint8
+    for c, rung in enumerate(rungs):
+        assert table[c].tolist() == [burn_table_oracle(graph, below, rung, above)
+                                     for below in range(size)
+                                     for above in range(size)]
+
+
+def test_burn_table_needs_byte_sized_vertex_sets():
+    # one rung keeps the table small, but vertex sets of 9 vertices
+    # would not fit its bytes
+    path9 = builtin_graph("path9")
+    with pytest.raises(FeasibilityError, match="one-rung burn table"):
+        burn_table(path9, [max_rung(path9)])
 
 
 def test_first_rung_state_shapes(path2):

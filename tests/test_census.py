@@ -10,8 +10,10 @@ from laddersand.burning import (full_burnable, leftmost_schedule, max_rung,
 from laddersand.census import (_SequenceDFS, count_series, entropy_bounds,
                                enum_rungs, iter_left_burnable, iter_recurrent,
                                renewal_identity_check, single_rung_recurrent)
+from laddersand.coding import build_coding, restrict
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import builtin_graph, laplacian_entry
+from laddersand.measures import _AutomatonBundle
 
 I01_A = (5, 19, 71, 265, 989, 3691, 13775, 51409)
 I01_B = (4, 10, 22, 46, 94, 190, 382, 766)
@@ -178,6 +180,50 @@ def test_brute_matches_automaton_wider_graphs():
         assert brute.values == auto.values
 
 
+@pytest.mark.parametrize("name", ["path5", "cycle5"])
+def test_brute_matches_automaton_five_vertices(name):
+    graph = builtin_graph(name)
+    auto = build_coding(graph)
+    cmax = max_rung(graph)
+    auto0 = restrict(auto, lambda c: c != cmax)
+    assert count_series(graph, "L", 2).values == tuple(auto.word_counts(2))
+    assert count_series(graph, "L0", 2).values == tuple(auto0.word_counts(2))
+
+
+def test_automaton_counts_on_the_point(point):
+    # the maximal rung is the point's only rung, so no L0 window exists
+    assert count_series(point, "L0", 3, method="automaton").values == (0, 0, 0)
+    assert count_series(point, "L", 3, method="automaton").values == (1, 1, 1)
+
+
+def test_automaton_counts_read_the_cached_bundle(path3, monkeypatch):
+    import laddersand.coding as coding
+    import laddersand.measures as measures
+    builds = []
+
+    def counted(graph, **kwargs):
+        builds.append(graph)
+        return build_coding(graph, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count ran power iteration")
+
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    monkeypatch.setattr(coding, "build_coding", counted)
+    monkeypatch.setattr(measures, "build_coding", counted)
+    monkeypatch.setattr(measures, "spectral", refuse)
+    for variant in ("L", "L0", "L", "L0"):
+        assert (count_series(path3, variant, 4, method="automaton").values
+                == count_series(path3, variant, 4).values)
+    assert builds == [path3]
+
+
+def test_census_beyond_the_burn_table_is_refused():
+    # path7 has 5445 rungs, so its table would hold 5445 * 4**7 entries
+    with pytest.raises(FeasibilityError, match="one-rung burn table"):
+        count_series(builtin_graph("path7"), "L", 1)
+
+
 def test_entropy_bounds(path2, point):
     a = count_series(path2, "L", 8)
     bounds = entropy_bounds(a)
@@ -207,7 +253,7 @@ def _stable_rungs(graph):
 def _engine_recurrent(dfs, seq):
     burnt, tbls = [], []
     for c in seq:
-        tbls.append(dfs.row_table(c))
+        tbls.append(dfs.tables[c])
         burnt = dfs.push(burnt, tbls, c, ignite=False)
     return dfs.is_burnable(burnt, tbls)
 
@@ -217,8 +263,9 @@ def _engine_recurrent(dfs, seq):
 def test_engine_matches_burning_oracles(data):
     # the row-mask engine decides recurrence like ordinary burning and
     # right-burnability like the rung-at-a-time schedule on the mirror
-    graph = builtin_graph(data.draw(st.sampled_from(["path2", "path3", "cycle3"])))
-    dfs = _SequenceDFS(graph)
+    graph = builtin_graph(data.draw(st.sampled_from(["path2", "path3", "cycle3",
+                                                     "path4"])))
+    dfs = _SequenceDFS(graph, _stable_rungs(graph))
     seq = data.draw(st.lists(st.sampled_from(_stable_rungs(graph)),
                              min_size=1, max_size=5))
     assert (_engine_recurrent(dfs, seq)
@@ -241,6 +288,12 @@ def _reduced_laplacian_det(graph, n):
             for j in range(k, len(a)):
                 a[i][j] -= f * a[k][j]
     return int(det)
+
+
+def test_recurrent_counts_path5_are_matrix_tree_counts():
+    graph = builtin_graph("path5")
+    assert count_series(graph, "REC", 2).values == tuple(
+        _reduced_laplacian_det(graph, n) for n in (1, 2))
 
 
 @pytest.mark.parametrize("name, expected", [

@@ -193,6 +193,21 @@ def test_exit_code_feasibility(capsys):
     assert code == 3 and "feasibility" in err
 
 
+def test_census_beyond_the_burn_table_exits_3(capsys):
+    code, _, err = run(capsys, "census", "--graph", "path7", "--variant", "L",
+                       "--n", "1")
+    assert code == 3 and "one-rung burn table" in err
+
+
+def test_census_automaton_l0_on_the_point(capsys):
+    code, out, _ = run(capsys, "census", "--graph", "point", "--variant", "L0",
+                       "--n", "3", "--method", "automaton")
+    assert code == 0
+    code, brute, _ = run(capsys, "census", "--graph", "point", "--variant", "L0",
+                         "--n", "3")
+    assert code == 0 and out == brute
+
+
 def test_census_rerun_byte_identical(tmp_path, capsys):
     outs = []
     for name in ("r1.csv", "r2.csv"):

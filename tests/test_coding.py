@@ -69,6 +69,11 @@ def test_transitive(auto2, point, cycle3):
     assert irr and p is not None
 
 
+@pytest.mark.parametrize("name", ["path4", "cycle4"])
+def test_transitive_wider_graphs(name):
+    assert check_transitive(build_coding(builtin_graph(name))) == (True, 5)
+
+
 def test_point_automaton(point):
     a1 = build_coding(point)
     assert len(a1) == 1

@@ -22,13 +22,12 @@ from .measures import (CylinderEvent, boundary_layer, cylinder_prob,
 from .toppling import (CANONICAL, PARALLEL, LadderConfig, Odometer, Schedule,
                        check_abelian, demo_wave_config, random_schedule,
                        rung_zero_blast, stabilize)
-from .errors import (ConvergenceError, FeasibilityError, StepCapExceeded,
-                     ValidationError)
+from .errors import FeasibilityError, StepCapExceeded, ValidationError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BurnTrace", "CANONICAL", "CodingAutomaton", "ConvergenceError",
+    "BurnTrace", "CANONICAL", "CodingAutomaton",
     "CountSeries", "CylinderEvent", "FeasibilityError", "Graph",
     "LadderConfig", "Odometer", "PARALLEL", "Schedule", "Site",
     "StepCapExceeded", "ValidationError", "Window", "boundary_layer",

@@ -162,7 +162,7 @@ def cmd_spectral(args, graph: Graph, t0: float) -> int:
     auto = build_coding(graph, max_states=args.max_states)
     if args.nonmax:
         auto = restrict(auto, lambda c: c != max_rung(graph))
-    spec = spectral(auto, tol=args.tol)
+    spec = spectral(auto)
     doc = {
         "graph": graph.name,
         "states": len(auto),
@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--nonmax", action="store_true",
                    help="restrict to states without the all-maximal rung")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_spectral, format="json")
 
     p = sub.add_parser("measure", help="cylinder probability under the "

@@ -23,8 +23,8 @@ are then numbered in breadth-first order from the first-rung states,
 reading successors in alphabet order (:func:`build_coding`).
 
 The transition matrix is transitive, its Perron data give the per-rung
-growth rate, and the associated stochastic matrix (the maximal-entropy
-chain on the shift) is what the measure samplers draw from.
+growth rate, and the maximal-entropy chain scaled out of them is what
+the measure samplers draw from.
 
 Word counts run on two lumpings of the automaton rather than on its
 states.  The suffix lumping is the coarsest partition in which all
@@ -36,7 +36,10 @@ prefix lumping is the same construction on predecessors, seeded with
 the start states, so the number of words ending at a state depends only
 on its block.  Both counts are exact integers, equal to the per-state
 sweeps they replace; on cycle4 the 745 states fall into 22 suffix and
-54 prefix blocks.
+54 prefix blocks.  The quotients carry the Perron data too: the suffix
+quotient's Perron value and eigenvector, read on each state's block,
+are those of the transition matrix, and the prefix quotient's give its
+left eigenvector (:func:`spectral`).
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ import numpy as np
 
 from .burning import _CHUNK_ENTRIES, InfluenceMap, RungConfig, burn_table
 from .census import enum_rungs
-from .errors import (ConvergenceError, FeasibilityError,
-                     InternalInvariantError, ValidationError)
+from .errors import (FeasibilityError, InternalInvariantError,
+                     ValidationError)
 from .graphs import Graph, mask_to_vertices
 
 DEFAULT_MAX_STATES = 10 ** 6
@@ -138,12 +141,18 @@ class CodingAutomaton:
     def __len__(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The transitions as arrays of sources and targets, in row order."""
+        rows = np.repeat(np.arange(len(self.states)),
+                         [len(row) for row in self.targets])
+        cols = np.array([j for row in self.targets for j in row], dtype=np.intp)
+        return rows, cols
+
     def matrix(self) -> np.ndarray:
         size = len(self.states)
         t = np.zeros((size, size), dtype=np.int64)
-        rows = np.repeat(np.arange(size), [len(row) for row in self.targets])
-        cols = np.array([j for row in self.targets for j in row], dtype=np.intp)
-        t[rows, cols] = 1
+        t[self.edges] = 1
         return t
 
     def start_states(self) -> tuple[int, ...]:
@@ -461,7 +470,7 @@ def check_transitive(automaton: CodingAutomaton
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Perron data of the transition matrix."""
+    """Perron data of the transition matrix; ``iterations`` reads 0."""
 
     rho: float
     right: np.ndarray
@@ -475,39 +484,42 @@ class SpectralData:
     def entropy(self) -> float:
         return math.log(self.rho)
 
-
-def _power_iteration(t: np.ndarray, tol: float, max_iter: int
-                     ) -> tuple[float, np.ndarray, float, int]:
-    size = t.shape[0]
-    x = np.full(size, 1.0 / size)
-    rho = 1.0
-    for it in range(1, max_iter + 1):
-        y = t @ x
-        total = y.sum()
-        if total <= 0:
-            raise ConvergenceError("iteration collapsed to zero vector")
-        rho = total / x.sum()
-        x = y / total
-        resid = float(np.abs(t @ x - rho * x).max())
-        if resid < tol:
-            return float(rho), x, resid, it
-    raise ConvergenceError(
-        f"power iteration residual above {tol} after {max_iter} rounds")
+    def require_positive(self) -> "SpectralData":
+        """These data, if the maximal-entropy chain scales out of them."""
+        if not self.strictly_positive:
+            raise ValidationError(
+                "maximal-entropy chain needs strictly positive Perron vectors "
+                "(is the automaton transitive?)")
+        return self
 
 
-def spectral(automaton: CodingAutomaton, tol: float = 1e-12,
-             max_iter: int = 1_000_000) -> SpectralData:
-    """Perron value and left/right vectors by power iteration with a
-    residual certificate."""
-    t = automaton.matrix().astype(float)
-    rho, right, res_r, it_r = _power_iteration(t, tol, max_iter)
-    rho_l, left, res_l, it_l = _power_iteration(t.T, tol, max_iter)
-    rho = 0.5 * (rho + rho_l)
-    positive = bool((right > tol).all() and (left > tol).all())
+def _perron(lump: Lumping) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the lumping's quotient matrix and its
+    eigenvector, lifted to the states blockwise and normalised to sum 1."""
+    q = np.zeros((len(lump.adj),) * 2)
+    for b, row in enumerate(lump.adj):
+        for c, count in row:
+            q[b, c] = count
+    values, vectors = np.linalg.eig(q)
+    top = int(np.argmax(values.real))
+    vec = vectors[:, top].real[list(lump.block)]
+    return float(values[top].real), vec / vec.sum()
+
+
+def spectral(automaton: CodingAutomaton) -> SpectralData:
+    """Perron value and right vector from the suffix lumping's quotient,
+    left vector from the prefix lumping's, each certified by the residual
+    of one sparse product over the transitions."""
+    rho, right = _perron(automaton.suffix_lumping)
+    _, left = _perron(automaton.prefix_lumping)
+    rows, cols = automaton.edges
+    res_r = np.abs(np.bincount(rows, right[cols], len(right)) - rho * right).max()
+    res_l = np.abs(np.bincount(cols, left[rows], len(left)) - rho * left).max()
+    # a zero entry of an eigenvector comes out of eig as rounding noise
+    positive = bool((right > 1e-12).all() and (left > 1e-12).all())
     return SpectralData(rho=rho, right=right, left=left,
-                        residual_right=res_r, residual_left=res_l,
-                        iterations=max(it_r, it_l),
-                        strictly_positive=positive)
+                        residual_right=float(res_r), residual_left=float(res_l),
+                        iterations=0, strictly_positive=positive)
 
 
 def restrict(automaton: CodingAutomaton,
@@ -550,10 +562,7 @@ def parry_chain(automaton: CodingAutomaton,
                 spec: Optional[SpectralData] = None) -> ParryChain:
     if spec is None:
         spec = spectral(automaton)
-    if not spec.strictly_positive:
-        raise ValidationError(
-            "maximal-entropy chain needs strictly positive Perron vectors "
-            "(is the automaton transitive?)")
+    spec.require_positive()
     t = automaton.matrix().astype(float)
     v = spec.right
     p = t * v[None, :] / (spec.rho * v[:, None])

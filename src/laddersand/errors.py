@@ -11,10 +11,6 @@ class FeasibilityError(RuntimeError):
     """A requested computation exceeds a configured size cap."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative numerical routine failed to reach its tolerance."""
-
-
 class InternalInvariantError(AssertionError):
     """A structural invariant the algorithms rely on was violated."""
 

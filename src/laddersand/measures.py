@@ -4,21 +4,21 @@ The uniform measures on left-burnable windows converge as the window
 grows; maximal rungs are renewal points, so the limit is governed by a
 renewal process whose step distribution comes from the counts of
 windows with no maximal rung.  Cylinder probabilities under the limit
-are computed three independent ways:
+are computed three independent ways, each weighting the first and last
+states of the walks through the event's rungs (the automaton is
+deterministic, so each state of the first rung starts at most one):
 
 * ``renewal``  - the renewal representation: sum over the nearest
-  renewal on each side of the event window, with geometric tails;
+  renewal on each side of the event window, with geometric tails: a
+  walk weighs the left flank sum at its start times the right at its end;
 * ``parry``    - the stationary marginal of the maximal-entropy chain
-  on the coding automaton;
+  on the coding automaton, ``u[first] v[last] / (rho**(len - 1) u.v)``;
 * ``finite_dp`` - exact rational probability on a large finite window
-  by integer path counting: the words through the event are the
-  prefix-block count of words ending at each state of the event's first
-  rung, walked through the event's rungs (the automaton is
-  deterministic, so each such state has at most one continuation), times
-  the suffix-block count of words starting where the walk ends; the
-  denominator is the number of words of the window's length.  Both
-  block tables are swept once per window length and kept with the
-  automaton, so a query costs the same wherever its event sits.
+  by integer path counting: the prefix-block count of words ending at a
+  walk's start times the suffix-block count of words starting at its
+  end, over the number of words of the window's length.  Both block
+  tables are swept once per window length and kept with the automaton,
+  so a query costs the same wherever its event sits.
 
 The right-sided measure is the reflection of the left-sided one, so all
 right-sided quantities are computed by reflecting events and samples.
@@ -27,26 +27,30 @@ right-sided quantities are computed by reflecting events and samples.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .burning import (RungConfig, full_burnable, left_burnable, max_rung,
                       right_burnable)
 from .census import enum_rungs, iter_recurrent, single_rung_recurrent
-from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain,
-                     SpectralData, build_coding, parry_chain, restrict,
-                     spectral)
+from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, build_coding,
+                     restrict, spectral)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph, Window
 from .toppling import LadderConfig
 
 DEFAULT_RENEWAL_ORDER = 48
 DEFAULT_TAIL_TOL = 1e-9
+# a renewal flank sum stops at its first term summing below the cut
+_FLANK_CUT = 1e-14
+_MAX_FLANK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +84,10 @@ class RenewalData:
 
 
 class _AutomatonBundle:
-    """Per-graph cache of the automaton, its restriction to non-maximal
-    rungs (None when the maximal rung is the only one), the states
-    reading each rung and, computed on first use, the spectral data and
-    Parry chain of the automaton, the Perron value of the restriction and
-    the finite_dp window counts.  ``max_states`` caps the automaton
+    """Per-graph cache of the automaton, the states reading each rung
+    and, computed on first use, the Perron data of the automaton, its
+    restriction to non-maximal rungs and the restriction's Perron value,
+    and the finite_dp window counts.  ``max_states`` caps the automaton
     whether it is built or found in the cache."""
 
     _cache: dict[Graph, "_AutomatonBundle"] = {}
@@ -92,13 +95,12 @@ class _AutomatonBundle:
     def __init__(self, graph: Graph, max_states: int):
         self.graph = graph
         self.automaton = build_coding(graph, max_states=max_states)
-        cmax = max_rung(graph)
-        self.cmax = cmax
-        if len(self.automaton.alphabet) > 1:
-            self.nonmax = restrict(self.automaton, lambda c: c != cmax)
-        else:
-            self.nonmax = None
-        self.rung_states = _rung_states(self.automaton)
+        self.cmax = max_rung(graph)
+        # the states reading each rung, where an event's walks start
+        self.rung_states: dict[RungConfig, list[int]] = {
+            c: [] for c in self.automaton.alphabet}
+        for i, s in enumerate(self.automaton.states):
+            self.rung_states[s.rung].append(i)
         self._window_counts: dict[int, tuple] = {}
 
     @classmethod
@@ -111,12 +113,20 @@ class _AutomatonBundle:
         return cls._cache[graph]
 
     @cached_property
-    def spec(self) -> SpectralData:
-        return spectral(self.automaton)
+    def perron(self) -> tuple[float, list[float], list[float]]:
+        """The Perron value and the left and right vectors, scaled so that
+        ``left . right`` is 1, for parry and the chain sampler."""
+        spec = spectral(self.automaton).require_positive()
+        left = spec.left / (spec.left @ spec.right)
+        return spec.rho, left.tolist(), spec.right.tolist()
 
     @cached_property
-    def chain(self) -> ParryChain:
-        return parry_chain(self.automaton, self.spec)
+    def nonmax(self) -> Optional[CodingAutomaton]:
+        """The automaton restricted to non-maximal rungs (None when the
+        maximal rung is the only one), for renewal and the L0 census."""
+        if len(self.automaton.alphabet) == 1:
+            return None
+        return restrict(self.automaton, lambda c: c != self.cmax)
 
     @cached_property
     def nonmax_rho(self) -> float:
@@ -141,14 +151,14 @@ class _AutomatonBundle:
         return self._window_counts[length]
 
 
-def renewal_quantities(graph: Graph, order: int = DEFAULT_RENEWAL_ORDER, *,
-                       tail_tol: float = DEFAULT_TAIL_TOL) -> RenewalData:
+def renewal_quantities(graph: Graph, order: int = DEFAULT_RENEWAL_ORDER
+                       ) -> RenewalData:
     """Solve for the root of the truncated counting series and derive
     the renewal-step distribution, with a certified geometric tail.
 
     The no-maximal-rung counts are taken from the restricted automaton;
     their growth rate bounds the truncation tail.  If the bound cannot
-    be pushed below ``tail_tol`` at this order, a larger order is
+    be pushed below ``DEFAULT_TAIL_TOL`` at this order, a larger order is
     requested via :class:`FeasibilityError`; an order whose counts or
     growth-rate powers overflow floating point is refused the same way.
     """
@@ -196,9 +206,9 @@ def renewal_quantities(graph: Graph, order: int = DEFAULT_RENEWAL_ORDER, *,
     if ratio >= 1.0:  # pragma: no cover - root lies below 1/rho0
         raise FeasibilityError("root estimate not below the tail radius")
     tail = growth_const * lam * ratio ** order / (1.0 - ratio)
-    if tail > tail_tol:
+    if tail > DEFAULT_TAIL_TOL:
         raise FeasibilityError(
-            f"tail bound {tail:.3g} above {tail_tol:.3g}; "
+            f"tail bound {tail:.3g} above {DEFAULT_TAIL_TOL:.3g}; "
             f"increase order beyond {order}")
 
     p = tuple(lam ** k * b[k - 1] for k in range(1, order + 1))
@@ -260,86 +270,72 @@ class CylinderProbability:
     detail: dict
 
 
-def _rung_states(automaton: CodingAutomaton) -> dict[RungConfig, np.ndarray]:
-    """The indices of the states reading each rung."""
-    states: dict[RungConfig, list[int]] = {c: [] for c in automaton.alphabet}
-    for i, s in enumerate(automaton.states):
-        states[s.rung].append(i)
-    return {c: np.array(ix, dtype=np.intp) for c, ix in states.items()}
-
-
-def _walk(weights: np.ndarray, matrix: np.ndarray, bundle: _AutomatonBundle,
-          event: CylinderEvent) -> tuple[np.ndarray, np.ndarray]:
-    """Carry ``weights`` from the states of the event's first rung
-    through ``matrix`` onto the states of each later rung; returns the
-    weights on the states of the last rung and those states.  Only the
-    states of the event's rungs enter, so a step is a product over their
-    few states, not a vector-matrix product over the whole automaton."""
-    states = bundle.rung_states
-    idx = states[event.rungs[0]]
-    vec = weights[idx]
+def _event_walks(bundle: _AutomatonBundle, event: CylinderEvent
+                 ) -> tuple[list[int], list[int]]:
+    """The first and last states of the walks that read the event's rungs."""
+    delta = bundle.automaton.delta
+    first = last = bundle.rung_states[event.rungs[0]]
     for c in event.rungs[1:]:
-        nxt = states[c]
-        vec = vec @ matrix[np.ix_(idx, nxt)]
-        idx = nxt
-    return vec, idx
+        nxt = [delta[state].get(c) for state in last]
+        first = [f for f, state in zip(first, nxt) if state is not None]
+        last = [state for state in nxt if state is not None]
+    return first, last
 
 
 def _parry_prob(bundle: _AutomatonBundle, event: CylinderEvent) -> float:
-    chain = bundle.chain
-    vec, _ = _walk(chain.stationary, chain.matrix, bundle, event)
-    return float(vec.sum())
+    rho, left, right = bundle.perron
+    first, last = _event_walks(bundle, event)
+    return (sum(left[f] * right[s] for f, s in zip(first, last))
+            / rho ** (len(event) - 1))
+
+
+def _flank(step: Callable[[np.ndarray], np.ndarray], cur: np.ndarray
+           ) -> np.ndarray:
+    """``cur + step(cur) + step(step(cur)) + ...`` to a term below the cut."""
+    acc = np.zeros_like(cur)
+    for _ in range(_MAX_FLANK):
+        acc += cur
+        cur = step(cur)
+        if cur.sum() < _FLANK_CUT:
+            return acc
+    raise FeasibilityError("renewal flank sum did not converge")  # pragma: no cover
 
 
 def _renewal_prob(bundle: _AutomatonBundle, event: CylinderEvent,
-                  data: RenewalData, cut: float = 1e-14,
-                  max_flank: int = 4096) -> float:
+                  data: RenewalData) -> float:
     """Sum of the renewal representation over the positions of the
     nearest maximal rung strictly left and right of the event window.
 
     Counting configurations between those renewals factorizes into a
     left flank with no maximal rung, the fixed event block, and a right
     flank with no maximal rung; the two flank sums are geometric in the
-    root and truncated to ``cut``.
+    root and run over the transitions between non-maximal states.
     """
     auto = bundle.automaton
     lam = data.lam
+    size = len(auto)
+    rows, cols = auto.edges
     nonmax = np.array([s.rung != bundle.cmax for s in auto.states])
-    t = auto.matrix().astype(float)
-    t0 = t * nonmax[None, :] * nonmax[:, None]
-    start = np.array([0.0] * len(auto))
-    for i in auto.start_states():
-        start[i] = 1.0
+    inner = nonmax[rows] & nonmax[cols]
+    rows0, cols0 = rows[inner], cols[inner]
+    start = np.zeros(size)
+    start[list(auto.start_states())] = 1.0
 
     # forward: lam-weighted flank prefixes ending at a non-maximal state
-    acc_f = np.zeros(len(auto))
-    cur = lam * (start * nonmax)
-    for _ in range(max_flank):
-        acc_f += cur
-        cur = lam * (cur @ t0)
-        if cur.sum() < cut:
-            break
-    else:  # pragma: no cover
-        raise FeasibilityError("left flank sum did not converge")
+    acc_f = _flank(lambda x: lam * np.bincount(cols0, x[rows0], size),
+                   lam * (start * nonmax))
     # entering the event block: either no left flank (the block starts
     # the window) or one transition out of the flank
-    vec, last = _walk(start + acc_f @ t, t, bundle, event)
-
+    enter = start + np.bincount(cols, acc_f[rows], size)
     # backward: lam-weighted flank suffixes, including the empty one
-    acc_b = np.ones(len(auto))
-    cur = lam * (t0 @ np.ones(len(auto)))
-    for _ in range(max_flank):
-        acc_b += cur
-        cur = lam * (t0 @ cur)
-        if cur.sum() < cut:
-            break
-    else:  # pragma: no cover
-        raise FeasibilityError("right flank sum did not converge")
-    tail = np.ones(len(auto)) + lam * (t @ (acc_b * nonmax))
+    acc_b = _flank(lambda x: lam * np.bincount(rows0, x[cols0], size),
+                   np.ones(size))
+    tail = 1.0 + lam * np.bincount(rows, (acc_b * nonmax)[cols], size)
+    first, last = _event_walks(bundle, event)
     # with ell_s = ell_t = 0 the nearest renewals hug the event block,
     # sitting len(event)+2 rungs apart
     base = lam ** (len(event.rungs) + 2)
-    return float(data.alpha * base * (vec @ tail[last]))
+    return float(data.alpha * base * (enter[first] @ tail[last]))
 
 
 def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
@@ -358,15 +354,8 @@ def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
     suffix = suffixes[after - 1]
     pblock = auto.prefix_lumping.block
     sblock = auto.suffix_lumping.block
-    numerator = 0
-    for state in bundle.rung_states[event.rungs[0]].tolist():
-        ways = prefix[pblock[state]]
-        for c in event.rungs[1:]:
-            state = auto.delta[state].get(c)
-            if state is None:
-                break
-        else:
-            numerator += ways * suffix[sblock[state]]
+    numerator = sum(prefix[pblock[f]] * suffix[sblock[s]]
+                    for f, s in zip(*_event_walks(bundle, event)))
     frac = Fraction(numerator, denominator)
     return float(frac), (frac if exact else None)
 
@@ -423,19 +412,24 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
     if width < 1 or count < 1:
         raise ValidationError("width and count must be >= 1")
     bundle = _AutomatonBundle.get(graph, max_states)
-    chain = bundle.chain
+    auto = bundle.automaton
+    rho, left, v = bundle.perron
+    # the cumulative weights of each state's out-edges, in target order;
+    # the last is 1.0, so every draw lands on an edge
+    cum = [list(accumulate(v[j] / (rho * v[i]) for j in row))[:-1] + [1.0]
+           for i, row in enumerate(auto.targets)]
+    stationary = np.multiply(left, v)
     rng = np.random.default_rng(seed)
-    size = len(bundle.automaton)
-    cum_rows = np.cumsum(chain.matrix, axis=1)
-    cum_rows[:, -1] = 1.0
-    states = np.empty((count, width), dtype=np.int64)
-    states[:, 0] = rng.choice(size, size=count, p=chain.stationary)
-    u = rng.random((count, width))
-    for j in range(1, width):
-        rows = cum_rows[states[:, j - 1]]
-        states[:, j] = (rows < u[:, j][:, None]).sum(axis=1)
-    rungs = [s.rung for s in bundle.automaton.states]
-    return [tuple(rungs[i] for i in row) for row in states]
+    firsts = rng.choice(len(auto), size=count, p=stationary / stationary.sum())
+    rungs = [s.rung for s in auto.states]
+    out = []
+    for state, u in zip(firsts.tolist(), rng.random((count, width)).tolist()):
+        window = [rungs[state]]
+        for x in u[1:]:
+            state = auto.targets[state][bisect_left(cum[state], x)]
+            window.append(rungs[state])
+        out.append(tuple(window))
+    return out
 
 
 def sample_window_config(graph: Graph, halfwidth: int, seed: int, *,

@@ -207,9 +207,15 @@ def stabilize(graph: Graph, config: LadderConfig,
         todo = [c for c in range(cells) if queued[c]]
         draw = (random.Random(schedule.seed).randrange
                 if schedule.kind == "random" else None)
+        push = heappush if draw is None else list.append
         # a queued cell stays unstable until it topples: heights only grow
         while todo:
-            c = heappop(todo) if draw is None else todo.pop(draw(len(todo)))
+            if draw is None:
+                c = heappop(todo)
+            else:  # the drawn cell swaps with the last, so pop() shifts nothing
+                k = draw(len(todo))
+                c, todo[k] = todo[k], todo[-1]
+                todo.pop()
             queued[c] = False
             steps += 1
             if steps > step_cap:
@@ -220,16 +226,10 @@ def stabilize(graph: Graph, config: LadderConfig,
                 hl[d] += 1
                 if hl[d] > cap[d] and not queued[d]:
                     queued[d] = True
-                    if draw is None:
-                        heappush(todo, d)
-                    else:
-                        todo.append(d)
+                    push(todo, d)
             if hl[c] > cap[c]:
                 queued[c] = True
-                if draw is None:
-                    heappush(todo, c)
-                else:
-                    todo.append(c)
+                push(todo, c)
         h = np.array(hl, dtype=np.int64).reshape(rows, n)
         odo = np.array(ol, dtype=np.int64).reshape(rows, n)
 

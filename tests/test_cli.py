@@ -59,6 +59,15 @@ def test_spectral_nonmax(capsys):
     assert doc["strictly_positive"] is False
 
 
+def test_spectral_cycle4(capsys):
+    code, out, _ = run(capsys, "spectral", "--graph", "cycle4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["states"] == 745
+    assert doc["residual_right"] < 1e-12 and doc["residual_left"] < 1e-12
+    assert doc["strictly_positive"] is True
+
+
 def test_measure_all_methods(capsys):
     code, out, _ = run(capsys, "measure", "--graph", "path2",
                        "--event", "3,3", "--method", "all")

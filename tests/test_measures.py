@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from laddersand.burning import (left_burnable, right_burnable, window_heights)
-from laddersand.census import iter_recurrent
-from laddersand.coding import build_coding, spectral
+from laddersand.burning import (left_burnable, max_rung, right_burnable,
+                                window_heights)
+from laddersand.census import count_series, enum_rungs, iter_recurrent
+from laddersand.coding import CodingAutomaton, build_coding, parry_chain, spectral
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import Window, builtin_graph
 from laddersand.measures import (CylinderEvent, _AutomatonBundle, boundary_layer,
@@ -187,7 +188,7 @@ def test_parry_walk_matches_dense_product(name):
     # products, masked to each rung's states over the whole automaton
     g = builtin_graph(name)
     bundle = _AutomatonBundle.get(g)
-    chain, states = bundle.chain, bundle.automaton.states
+    chain, states = parry_chain(bundle.automaton), bundle.automaton.states
     alphabet = bundle.automaton.alphabet
     rng = random.Random(3)
     for _ in range(60):
@@ -415,3 +416,76 @@ def test_max_states_caps_cold_and_cached_bundles(path2, monkeypatch):
         cylinder_prob(path2, event, "parry", max_states=6)  # cached bundle
     with pytest.raises(FeasibilityError, match="max_states"):
         sample_chain_windows(path2, 3, 1, 0, max_states=6)
+
+
+@pytest.mark.parametrize("name", ["path3", "cycle3"])
+def test_measures_path_builds_no_dense_matrix(name, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the measures path built a dense matrix")
+
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    monkeypatch.setattr(CodingAutomaton, "matrix", refuse)
+    graph = builtin_graph(name)
+    event = CylinderEvent(rungs=(max_rung(graph),) * 2)
+    assert cylinder_prob(graph, event, "parry").value > 0
+    assert cylinder_prob(graph, event, "finite_dp").value > 0
+    if name == "path3":
+        renewal_quantities(graph, order=192)
+        assert cylinder_prob(graph, event, "renewal", renewal_order=192).value > 0
+    else:
+        with pytest.raises(FeasibilityError):
+            renewal_quantities(graph, order=192)
+    assert len(sample_chain_windows(graph, 24, 5, seed=1)) == 5
+    assert len(sample_finite_exact(graph, -3, 3, seed=2, count=2)) == 2
+    for variant in ("L", "L0"):
+        count_series(graph, variant, 6, method="automaton")
+
+
+# sample_chain_windows(graph, width, count, seed), each rung written as
+# its index in enum_rungs(graph).rungs, one base-36 digit
+PINNED_CHAIN_DRAWS = {
+    ("path2", 513, 1, 0): [
+        "4044433344014314312413332334332433134413131234301144041234041041"
+        "3141134234244423434234413440111444431441323433040144014123411411"
+        "1334312344243412344234104134140424441144314114434444113312343133"
+        "0140114113133404412430443444104433131324404143414434334014144323"
+        "4344141124124441344423344434314304042431434430434344112343131143"
+        "3404113114130444313043330432334331134114331043141241433043241414"
+        "4244344344140424404141413434344443131413334132433432413314334331"
+        "1343243424440434311341041011411133133324311333244234441041444334"
+        "3",
+    ],
+    ("path2", 513, 1, 7): [
+        "4411401141112434434113043343331043124411434340434130411423433312"
+        "4244131431444311431433241014314040443244133134414011423434331111"
+        "1431142343443234404341433341240444133331433310444314443404041130"
+        "4130443433130111411134144144133304344134410413424241243424311124"
+        "4310141101414312343044432434113441143344442414432424432432334144"
+        "1344101413234414040413244441241041143131313332334114414133404304"
+        "3444434341141431413014414334243413134040142433043404330411412343"
+        "4334332423434314233430443333324112342434424433014312334424311340"
+        "1",
+    ],
+    ("cycle3", 24, 5, 0): [
+        "sorko6iu4x9hvdg1hpoofrrx", "epfhridivwelsntfgio47biv",
+        "3p7hsb3ta5xdpawe6twgwigo", "1dprijvprqoprwx19vrhxvth",
+        "wswcvhw2bw1x1bvw47eegxli",
+    ],
+    ("cycle3", 24, 5, 7): [
+        "s0ddxdcihikrxoxa8x3eihwo", "xib1ipae0ebcdvuwr5xivenl",
+        "vd7tfrwnwp7gbg6dlxdvp7tw", "dleawkevoltgb2hvksr1p1hx",
+        "fsivempsisv7w0b7hgt1wsir",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_CHAIN_DRAWS),
+                         ids=lambda key: f"{key[0]}-{key[1]}x{key[2]}-seed{key[3]}")
+def test_chain_draws_pinned(key):
+    name, width, count, seed = key
+    graph = builtin_graph(name)
+    alphabet = enum_rungs(graph).rungs
+    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+    windows = sample_chain_windows(graph, width, count, seed)
+    assert (["".join(digits[alphabet.index(r)] for r in w) for w in windows]
+            == PINNED_CHAIN_DRAWS[key])

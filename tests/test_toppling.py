@@ -197,8 +197,8 @@ def test_random_schedule_partial_odometer_pinned():
     graph = builtin_graph("path3")
     cfg = LadderConfig.from_rungs([(3, 4, 3)] * 5, start=0)
     expected = {
-        6: [[1, 0, 0], [1, 1, 1], [0, 0, 1], [0, 0, 1], [0, 0, 0]],
-        23: [[1, 1, 1], [2, 1, 2], [2, 2, 2], [2, 2, 2], [1, 1, 1]],
+        6: [[1, 0, 0], [1, 0, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0]],
+        23: [[1, 1, 1], [1, 2, 2], [2, 2, 2], [2, 2, 2], [1, 1, 1]],
     }
     for cap, counts in expected.items():
         with pytest.raises(StepCapExceeded) as info:

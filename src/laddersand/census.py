@@ -1,19 +1,22 @@
 """Exact enumeration and counting of burnable-configuration classes.
 
-Counts are exact integers.  One burning engine serves every class: the
-depth-first walks keep the left-seeded burning state of the prefix as
-burnt-row bitmasks and append a rung by a closure that reads each row's
-burn from the one-rung burn table
+Counts are exact integers.  One depth-first walker serves every class
+(:meth:`_SequenceDFS.walk`): it keeps the left-seeded burning state of
+the prefix as burnt-row bitmasks, appends a rung by a closure that reads
+each row's burn from the one-rung burn table
 (:func:`~laddersand.burning.burn_table`, built once per walk for the
-rungs it reads), never re-burning the whole window.  For ``L``/``L0``
-every rung is a symbol, a prefix that cannot ignite its last rung is
-pruned, and a fully burnt row above the prefix decides
-left-burnability.  ``S``/``S0`` also require the mirror image to be
-left-burnable (the table is symmetric in below and above).  ``REC``
+rungs it reads), never re-burning the whole window, and yields its path
+at every accepted prefix, the empty one first, in rung order.  A fully
+burnt row above the prefix decides acceptance, and a rejected prefix
+has no accepted extension.  ``L``/``L0`` walk the rung symbols with
+ignition (a prefix that cannot ignite its last rung is pruned);
+``S``/``S0`` count the paths of that walk whose mirror image is also
+left-burnable (the table is symmetric in below and above); ``REC``
 walks all stable rungs with no forbidden subconfiguration of their own,
-without the ignition prune; the same burnt row above then decides
-recurrence, and a prefix that is not recurrent has no recurrent
-extension.
+without ignition, and accepts the recurrent prefixes.  Brute
+:func:`count_series` counts the paths by length, and
+:func:`iter_left_burnable` and :func:`iter_recurrent` keep the paths of
+one length.
 """
 
 from __future__ import annotations
@@ -122,19 +125,18 @@ def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> N
 
 
 class _SequenceDFS:
-    """Shared machinery for the depth-first walks over sequences of the
-    given rungs.  A prefix is represented by its resting left-seeded
-    burnt-row masks; the rungs' rows of the one-rung burn table along the
-    path are managed by the caller so pushes stay allocation-light."""
+    """The depth-first walk over sequences of the given rungs.  A prefix
+    is represented by its resting left-seeded burnt-row masks, beside
+    the list of its rungs' rows of the one-rung burn table, which the
+    walk appends to and pops so pushes stay allocation-light."""
 
     def __init__(self, graph: Graph, rungs: Sequence[RungConfig]):
         self.graph = graph
         self.n = graph.n
-        self.alphabet = enum_rungs(graph)
         self.full = graph.full_mask
         self.maxmask = {
             c: sum(1 << x for x in range(graph.n) if c[x] == graph.max_height[x])
-            for c in self.alphabet
+            for c in rungs
         }
         self.tables = dict(zip(rungs, burn_table(graph, rungs).tolist()))
 
@@ -174,91 +176,47 @@ class _SequenceDFS:
                 return False
         return self.is_burnable(burnt, tbls)
 
-
-def _count_burnable(graph: Graph, n_max: int, *, include_max: bool,
-                    symmetric: bool) -> list[int]:
-    cmax = max_rung(graph)
-    symbols = [c for c in enum_rungs(graph) if include_max or c != cmax]
-    dfs = _SequenceDFS(graph, symbols)
-    sym_data = [(c, dfs.maxmask[c], dfs.tables[c], c == cmax) for c in symbols]
-    counts = [0] * (n_max + 1)
-    path: list[RungConfig] = []
-    tbls: list = []
-
-    def visit(burnt: list[int], depth: int) -> None:
-        if not symmetric or dfs.is_right_burnable(path):
-            counts[depth] += 1
-        if depth == n_max:
-            return
-        last = burnt[-1]
-        for c, mm, tbl, is_max in sym_data:
-            if not last & mm:
-                continue
-            tbls.append(tbl)
-            child = dfs.push(burnt, tbls, c)
-            # appending a maximal rung preserves burnability outright
-            if child is not None and (is_max or dfs.is_burnable(child, tbls)):
-                path.append(c)
-                visit(child, depth + 1)
-                path.pop()
-            tbls.pop()
-
-    for c, _, tbl, _ in sym_data:
-        tbls.append(tbl)
-        child = dfs.push([], tbls, c)
-        if child is not None:  # every symbol opens a window
-            path.append(c)
-            visit(child, 1)
-            path.pop()
-        tbls.pop()
-    return counts[1:]
+    def walk(self, n_max: int, ignite: bool) -> Iterator[list[RungConfig]]:
+        """Every burnable sequence of at most ``n_max`` rungs, the empty
+        one first, depth first in rung order, as the walk's own path
+        (copy what you keep).  With ``ignite`` the sequences are
+        left-burnable, otherwise recurrent; either way a prefix that is
+        not burnable has no burnable extension."""
+        cmax = max_rung(self.graph)
+        steps = [(c, tbl, c == cmax) for c, tbl in self.tables.items()]
+        path: list[RungConfig] = []
+        tbls: list = []
+        yield path
+        stack = [([], iter(steps))] if n_max else []
+        while stack:
+            burnt, children = stack[-1]
+            for c, tbl, is_max in children:
+                tbls.append(tbl)
+                child = self.push(burnt, tbls, c, ignite)
+                # appending a maximal rung preserves burnability outright
+                if child is not None and (is_max or self.is_burnable(child, tbls)):
+                    path.append(c)
+                    yield path
+                    if len(path) < n_max:
+                        stack.append((child, iter(steps)))
+                        break
+                    path.pop()
+                tbls.pop()
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                    tbls.pop()
 
 
 def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
-    """All left-burnable rung sequences of length exactly ``n``."""
-    cmax = max_rung(graph)
-    dfs = _SequenceDFS(graph, enum_rungs(graph).rungs)
-    path: list[RungConfig] = []
-    tbls: list = []
-
-    def walk(burnt: list[int], depth: int):
-        if depth == n:
+    """All left-burnable rung sequences of length exactly ``n``, in
+    lexicographic order."""
+    if n < 0:
+        raise ValidationError("n must be >= 0")
+    for path in _SequenceDFS(graph, enum_rungs(graph).rungs).walk(n, ignite=True):
+        if len(path) == n:
             yield tuple(path)
-            return
-        for c in dfs.alphabet:
-            tbls.append(dfs.tables[c])
-            child = dfs.push(burnt, tbls, c)
-            if child is not None and (c == cmax or dfs.is_burnable(child, tbls)):
-                path.append(c)
-                yield from walk(child, depth + 1)
-                path.pop()
-            tbls.pop()
-
-    yield from walk([], 0)
-
-
-def _recurrent_prefixes(graph: Graph, n_max: int) -> Iterator[list[RungConfig]]:
-    """Recurrent rung sequences of length <= ``n_max`` (the empty one
-    first), depth first in lexicographic order, as the walk's own path."""
-    dfs = _SequenceDFS(graph, single_rung_recurrent(graph))
-    steps = list(dfs.tables.items())
-    path: list[RungConfig] = []
-    tbls: list = []
-
-    def walk(burnt: list[int]):
-        yield path
-        if len(path) == n_max:
-            return
-        for c, tbl in steps:
-            tbls.append(tbl)
-            child = dfs.push(burnt, tbls, c, ignite=False)
-            if dfs.is_burnable(child, tbls):
-                path.append(c)
-                yield from walk(child)
-                path.pop()
-            tbls.pop()
-
-    yield from walk([])
 
 
 def iter_recurrent(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
@@ -266,7 +224,7 @@ def iter_recurrent(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
     lexicographic order."""
     if n < 0:
         raise ValidationError("n must be >= 0")
-    for path in _recurrent_prefixes(graph, n):
+    for path in _SequenceDFS(graph, single_rung_recurrent(graph)).walk(n, ignite=False):
         if len(path) == n:
             yield tuple(path)
 
@@ -313,14 +271,16 @@ def count_series(graph: Graph, variant: str, n_max: int,
         raise FeasibilityError(
             f"brute enumeration needs {base}**{n_max} > max_enum={max_enum}; raise "
             "max_enum" + ("" if rec else " or use method='automaton'"))
-    if rec:
-        counts = [0] * (n_max + 1)
-        for path in _recurrent_prefixes(graph, n_max):
+    cmax = max_rung(graph)
+    rungs = (single_rung_recurrent(graph) if rec else
+             [c for c in enum_rungs(graph) if variant in ("L", "S") or c != cmax])
+    dfs = _SequenceDFS(graph, rungs)
+    symmetric = variant in ("S", "S0")
+    counts = [0] * (n_max + 1)
+    for path in dfs.walk(n_max, ignite=not rec):
+        if not symmetric or path and dfs.is_right_burnable(path):
             counts[len(path)] += 1
-        values = tuple(counts[1:])
-    else:
-        values = tuple(_count_burnable(graph, n_max, include_max=variant in ("L", "S"),
-                                       symmetric=variant in ("S", "S0")))
+    values = tuple(counts[1:])
     return CountSeries(variant=variant, values=values, provenance="brute",
                        graph_name=graph.name)
 
@@ -358,6 +318,8 @@ def entropy_bounds(series: CountSeries, exact_rate: Optional[float] = None
     """
     if not series.values:
         raise ValidationError("empty series")
+    if 0 in series.values:
+        raise ValidationError("a zero count has no growth-rate bound")
     upper = tuple(math.log(v) / n for n, v in enumerate(series.values, start=1))
     lower = tuple(math.log(v) / (n + 1) for n, v in enumerate(series.values, start=1))
     estimate = exact_rate if exact_rate is not None else min(upper)

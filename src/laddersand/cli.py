@@ -130,16 +130,18 @@ def cmd_census(args, graph: Graph, t0: float) -> int:
                 for n, v in enumerate(series.values, start=1)]
         payload = _csv_text(("variant", "n", "count"), rows)
     else:
-        bounds = entropy_bounds(series)
+        entropy = None  # a zero count has no logarithm
+        if 0 not in series.values:
+            bounds = entropy_bounds(series)
+            entropy = {"lower": list(bounds.lower), "upper": list(bounds.upper),
+                       "estimate": bounds.estimate}
         payload = _json_text({
             "variant": series.variant,
             "graph": graph.name,
             "provenance": series.provenance,
             "counts": {str(n): str(v)
                        for n, v in enumerate(series.values, start=1)},
-            "entropy": {"lower": list(bounds.lower),
-                        "upper": list(bounds.upper),
-                        "estimate": bounds.estimate},
+            "entropy": entropy,
         })
     _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
     return 0
@@ -153,8 +155,7 @@ def cmd_coding(args, graph: Graph, t0: float) -> int:
     doc["positive_power"] = power
     doc["influence_maps_monotone"] = influence_maps_monotone(auto)
     payload = _json_text(doc)
-    out = args.emit or args.out
-    _write(out, payload, _manifest(args, [out] if out else [], t0))
+    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
     return 0
 
 
@@ -324,6 +325,18 @@ def cmd_experiment(args, graph: Graph, t0: float) -> int:
 
 # ---------------------------------------------------------------------------
 
+_SHARED_FLAGS = {
+    "graph": dict(default="path2",
+                  help=f"builtin ({', '.join(BUILTIN_NAMES)}, pathN, cycleN) "
+                       "or an edge-list file"),
+    "seed": dict(type=int, default=None),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "max-states": dict(type=int, default=10 ** 6),
+    "max-enum": dict(type=int, default=10 ** 7),
+    "step-cap": dict(type=int, default=10 ** 7),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laddersand",
@@ -333,48 +346,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--graph", default="path2",
-                       help=f"builtin ({', '.join(BUILTIN_NAMES)}, pathN, "
-                            "cycleN) or an edge-list file")
-        p.add_argument("--seed", type=int, default=None)
+    def command(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
+        """A subcommand with ``--out``, ``--vertex-cap`` and the named
+        shared flags, which are the ones it reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--max-states", type=int, default=10 ** 6)
-        p.add_argument("--max-enum", type=int, default=10 ** 7)
         p.add_argument("--vertex-cap", type=int, default=12)
-        p.add_argument("--step-cap", type=int, default=10 ** 7)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("graph", help="parse and validate a base graph, "
-                                     "emit it as JSON")
-    common(p)
+    p = command("graph", "parse and validate a base graph, emit it as JSON",
+                "graph")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("census", help="exact counts of burnable or recurrent "
-                                      "window classes, with entropy bounds")
-    common(p)
+    p = command("census", "exact counts of burnable or recurrent window "
+                "classes, with entropy bounds",
+                "graph", "format", "max-states", "max-enum")
     p.add_argument("--variant", choices=("L", "L0", "S", "S0", "REC"),
                    default="L")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("brute", "automaton"), default="brute")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("coding", help="build the rung-coding automaton and "
-                                      "emit states, matrix and transitivity data")
-    common(p)
-    p.add_argument("--emit", default=None, help="alias for --out")
-    p.set_defaults(func=cmd_coding, format="json")
+    p = command("coding", "build the rung-coding automaton and emit states, "
+                "matrix and transitivity data", "graph", "max-states")
+    p.set_defaults(func=cmd_coding)
 
-    p = sub.add_parser("spectral", help="growth rate and maximal-entropy "
-                                        "chain of the coding automaton")
-    common(p)
+    p = command("spectral", "growth rate and maximal-entropy chain of the "
+                "coding automaton", "graph", "max-states")
     p.add_argument("--nonmax", action="store_true",
                    help="restrict to states without the all-maximal rung")
-    p.set_defaults(func=cmd_spectral, format="json")
+    p.set_defaults(func=cmd_spectral)
 
-    p = sub.add_parser("measure", help="cylinder probability under the "
-                                       "one-sided limit measure")
-    common(p)
+    p = command("measure", "cylinder probability under the one-sided limit "
+                "measure", "graph", "format", "max-states")
     p.add_argument("--event", required=True,
                    help="rungs as 'h1,h2;h1,h2;...' left to right")
     p.add_argument("--at", type=int, default=None, help="leftmost event rung")
@@ -387,18 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dp-halfwidth", type=int, default=32)
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("sample", help="draw rung windows from the stationary "
-                                      "chain, or exactly uniform finite windows")
-    common(p)
+    p = command("sample", "draw rung windows from the stationary chain, or "
+                "exactly uniform finite windows", "graph", "seed", "max-states")
     p.add_argument("--width", type=int, default=9)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--exact-window", type=int, nargs=2, metavar=("N", "M"),
                    default=None)
     p.set_defaults(func=cmd_sample, seed=0)
 
-    p = sub.add_parser("topple", help="stabilize a configuration after grain "
-                                      "additions; reports the odometer")
-    common(p)
+    p = command("topple", "stabilize a configuration after grain additions; "
+                "reports the odometer", "graph", "seed", "step-cap")
     p.add_argument("--config", default=None, help="LadderConfig JSON file")
     p.add_argument("--add", action="append", default=None,
                    metavar="X,K", help="addition site; repeatable")
@@ -407,21 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=("parallel", "canonical", "random"),
                    default="canonical")
     p.add_argument("--schedule-seed", type=int, default=None)
-    p.set_defaults(func=cmd_topple, format="json")
+    p.set_defaults(func=cmd_topple)
 
-    p = sub.add_parser("blast", help="add one grain to every site of rung 0 "
-                                     "of a sampled window and stabilize")
-    common(p)
+    p = command("blast", "add one grain to every site of rung 0 of a sampled "
+                "window and stabilize", "graph", "seed", "max-states", "step-cap")
     p.add_argument("--halfwidth", type=int, default=8)
     p.add_argument("--config", default=None)
     p.add_argument("--schedule", choices=("parallel", "canonical", "random"),
                    default="canonical")
     p.add_argument("--schedule-seed", type=int, default=None)
-    p.set_defaults(func=cmd_blast, format="json")
+    p.set_defaults(func=cmd_blast)
 
-    p = sub.add_parser("mixture", help="finite-window event probabilities "
-                                       "against the mixture of one-sided limits")
-    common(p)
+    p = command("mixture", "finite-window event probabilities against the "
+                "mixture of one-sided limits",
+                "graph", "format", "max-states", "max-enum")
     p.add_argument("--event", required=True)
     p.add_argument("--at", type=int, default=None)
     p.add_argument("--centered", action="store_true")
@@ -429,16 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[2, 3])
     p.set_defaults(func=cmd_mixture)
 
-    p = sub.add_parser("experiment", help="exploratory runs; "
-                                          "'cycle-topple' probes how often the "
-                                          "origin topples on cycle ladders")
-    common(p)
+    p = command("experiment", "exploratory runs; 'cycle-topple' probes how "
+                "often the origin topples on cycle ladders",
+                "seed", "max-states", "step-cap")
     p.add_argument("name", choices=("cycle-topple",))
     p.add_argument("--cycles", type=lambda s: [int(x) for x in s.split(",")],
                    default=[3, 4, 5])
     p.add_argument("--halfwidth", type=int, default=8)
     p.add_argument("--count", type=int, default=50)
-    p.set_defaults(func=cmd_experiment, format="json")
+    p.set_defaults(func=cmd_experiment)
 
     return parser
 
@@ -448,7 +450,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        graph = _load_graph(args.graph, args.vertex_cap)
+        graph = (_load_graph(args.graph, args.vertex_cap)
+                 if "graph" in args else None)
         return args.func(args, graph, t0)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,12 +53,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbor_mask(self, x: int) -> int:
-        mask = 0
-        for y in self.neighbors[x]:
-            mask |= 1 << y
-        return mask
-
     def to_json(self) -> dict:
         return {
             "vertices": self.n,

@@ -240,6 +240,12 @@ def test_entropy_bounds(path2, point):
     assert all(u == 0.0 for u in p.upper)
 
 
+def test_entropy_bounds_refuse_a_zero_count(point):
+    # the point's only rung is maximal, so no L0 window exists
+    with pytest.raises(ValidationError, match="zero count"):
+        entropy_bounds(count_series(point, "L0", 3))
+
+
 def test_symmetric_strictly_smaller_at_depth_8(path2):
     s8 = count_series(path2, "S", 8).values[7]
     a8 = I01_A[7]
@@ -270,7 +276,7 @@ def test_engine_matches_burning_oracles(data):
                              min_size=1, max_size=5))
     assert (_engine_recurrent(dfs, seq)
             == full_burnable(graph, window_heights(seq)).success)
-    symbols = data.draw(st.lists(st.sampled_from(dfs.alphabet.rungs),
+    symbols = data.draw(st.lists(st.sampled_from(enum_rungs(graph).rungs),
                                  min_size=1, max_size=5))
     assert (dfs.is_right_burnable(symbols)
             == leftmost_schedule(graph, list(reversed(symbols))).success)
@@ -322,6 +328,12 @@ def test_iter_recurrent_edge_lengths(path2):
     assert list(iter_recurrent(path2, 0)) == [()]
     with pytest.raises(ValidationError):
         list(iter_recurrent(path2, -1))
+
+
+def test_iter_left_burnable_edge_lengths(path2):
+    assert list(iter_left_burnable(path2, 0)) == [()]
+    with pytest.raises(ValidationError):
+        list(iter_left_burnable(path2, -1))
 
 
 def test_two_sided_counts_pinned(path2, path3, cycle3):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from laddersand.cli import main
 
 
@@ -29,6 +31,16 @@ def test_census_json_entropy(capsys):
     assert doc["entropy"]["upper"][0] >= doc["entropy"]["estimate"]
 
 
+@pytest.mark.parametrize("variant", ["L0", "S0"])
+def test_census_json_zero_counts_have_no_entropy(capsys, variant):
+    code, out, _ = run(capsys, "census", "--graph", "point", "--variant",
+                       variant, "--n", "3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["counts"] == {"1": "0", "2": "0", "3": "0"}
+    assert doc["entropy"] is None
+
+
 def test_census_automaton_method(capsys):
     code, out, _ = run(capsys, "census", "--graph", "path2", "--variant", "L0",
                        "--n", "10", "--method", "automaton")
@@ -39,7 +51,7 @@ def test_census_automaton_method(capsys):
 def test_coding_emit(tmp_path, capsys):
     target = tmp_path / "automaton.json"
     code, _, _ = run(capsys, "coding", "--graph", "path2",
-                     "--emit", str(target))
+                     "--out", str(target))
     assert code == 0
     doc = json.loads(target.read_text())
     assert len(doc["states"]) == 7
@@ -271,3 +283,29 @@ def test_step_cap_on_every_dynamics_command(capsys):
         assert code == 3 and "step cap" in err, argv
         code, _, err = run(capsys, *argv, "--step-cap", "0")
         assert code == 2 and "step_cap" in err, argv
+
+
+# every shared flag a subcommand does not read, after the arguments it needs
+IGNORED_FLAGS = [
+    (["graph"], "--format --seed --step-cap --max-enum --max-states"),
+    (["census", "--n", "2"], "--seed --step-cap"),
+    (["coding"], "--format --seed --step-cap --max-enum"),
+    (["spectral"], "--format --seed --step-cap --max-enum"),
+    (["measure", "--event", "3,3"], "--seed --step-cap --max-enum"),
+    (["sample"], "--format --step-cap --max-enum"),
+    (["topple", "--demo", "rightward-wave"], "--format --max-enum --max-states"),
+    (["blast"], "--format --max-enum"),
+    (["mixture", "--event", "3,3"], "--seed --step-cap"),
+    (["experiment", "cycle-topple"], "--format --max-enum --graph"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", [(argv, flag) for argv, flags in IGNORED_FLAGS
+                                        for flag in flags.split()])
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv, flag):
+    # e.g. coding --format csv used to write JSON and exit 0
+    value = {"--format": "csv", "--graph": "path2"}.get(flag, "1")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

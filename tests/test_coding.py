@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from laddersand.burning import (advance_rung_state, first_rung_state, max_rung,
                                 rung_burn)
-from laddersand.census import count_series, enum_rungs
+from laddersand.census import count_series, enum_rungs, iter_left_burnable
 from laddersand.coding import (CodeSymbol, CodingAutomaton, build_coding,
                                check_transitive, decode, encode,
                                influence_maps_monotone, parry_chain, restrict,
@@ -454,3 +454,29 @@ def test_growth_rate_at_most_recurrent_growth_rate(name):
     assert rho <= theta * (1 + 1e-13)
     if name in ("path2", "cycle3", "cycle4"):
         assert rho == pytest.approx(theta, rel=1e-13)
+
+
+@settings(max_examples=10, deadline=None)
+@given(graph=connected_graphs())
+def test_brute_counts_match_automaton_on_random_graphs(graph):
+    auto = build_coding(graph)
+    assert count_series(graph, "L", 2).values == tuple(auto.word_counts(2))
+    nonmax = (restrict(auto, lambda c: c != max_rung(graph)).word_counts(2)
+              if len(auto.alphabet) > 1 else [0, 0])
+    assert count_series(graph, "L0", 2).values == tuple(nonmax)
+
+
+@settings(max_examples=10, deadline=None)
+@given(graph=connected_graphs())
+def test_encode_decode_on_random_graphs(graph):
+    auto = build_coding(graph)
+    for window in iter_left_burnable(graph, 2):
+        word = encode(auto, window)
+        assert word is not None and decode(auto, word) == window
+
+
+@settings(max_examples=10, deadline=None)
+@given(graph=connected_graphs())
+def test_growth_rate_at_most_recurrent_growth_rate_on_random_graphs(graph):
+    rho = spectral(build_coding(graph)).rho
+    assert rho <= _recurrent_growth_rate(graph) * (1 + 1e-13)

@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Every subcommand wraps one library operation, writes CSV or JSON, and
-drops a ``<output>.manifest.json`` beside each output file recording the
-command, parameters, seed, and tool version.  Reruns with identical
+Every subcommand wraps one library operation and returns CSV or JSON
+text; ``main`` writes it once, to stdout or to ``--out`` with a
+``<output>.manifest.json`` beside it recording the command, parameters,
+seed, and tool version.  Reruns with identical
 parameters reproduce byte-identical CSV/JSON outputs (the manifest's
 wall-clock differs).
 
@@ -74,30 +75,26 @@ def _parse_event(text: str, at: Optional[int], centered: bool) -> CylinderEvent:
     return CylinderEvent(rungs=rungs, lo=at or 0)
 
 
-def _write(out: Optional[str], payload: str, manifest: dict) -> None:
-    if out is None:
+def _write(args: argparse.Namespace, payload: str, t0: float) -> None:
+    """The payload (every one ends in a newline) to stdout, or to
+    ``--out`` with its manifest beside it."""
+    if args.out is None:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
         return
-    path = Path(out)
+    path = Path(args.out)
     path.write_text(payload)
-    manifest_path = path.with_suffix(path.suffix + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
-
-
-def _manifest(args: argparse.Namespace, outputs: list[str], t0: float) -> dict:
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func",) and v is not None}
-    return {
+    manifest = {
         "command": args.command,
-        "parameters": params,
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k != "func" and v is not None},
         "graph_source": getattr(args, "graph", None),
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
-        "outputs": outputs,
+        "outputs": [args.out],
         "wall_clock_s": round(time.perf_counter() - t0, 6),
     }
+    path.with_suffix(path.suffix + ".manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -116,50 +113,43 @@ def _json_text(obj) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_graph(args, graph: Graph, t0: float) -> int:
-    payload = _json_text(graph.to_json())
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
+def cmd_graph(args, graph: Graph) -> str:
+    return _json_text(graph.to_json())
 
 
-def cmd_census(args, graph: Graph, t0: float) -> int:
+def cmd_census(args, graph: Graph) -> str:
     series = count_series(graph, args.variant, args.n, method=args.method,
                           max_enum=args.max_enum, max_states=args.max_states)
     if args.format == "csv":
         rows = [(series.variant, n, v)
                 for n, v in enumerate(series.values, start=1)]
-        payload = _csv_text(("variant", "n", "count"), rows)
-    else:
-        entropy = None  # a zero count has no logarithm
-        if 0 not in series.values:
-            bounds = entropy_bounds(series)
-            entropy = {"lower": list(bounds.lower), "upper": list(bounds.upper),
-                       "estimate": bounds.estimate}
-        payload = _json_text({
-            "variant": series.variant,
-            "graph": graph.name,
-            "provenance": series.provenance,
-            "counts": {str(n): str(v)
-                       for n, v in enumerate(series.values, start=1)},
-            "entropy": entropy,
-        })
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
+        return _csv_text(("variant", "n", "count"), rows)
+    entropy = None  # a zero count has no logarithm
+    if 0 not in series.values:
+        bounds = entropy_bounds(series)
+        entropy = {"lower": list(bounds.lower), "upper": list(bounds.upper),
+                   "estimate": bounds.estimate}
+    return _json_text({
+        "variant": series.variant,
+        "graph": graph.name,
+        "provenance": series.provenance,
+        "counts": {str(n): str(v)
+                   for n, v in enumerate(series.values, start=1)},
+        "entropy": entropy,
+    })
 
 
-def cmd_coding(args, graph: Graph, t0: float) -> int:
+def cmd_coding(args, graph: Graph) -> str:
     auto = build_coding(graph, max_states=args.max_states)
     irreducible, power = check_transitive(auto)
     doc = auto.to_json()
     doc["transitive"] = irreducible
     doc["positive_power"] = power
     doc["influence_maps_monotone"] = influence_maps_monotone(auto)
-    payload = _json_text(doc)
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
+    return _json_text(doc)
 
 
-def cmd_spectral(args, graph: Graph, t0: float) -> int:
+def cmd_spectral(args, graph: Graph) -> str:
     auto = build_coding(graph, max_states=args.max_states)
     if args.nonmax:
         auto = restrict(auto, lambda c: c != max_rung(graph))
@@ -180,12 +170,10 @@ def cmd_spectral(args, graph: Graph, t0: float) -> int:
                              for i, p in enumerate(chain.stationary.tolist())
                              if i in auto.inclusion.values()}
         doc["entropy_rate"] = chain.entropy_rate()
-    payload = _json_text(doc)
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
+    return _json_text(doc)
 
 
-def cmd_measure(args, graph: Graph, t0: float) -> int:
+def cmd_measure(args, graph: Graph) -> str:
     event = _parse_event(args.event, args.at, args.centered)
     methods = (("parry", "renewal", "finite_dp")
                if args.method == "all" else (args.method,))
@@ -199,17 +187,14 @@ def cmd_measure(args, graph: Graph, t0: float) -> int:
         rows.append((f"[{event.lo},{event.hi}]", args.event, method,
                      repr(res.value), budget))
     if args.format == "csv":
-        payload = _csv_text(("window", "event", "method", "value",
-                             "error_budget"), rows)
-    else:
-        payload = _json_text([{"window": r[0], "event": r[1], "method": r[2],
-                               "value": float(r[3]), "error_budget": r[4] or None}
-                              for r in rows])
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
+        return _csv_text(("window", "event", "method", "value",
+                          "error_budget"), rows)
+    return _json_text([{"window": r[0], "event": r[1], "method": r[2],
+                        "value": float(r[3]), "error_budget": r[4] or None}
+                       for r in rows])
 
 
-def cmd_sample(args, graph: Graph, t0: float) -> int:
+def cmd_sample(args, graph: Graph) -> str:
     if args.exact_window is not None:
         lo, hi = args.exact_window
         configs = sample_finite_exact(graph, lo, hi, args.seed, count=args.count,
@@ -222,9 +207,7 @@ def cmd_sample(args, graph: Graph, t0: float) -> int:
                                        max_states=args.max_states)
         lines = [json.dumps({"rungs": [list(r) for r in w]}, sort_keys=True)
                  for w in windows]
-    payload = "\n".join(lines) + "\n"
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _schedule_from_args(args) -> Schedule:
@@ -236,7 +219,7 @@ def _schedule_from_args(args) -> Schedule:
                            else (args.seed or 0))
 
 
-def cmd_topple(args, graph: Graph, t0: float) -> int:
+def cmd_topple(args, graph: Graph) -> str:
     if args.demo == "rightward-wave":
         config, site = demo_wave_config(args.length)
         additions = [site]
@@ -247,16 +230,14 @@ def cmd_topple(args, graph: Graph, t0: float) -> int:
         additions = [_parse_site(a) for a in (args.add or [])]
     final, odo = stabilize(graph, config, additions,
                            _schedule_from_args(args), args.step_cap)
-    payload = _json_text({
+    return _json_text({
         "final": final.to_json(),
         "odometer": odo.to_json(),
         "additions": [list(a) for a in additions],
     })
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
 
 
-def cmd_blast(args, graph: Graph, t0: float) -> int:
+def cmd_blast(args, graph: Graph) -> str:
     if args.config is not None:
         config = _read_config(args.config)
     else:
@@ -264,17 +245,15 @@ def cmd_blast(args, graph: Graph, t0: float) -> int:
                                       max_states=args.max_states)
     final, odo = rung_zero_blast(graph, config, _schedule_from_args(args),
                                  args.step_cap)
-    payload = _json_text({
+    return _json_text({
         "window": [config.window.n, config.window.m],
         "odometer": odo.to_json(),
         "rung_min": {str(k): v for k, v in odo.rung_min().items()},
         "all_toppled": bool((odo.counts >= 1).all()),
     })
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
 
 
-def cmd_mixture(args, graph: Graph, t0: float) -> int:
+def cmd_mixture(args, graph: Graph) -> str:
     event = _parse_event(args.event, args.at, args.centered)
     windows = [Window(-m, m) for m in args.halfwidths]
     rows = mixture_experiment(graph, windows, event, max_enum=args.max_enum,
@@ -283,20 +262,19 @@ def cmd_mixture(args, graph: Graph, t0: float) -> int:
               repr(r.measured), repr(r.predicted), repr(r.gap),
               r.total_configs) for r in rows]
     if args.format == "csv":
-        payload = _csv_text(("window", "event", "measured",
-                             "predicted", "gap", "configs"), table)
-    else:
-        payload = _json_text([{
-            "window": [r.window.n, r.window.m], "weight_left": r.weight_left,
-            "measured": r.measured, "predicted": r.predicted, "gap": r.gap,
-            "configs": r.total_configs} for r in rows])
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
+        return _csv_text(("window", "event", "measured",
+                          "predicted", "gap", "configs"), table)
+    return _json_text([{
+        "window": [r.window.n, r.window.m], "weight_left": r.weight_left,
+        "measured": r.measured, "predicted": r.predicted, "gap": r.gap,
+        "configs": r.total_configs} for r in rows])
 
 
-def cmd_experiment(args, graph: Graph, t0: float) -> int:
+def cmd_experiment(args, graph: Graph) -> str:
     if args.name != "cycle-topple":
         raise ValidationError(f"unknown experiment {args.name!r}")
+    if args.count < 1:
+        raise ValidationError("count must be >= 1")
     results = []
     for n_cyc in args.cycles:
         cyc = builtin_graph(f"cycle{n_cyc}", args.vertex_cap)
@@ -318,9 +296,7 @@ def cmd_experiment(args, graph: Graph, t0: float) -> int:
             "origin_topple_fraction": toppled / args.count,
             "origin_mean_topplings": odometer_origin / args.count,
         })
-    payload = _json_text(results)
-    _write(args.out, payload, _manifest(args, [args.out] if args.out else [], t0))
-    return 0
+    return _json_text(results)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         graph = (_load_graph(args.graph, args.vertex_cap)
                  if "graph" in args else None)
-        return args.func(args, graph, t0)
+        payload = args.func(args, graph)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -462,6 +438,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except StepCapExceeded as exc:
         print(f"step cap: {exc}", file=sys.stderr)
         return 3
+    _write(args, payload, t0)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ reading successors in alphabet order (:func:`build_coding`).
 
 The transition matrix is transitive, its Perron data give the per-rung
 growth rate, and the maximal-entropy chain scaled out of them is what
-the measure samplers draw from.
+the measure samplers draw from, all read off the list of transitions.
 
 Word counts run on two lumpings of the automaton rather than on its
 states.  The suffix lumping is the coarsest partition in which all
@@ -48,7 +48,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate, islice
+from operator import or_
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -150,8 +152,8 @@ class CodingAutomaton:
         return rows, cols
 
     def matrix(self) -> np.ndarray:
-        size = len(self.states)
-        t = np.zeros((size, size), dtype=np.int64)
+        """The dense 0/1 transition matrix, a reference for tests."""
+        t = np.zeros((len(self.states),) * 2, dtype=np.int64)
         t[self.edges] = 1
         return t
 
@@ -163,15 +165,19 @@ class CodingAutomaton:
         """States lumped by their successor blocks."""
         return _lump(self.targets, [0] * len(self.states))
 
-    @cached_property
-    def prefix_lumping(self) -> Lumping:
-        """States lumped by their predecessor blocks, start states apart."""
+    def predecessors(self) -> list[list[int]]:
+        """``predecessors()[j]``: the states with a transition to ``j``."""
         preds: list[list[int]] = [[] for _ in self.states]
         for i, row in enumerate(self.targets):
             for j in row:
                 preds[j].append(i)
+        return preds
+
+    @cached_property
+    def prefix_lumping(self) -> Lumping:
+        """States lumped by their predecessor blocks, start states apart."""
         starts = set(self.start_states())
-        return _lump(preds, [i in starts for i in range(len(self.states))])
+        return _lump(self.predecessors(), [i in starts for i in range(len(self.states))])
 
     def suffix_counts(self, n: int) -> list[list[int]]:
         """``[l][b]``: words of length ``l + 1`` starting at a state of
@@ -430,42 +436,42 @@ def decode(automaton: CodingAutomaton, word: Sequence[int]
     return tuple(automaton.states[i].rung for i in word)
 
 
+def _levels(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Breadth-first distances from state 0 under ``adj``, -1 where unreached."""
+    level = [0] + [-1] * (len(adj) - 1)
+    order = [0]
+    for u in order:
+        for v in adj[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                order.append(v)
+    return level
+
+
 def check_transitive(automaton: CodingAutomaton
                      ) -> tuple[bool, Optional[int]]:
     """Strong connectivity plus the smallest power of the transition
-    matrix with all entries positive (None if reducible or imprimitive
-    within the Wielandt bound)."""
-    size = len(automaton)
-    fwd = [set(row) for row in automaton.targets]
-    bwd = [set() for _ in range(size)]
-    for i, row in enumerate(automaton.targets):
-        for j in row:
-            bwd[j].add(i)
+    matrix with all entries positive (None if reducible or periodic).
 
-    def reach(adj, start=0):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    irreducible = len(reach(fwd)) == size and len(reach(bwd)) == size
-    if not irreducible:
+    The period is the gcd of ``level[i] + 1 - level[j]`` over the edges
+    ``i -> j``, with breadth-first levels from state 0.  At period 1 the
+    powers run as bitset rows, row ``p`` of state ``i`` holding the
+    states that walks of length ``p`` from ``i`` reach, until every row
+    is full, which a primitive matrix reaches."""
+    level = _levels(automaton.targets)
+    if min(level) < 0 or min(_levels(automaton.predecessors())) < 0:
         return False, None
-    # float64 products run on BLAS; their entries count walks, at most
-    # the state count, so they are exact and keep the boolean pattern
-    m = automaton.matrix().astype(np.float64)
-    power = m
-    cap = (size - 1) ** 2 + 1 if size > 1 else 1
-    for p in range(1, cap + 1):
-        if power.all():
-            return True, p
-        power = ((power @ m) > 0).astype(np.float64)
-    return True, None
+    rows, cols = automaton.edges
+    level = np.array(level)
+    if np.gcd.reduce(level[rows] + 1 - level[cols]) != 1:
+        return True, None
+    full = (1 << len(automaton)) - 1
+    reach = [sum(1 << j for j in row) for row in automaton.targets]
+    power = 1
+    while reach.count(full) < len(reach):
+        reach = [reduce(or_, map(reach.__getitem__, row)) for row in automaton.targets]
+        power += 1
+    return True, power
 
 
 @dataclass(frozen=True)
@@ -542,20 +548,37 @@ def restrict(automaton: CodingAutomaton,
 
 @dataclass(frozen=True)
 class ParryChain:
-    """The maximal-entropy Markov chain on the automaton: transition
-    probabilities scaled out of the Perron vectors, and its stationary
-    distribution."""
+    """The maximal-entropy Markov chain on the automaton (Parry 1964):
+    edge ``k`` of ``automaton.edges``, from ``i`` to ``j``, is taken with
+    probability ``prob[k] = right[j] / (rho right[i])``; the stationary
+    law is ``left * right``, ``left . right`` being 1.  The vectors are
+    lists, which the cylinder queries read fastest."""
 
     automaton: CodingAutomaton
-    matrix: np.ndarray
-    stationary: np.ndarray
     rho: float
+    left: list[float]
+    right: list[float]
+    prob: np.ndarray
+    stationary: np.ndarray
+
+    @cached_property
+    def cumulative(self) -> list[list[float]]:
+        """Each state's cumulative out-edge probabilities, in target
+        order; the last is 1.0, so every draw lands on an edge."""
+        prob = iter(self.prob.tolist())
+        return [list(accumulate(islice(prob, len(row))))[:-1] + [1.0]
+                for row in self.automaton.targets]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense transition matrix, built on first read, for tests."""
+        p = np.zeros((len(self.automaton),) * 2)
+        p[self.automaton.edges] = self.prob
+        return p
 
     def entropy_rate(self) -> float:
-        p = self.matrix
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        return float(-(self.stationary @ (p * logs).sum(axis=1)))
+        rows, _ = self.automaton.edges
+        return float(-(self.stationary[rows] * self.prob * np.log(self.prob)).sum())
 
 
 def parry_chain(automaton: CodingAutomaton,
@@ -563,13 +586,13 @@ def parry_chain(automaton: CodingAutomaton,
     if spec is None:
         spec = spectral(automaton)
     spec.require_positive()
-    t = automaton.matrix().astype(float)
-    v = spec.right
-    p = t * v[None, :] / (spec.rho * v[:, None])
-    pi = spec.left * v
-    pi = pi / pi.sum()
-    return ParryChain(automaton=automaton, matrix=p, stationary=pi,
-                      rho=spec.rho)
+    left = spec.left / (spec.left @ spec.right)
+    rows, cols = automaton.edges
+    pi = left * spec.right
+    return ParryChain(automaton=automaton, rho=spec.rho, left=left.tolist(),
+                      right=spec.right.tolist(),
+                      prob=spec.right[cols] / (spec.rho * spec.right[rows]),
+                      stationary=pi / pi.sum())
 
 
 def influence_maps_monotone(automaton: CodingAutomaton) -> bool:

@@ -32,7 +32,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,8 +39,8 @@ import numpy as np
 from .burning import (RungConfig, full_burnable, left_burnable, max_rung,
                       right_burnable)
 from .census import enum_rungs, iter_recurrent, single_rung_recurrent
-from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, build_coding,
-                     restrict, spectral)
+from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain, _perron,
+                     build_coding, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph, Window
 from .toppling import LadderConfig
@@ -85,10 +84,10 @@ class RenewalData:
 
 class _AutomatonBundle:
     """Per-graph cache of the automaton, the states reading each rung
-    and, computed on first use, the Perron data of the automaton, its
-    restriction to non-maximal rungs and the restriction's Perron value,
-    and the finite_dp window counts.  ``max_states`` caps the automaton
-    whether it is built or found in the cache."""
+    and, computed on first use, the maximal-entropy chain, the
+    automaton's restriction to non-maximal rungs and the restriction's
+    Perron value, and the finite_dp window counts.  ``max_states`` caps
+    the automaton whether it is built or found in the cache."""
 
     _cache: dict[Graph, "_AutomatonBundle"] = {}
 
@@ -113,12 +112,9 @@ class _AutomatonBundle:
         return cls._cache[graph]
 
     @cached_property
-    def perron(self) -> tuple[float, list[float], list[float]]:
-        """The Perron value and the left and right vectors, scaled so that
-        ``left . right`` is 1, for parry and the chain sampler."""
-        spec = spectral(self.automaton).require_positive()
-        left = spec.left / (spec.left @ spec.right)
-        return spec.rho, left.tolist(), spec.right.tolist()
+    def chain(self) -> ParryChain:
+        """The maximal-entropy chain, for parry and the chain sampler."""
+        return parry_chain(self.automaton, spectral(self.automaton))
 
     @cached_property
     def nonmax(self) -> Optional[CodingAutomaton]:
@@ -132,7 +128,7 @@ class _AutomatonBundle:
     def nonmax_rho(self) -> float:
         """Growth rate of the windows with no maximal rung; only renewal
         needs it, so it is computed on first use."""
-        return spectral(self.nonmax).rho
+        return _perron(self.nonmax.suffix_lumping)[0]
 
     def window_counts(self, length: int
                       ) -> tuple[list[list[int]], list[list[int]], int]:
@@ -283,10 +279,11 @@ def _event_walks(bundle: _AutomatonBundle, event: CylinderEvent
 
 
 def _parry_prob(bundle: _AutomatonBundle, event: CylinderEvent) -> float:
-    rho, left, right = bundle.perron
+    chain = bundle.chain
+    left, right = chain.left, chain.right
     first, last = _event_walks(bundle, event)
     return (sum(left[f] * right[s] for f, s in zip(first, last))
-            / rho ** (len(event) - 1))
+            / chain.rho ** (len(event) - 1))
 
 
 def _flank(step: Callable[[np.ndarray], np.ndarray], cur: np.ndarray
@@ -412,15 +409,10 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
     if width < 1 or count < 1:
         raise ValidationError("width and count must be >= 1")
     bundle = _AutomatonBundle.get(graph, max_states)
-    auto = bundle.automaton
-    rho, left, v = bundle.perron
-    # the cumulative weights of each state's out-edges, in target order;
-    # the last is 1.0, so every draw lands on an edge
-    cum = [list(accumulate(v[j] / (rho * v[i]) for j in row))[:-1] + [1.0]
-           for i, row in enumerate(auto.targets)]
-    stationary = np.multiply(left, v)
+    auto, chain = bundle.automaton, bundle.chain
+    cum = chain.cumulative
     rng = np.random.default_rng(seed)
-    firsts = rng.choice(len(auto), size=count, p=stationary / stationary.sum())
+    firsts = rng.choice(len(auto), size=count, p=chain.stationary)
     rungs = [s.rung for s in auto.states]
     out = []
     for state, u in zip(firsts.tolist(), rng.random((count, width)).tolist()):
@@ -446,8 +438,9 @@ def sample_finite_exact(graph: Graph, n: int, m: int, seed: int,
     """Exactly uniform samples of the left-burnable configurations on
     the window ``[n, m]``, by sequential draws proportional to integer
     suffix path counts in the automaton."""
-    window = Window(n, m)
-    length = len(window)
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    length = len(Window(n, m))
     bundle = _AutomatonBundle.get(graph, max_states)
     auto = bundle.automaton
     # suffix[l][b]: words of length l + 1 starting in suffix block b

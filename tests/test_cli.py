@@ -3,6 +3,9 @@ import json
 import pytest
 
 from laddersand.cli import main
+from laddersand.coding import CodingAutomaton, ParryChain
+from laddersand.graphs import builtin_graph
+from laddersand.measures import _AutomatonBundle, sample_chain_windows
 
 
 def run(capsys, *argv):
@@ -111,6 +114,46 @@ def test_sample_exact_window(capsys):
     assert all(r["window"] == [0, 2] for r in rows)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sample_exact_window_refuses_count_below_one(capsys, count):
+    code, out, err = run(capsys, "sample", "--graph", "path2",
+                         "--exact-window", "-2", "2", "--count", count)
+    assert code == 2 and out == "" and "count must be >= 1" in err
+
+
+@pytest.mark.parametrize("name", ["path3", "cycle3"])
+def test_coding_spectral_and_chain_draws_build_no_dense_matrix(capsys, monkeypatch,
+                                                               name):
+    def refuse(self):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    monkeypatch.setattr(CodingAutomaton, "matrix", refuse)
+    monkeypatch.setattr(ParryChain, "matrix", property(refuse))
+    for command in ("coding", "spectral"):
+        code, out, _ = run(capsys, command, "--graph", name)
+        assert code == 0 and json.loads(out)
+    assert len(sample_chain_windows(builtin_graph(name), 24, 5, seed=1)) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--graph", "cycle3"],
+    ["census", "--graph", "path2", "--n", "4", "--format", "json"],
+    ["coding", "--graph", "path2"],
+    ["measure", "--graph", "path2", "--event", "3,3", "--method", "parry"],
+    ["sample", "--graph", "path2", "--width", "3", "--count", "2"],
+])
+def test_out_file_holds_what_stdout_prints(tmp_path, capsys, argv):
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out.txt"
+    code, _, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and target.read_text() == printed
+    manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["outputs"] == [str(target)]
+
+
 def test_topple_demo(capsys):
     code, out, _ = run(capsys, "topple", "--graph", "path2",
                        "--demo", "rightward-wave", "--length", "10")
@@ -158,6 +201,14 @@ def test_experiment_cycle_topple(capsys):
     doc = json.loads(out)
     assert doc[0]["cycle"] == 3 and doc[0]["samples"] == 5
     assert 0 <= doc[0]["origin_topple_fraction"] <= 1
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_experiment_refuses_count_below_one(capsys, count):
+    # --count 0 divided by zero, --count -2 printed meaningless fractions
+    code, out, err = run(capsys, "experiment", "cycle-topple", "--cycles", "3",
+                         "--halfwidth", "3", "--count", count)
+    assert code == 2 and out == "" and "count must be >= 1" in err
 
 
 def test_graph_subcommand_file(tmp_path, capsys):

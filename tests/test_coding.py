@@ -74,6 +74,57 @@ def test_transitive_wider_graphs(name):
     assert check_transitive(build_coding(builtin_graph(name))) == (True, 5)
 
 
+def _dense_transitivity(auto):
+    """Reference for check_transitive: reach and powers of the dense matrix."""
+    m = auto.matrix()
+    size = len(auto)
+    reach = np.eye(size, dtype=np.int64)
+    for _ in range(size):
+        reach = ((reach + reach @ m) > 0).astype(np.int64)
+    if not reach.all():
+        return False, None
+    power = m
+    for p in range(1, (size - 1) ** 2 + 2):  # Wielandt's bound
+        if power.all():
+            return True, p
+        power = ((power @ m) > 0).astype(np.int64)
+    return True, None
+
+
+def _toy(graph, *rows):
+    """An automaton whose state i has the successors rows[i]."""
+    states = (CodeSymbol((0,) * graph.n, 0, ()),) * len(rows)
+    return CodingAutomaton(graph=graph, alphabet=(), states=states, inclusion={},
+                           delta=tuple({(j,): j for j in row} for row in rows))
+
+
+def test_transitive_matches_dense_powers(point, path2, path3, cycle3):
+    # a two-cycle, and cycles of lengths 2 and 4 through one state, are
+    # periodic; the next two are reducible, one with a state without
+    # successors; the last three are primitive
+    autos = [_toy(path2, [1], [0]), _toy(path2, [1], [0, 2], [3], [0]),
+             _toy(path2, [1], [1]), _toy(path2, [1], []), _toy(path2, [0]),
+             _toy(path2, [1], [0, 1]), _toy(path2, [1], [2], [0, 1])]
+    autos.append(build_coding(point))
+    for graph in (path2, path3, cycle3):
+        auto = build_coding(graph)
+        autos += [auto, restrict(auto, lambda c, m=max_rung(graph): c != m)]
+    for auto in autos:
+        assert check_transitive(auto) == _dense_transitivity(auto)
+    assert [check_transitive(a) for a in autos[:7]] == [
+        (True, None), (True, None), (False, None), (False, None), (True, 1),
+        (True, 2), (True, 5)]
+
+
+def test_transitive_path5_without_the_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("check_transitive built a dense matrix")
+
+    auto = build_coding(builtin_graph("path5"))  # 4766 states
+    monkeypatch.setattr(CodingAutomaton, "matrix", refuse)
+    assert check_transitive(auto) == (True, 6)
+
+
 def test_point_automaton(point):
     a1 = build_coding(point)
     assert len(a1) == 1

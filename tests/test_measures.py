@@ -400,6 +400,12 @@ def test_mixture_guards(path2):
                            CylinderEvent.single((3, 3)), max_enum=100)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_exact_sampler_refuses_count_below_one(path2, count):
+    with pytest.raises(ValidationError, match="count"):
+        sample_finite_exact(path2, -2, 2, seed=0, count=count)
+
+
 def test_sample_window_config(path2):
     cfg = sample_window_config(path2, 5, seed=8)
     assert cfg.window == Window(-5, 5)

@@ -13,10 +13,21 @@ ignition (a prefix that cannot ignite its last rung is pruned);
 ``S``/``S0`` count the paths of that walk whose mirror image is also
 left-burnable (the table is symmetric in below and above); ``REC``
 walks all stable rungs with no forbidden subconfiguration of their own,
-without ignition, and accepts the recurrent prefixes.  Brute
-:func:`count_series` counts the paths by length, and
+without ignition, and accepts the recurrent prefixes.
 :func:`iter_left_burnable` and :func:`iter_recurrent` keep the paths of
-one length.
+one length, and brute :func:`count_series` counts ``S``/``S0`` over
+every path of the walk.
+
+Brute ``L``, ``L0`` and ``REC`` counts (:meth:`_SequenceDFS.count`)
+merge the prefixes that share an unresolved suffix.  A fully burnt row
+is never reprocessed, so the rows up to a prefix's last full row never
+change again, and the rows above it rest and burn like a fresh prefix
+over the left sink: every later accept or prune depends only on the
+rungs of that suffix.  The count thus goes one length at a time over
+the distinct suffixes, each with the number of prefixes ending in it,
+and finds each suffix's accepted children once per length.  It reads
+nothing of the coding automaton, so the brute counts stay its
+independent check.
 """
 
 from __future__ import annotations
@@ -208,6 +219,47 @@ class _SequenceDFS:
                     path.pop()
                     tbls.pop()
 
+    def count(self, n_max: int, ignite: bool) -> list[int]:
+        """The number of :meth:`walk` paths of each length ``0..n_max``,
+        counted one length at a time by unresolved suffix (the rungs above
+        a prefix's last full row; the module docstring says why they
+        alone decide its extensions).  A layer maps each suffix, held as
+        the resting rows behind a full sentinel row that stands in for
+        the left sink, to the number of accepted prefixes ending in it.
+        The last layer only counts its children."""
+        cmax = max_rung(self.graph)
+        steps = [(c, tbl, c == cmax) for c, tbl in self.tables.items()]
+        full = self.full
+        counts = [1] + [0] * n_max
+        # suffix rungs -> [resting rows, their table rows, prefixes]
+        layer = {(): [[full], [None], 1]}
+        for depth in range(1, n_max + 1):
+            last = depth == n_max
+            nxt: dict = {}
+            total = 0
+            for key, (burnt, tbls, mult) in layer.items():
+                for c, tbl, is_max in steps:
+                    tbls.append(tbl)
+                    child = self.push(burnt, tbls, c, ignite)
+                    # appending a maximal rung preserves burnability outright
+                    if child is not None and (is_max or self.is_burnable(child, tbls)):
+                        total += mult
+                        if not last:
+                            f = len(child) - 1
+                            while child[f] != full:
+                                f -= 1
+                            ckey = (key + (c,))[f:]
+                            entry = nxt.get(ckey)
+                            if entry is None:
+                                nxt[ckey] = [[full] + child[f + 1:],
+                                             [None] + tbls[f + 1:], mult]
+                            else:
+                                entry[2] += mult
+                    tbls.pop()
+            counts[depth] = total
+            layer = nxt
+        return counts
+
 
 def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
     """All left-burnable rung sequences of length exactly ``n``, in
@@ -275,11 +327,14 @@ def count_series(graph: Graph, variant: str, n_max: int,
     rungs = (single_rung_recurrent(graph) if rec else
              [c for c in enum_rungs(graph) if variant in ("L", "S") or c != cmax])
     dfs = _SequenceDFS(graph, rungs)
-    symmetric = variant in ("S", "S0")
-    counts = [0] * (n_max + 1)
-    for path in dfs.walk(n_max, ignite=not rec):
-        if not symmetric or path and dfs.is_right_burnable(path):
-            counts[len(path)] += 1
+    if variant in ("S", "S0"):
+        # the mirror filter needs every path
+        counts = [0] * (n_max + 1)
+        for path in dfs.walk(n_max, ignite=True):
+            if path and dfs.is_right_burnable(path):
+                counts[len(path)] += 1
+    else:
+        counts = dfs.count(n_max, ignite=not rec)
     values = tuple(counts[1:])
     return CountSeries(variant=variant, values=values, provenance="brute",
                        graph_name=graph.name)

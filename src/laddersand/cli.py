@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Every subcommand wraps one library operation and returns CSV or JSON
-text; ``main`` writes it once, to stdout or to ``--out`` with a
-``<output>.manifest.json`` beside it recording the command, parameters,
-seed, and tool version.  Reruns with identical
+Every subcommand wraps one library operation and returns CSV text or
+JSON text in chunks; ``main`` writes it once, to stdout or to ``--out``
+with a ``<output>.manifest.json`` beside it recording the command,
+parameters, seed, and tool version.  Reruns with identical
 parameters reproduce byte-identical CSV/JSON outputs (the manifest's
 wall-clock differs).
 
@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import __version__
 from .burning import max_rung
@@ -36,6 +36,9 @@ from .toppling import (CANONICAL, PARALLEL, LadderConfig, Schedule,
                        stabilize)
 
 BUILTIN_NAMES = ("point", "path2", "path3", "cycle3")
+
+# a subcommand's output: CSV text, or JSON text as the encoder's chunks
+Payload = Union[str, Iterable[str]]
 
 
 def _load_graph(spec: str, vertex_cap: int) -> Graph:
@@ -75,14 +78,16 @@ def _parse_event(text: str, at: Optional[int], centered: bool) -> CylinderEvent:
     return CylinderEvent(rungs=rungs, lo=at or 0)
 
 
-def _write(args: argparse.Namespace, payload: str, t0: float) -> None:
-    """The payload (every one ends in a newline) to stdout, or to
-    ``--out`` with its manifest beside it."""
+def _write(args: argparse.Namespace, payload: Payload, t0: float) -> None:
+    """The payload (every one ends in a newline), text or text chunks,
+    to stdout, or to ``--out`` with its manifest beside it."""
+    chunks = (payload,) if isinstance(payload, str) else payload
     if args.out is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         return
     path = Path(args.out)
-    path.write_text(payload)
+    with path.open("w") as out:
+        out.writelines(chunks)
     manifest = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items()
@@ -105,19 +110,32 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+def _json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=1)`` and a
+    newline, in pieces of about 64K characters, so that a large document
+    (CLI ``coding`` on path5 is 8 MB) is written without being joined
+    whole, and an unbuffered stdout is not written token by token."""
+    piece: list[str] = []
+    length = 0
+    for chunk in json.JSONEncoder(sort_keys=True, indent=1).iterencode(obj):
+        piece.append(chunk)
+        length += len(chunk)
+        if length >= 1 << 16:
+            yield "".join(piece)
+            piece, length = [], 0
+    piece.append("\n")
+    yield "".join(piece)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_graph(args, graph: Graph) -> str:
-    return _json_text(graph.to_json())
+def cmd_graph(args, graph: Graph) -> Payload:
+    return _json_chunks(graph.to_json())
 
 
-def cmd_census(args, graph: Graph) -> str:
+def cmd_census(args, graph: Graph) -> Payload:
     series = count_series(graph, args.variant, args.n, method=args.method,
                           max_enum=args.max_enum, max_states=args.max_states)
     if args.format == "csv":
@@ -129,7 +147,7 @@ def cmd_census(args, graph: Graph) -> str:
         bounds = entropy_bounds(series)
         entropy = {"lower": list(bounds.lower), "upper": list(bounds.upper),
                    "estimate": bounds.estimate}
-    return _json_text({
+    return _json_chunks({
         "variant": series.variant,
         "graph": graph.name,
         "provenance": series.provenance,
@@ -139,17 +157,17 @@ def cmd_census(args, graph: Graph) -> str:
     })
 
 
-def cmd_coding(args, graph: Graph) -> str:
+def cmd_coding(args, graph: Graph) -> Payload:
     auto = build_coding(graph, max_states=args.max_states)
     irreducible, power = check_transitive(auto)
     doc = auto.to_json()
     doc["transitive"] = irreducible
     doc["positive_power"] = power
     doc["influence_maps_monotone"] = influence_maps_monotone(auto)
-    return _json_text(doc)
+    return _json_chunks(doc)
 
 
-def cmd_spectral(args, graph: Graph) -> str:
+def cmd_spectral(args, graph: Graph) -> Payload:
     auto = build_coding(graph, max_states=args.max_states)
     if args.nonmax:
         auto = restrict(auto, lambda c: c != max_rung(graph))
@@ -170,10 +188,10 @@ def cmd_spectral(args, graph: Graph) -> str:
                              for i, p in enumerate(chain.stationary.tolist())
                              if i in auto.inclusion.values()}
         doc["entropy_rate"] = chain.entropy_rate()
-    return _json_text(doc)
+    return _json_chunks(doc)
 
 
-def cmd_measure(args, graph: Graph) -> str:
+def cmd_measure(args, graph: Graph) -> Payload:
     event = _parse_event(args.event, args.at, args.centered)
     methods = (("parry", "renewal", "finite_dp")
                if args.method == "all" else (args.method,))
@@ -189,12 +207,12 @@ def cmd_measure(args, graph: Graph) -> str:
     if args.format == "csv":
         return _csv_text(("window", "event", "method", "value",
                           "error_budget"), rows)
-    return _json_text([{"window": r[0], "event": r[1], "method": r[2],
-                        "value": float(r[3]), "error_budget": r[4] or None}
-                       for r in rows])
+    return _json_chunks([{"window": r[0], "event": r[1], "method": r[2],
+                          "value": float(r[3]), "error_budget": r[4] or None}
+                         for r in rows])
 
 
-def cmd_sample(args, graph: Graph) -> str:
+def cmd_sample(args, graph: Graph) -> Payload:
     if args.exact_window is not None:
         lo, hi = args.exact_window
         configs = sample_finite_exact(graph, lo, hi, args.seed, count=args.count,
@@ -219,7 +237,7 @@ def _schedule_from_args(args) -> Schedule:
                            else (args.seed or 0))
 
 
-def cmd_topple(args, graph: Graph) -> str:
+def cmd_topple(args, graph: Graph) -> Payload:
     if args.demo == "rightward-wave":
         config, site = demo_wave_config(args.length)
         additions = [site]
@@ -230,14 +248,14 @@ def cmd_topple(args, graph: Graph) -> str:
         additions = [_parse_site(a) for a in (args.add or [])]
     final, odo = stabilize(graph, config, additions,
                            _schedule_from_args(args), args.step_cap)
-    return _json_text({
+    return _json_chunks({
         "final": final.to_json(),
         "odometer": odo.to_json(),
         "additions": [list(a) for a in additions],
     })
 
 
-def cmd_blast(args, graph: Graph) -> str:
+def cmd_blast(args, graph: Graph) -> Payload:
     if args.config is not None:
         config = _read_config(args.config)
     else:
@@ -245,7 +263,7 @@ def cmd_blast(args, graph: Graph) -> str:
                                       max_states=args.max_states)
     final, odo = rung_zero_blast(graph, config, _schedule_from_args(args),
                                  args.step_cap)
-    return _json_text({
+    return _json_chunks({
         "window": [config.window.n, config.window.m],
         "odometer": odo.to_json(),
         "rung_min": {str(k): v for k, v in odo.rung_min().items()},
@@ -253,7 +271,7 @@ def cmd_blast(args, graph: Graph) -> str:
     })
 
 
-def cmd_mixture(args, graph: Graph) -> str:
+def cmd_mixture(args, graph: Graph) -> Payload:
     event = _parse_event(args.event, args.at, args.centered)
     windows = [Window(-m, m) for m in args.halfwidths]
     rows = mixture_experiment(graph, windows, event, max_enum=args.max_enum,
@@ -264,13 +282,13 @@ def cmd_mixture(args, graph: Graph) -> str:
     if args.format == "csv":
         return _csv_text(("window", "event", "measured",
                           "predicted", "gap", "configs"), table)
-    return _json_text([{
+    return _json_chunks([{
         "window": [r.window.n, r.window.m], "weight_left": r.weight_left,
         "measured": r.measured, "predicted": r.predicted, "gap": r.gap,
         "configs": r.total_configs} for r in rows])
 
 
-def cmd_experiment(args, graph: Graph) -> str:
+def cmd_experiment(args, graph: Graph) -> Payload:
     if args.name != "cycle-topple":
         raise ValidationError(f"unknown experiment {args.name!r}")
     if args.count < 1:
@@ -296,7 +314,7 @@ def cmd_experiment(args, graph: Graph) -> str:
             "origin_topple_fraction": toppled / args.count,
             "origin_mean_topplings": odometer_origin / args.count,
         })
-    return _json_text(results)
+    return _json_chunks(results)
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,11 @@ class _AutomatonBundle:
     and, computed on first use, the maximal-entropy chain, the
     automaton's restriction to non-maximal rungs and the restriction's
     Perron value, and the finite_dp window counts.  ``max_states`` caps
-    the automaton whether it is built or found in the cache."""
+    the automaton whether it is built or found in the cache, which keeps
+    the ``CACHE_SIZE`` most recently read graphs."""
 
-    _cache: dict[Graph, "_AutomatonBundle"] = {}
+    CACHE_SIZE = 8
+    _cache: dict[Graph, "_AutomatonBundle"] = {}  # least recent first
 
     def __init__(self, graph: Graph, max_states: int):
         self.graph = graph
@@ -104,12 +106,18 @@ class _AutomatonBundle:
 
     @classmethod
     def get(cls, graph: Graph, max_states: int = DEFAULT_MAX_STATES) -> "_AutomatonBundle":
-        if graph not in cls._cache:
-            cls._cache[graph] = cls(graph, max_states)
-        elif len(cls._cache[graph].automaton) > max_states:
-            raise FeasibilityError(f"automaton has {len(cls._cache[graph].automaton)} "
+        bundle = cls._cache.get(graph)
+        if bundle is None:
+            bundle = cls(graph, max_states)
+        elif len(bundle.automaton) > max_states:
+            raise FeasibilityError(f"automaton has {len(bundle.automaton)} "
                                    f"states > max_states={max_states}")
-        return cls._cache[graph]
+        else:
+            del cls._cache[graph]  # re-entered below as the most recent
+        cls._cache[graph] = bundle
+        if len(cls._cache) > cls.CACHE_SIZE:
+            del cls._cache[next(iter(cls._cache))]
+        return bundle
 
     @cached_property
     def chain(self) -> ParryChain:

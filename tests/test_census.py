@@ -14,6 +14,7 @@ from laddersand.coding import build_coding, restrict
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import builtin_graph, laplacian_entry
 from laddersand.measures import _AutomatonBundle
+from test_coding import connected_graphs
 
 I01_A = (5, 19, 71, 265, 989, 3691, 13775, 51409)
 I01_B = (4, 10, 22, 46, 94, 190, 382, 766)
@@ -343,3 +344,79 @@ def test_two_sided_counts_pinned(path2, path3, cycle3):
     assert count_series(path3, "S0", 3).values == (21, 215, 2009)
     assert count_series(cycle3, "S", 2).values == (34, 682)
     assert count_series(cycle3, "S0", 2).values == (33, 615)
+
+
+def _walked_counts(graph, variant, n_max):
+    """Per-length numbers of the plain walk's windows of a class; an
+    ``L0`` window is a left-burnable one with no maximal rung."""
+    cmax = max_rung(graph)
+    if variant == "REC":
+        return tuple(sum(1 for _ in iter_recurrent(graph, n))
+                     for n in range(1, n_max + 1))
+    return tuple(sum(1 for w in iter_left_burnable(graph, n)
+                     if variant == "L" or cmax not in w)
+                 for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("name, n_max", [("point", 6), ("path2", 6), ("path3", 3),
+                                         ("cycle3", 2)])
+@pytest.mark.parametrize("variant", ["L", "L0", "REC"])
+def test_suffix_counts_match_the_plain_walk(name, n_max, variant):
+    graph = builtin_graph(name)
+    assert (count_series(graph, variant, n_max).values
+            == _walked_counts(graph, variant, n_max))
+
+
+@settings(max_examples=10, deadline=None)
+@given(graph=connected_graphs())
+def test_suffix_counts_match_the_plain_walk_on_random_graphs(graph):
+    n_max = 3 if graph.n <= 2 else 2
+    for variant in ("L", "L0", "REC"):
+        assert (count_series(graph, variant, n_max).values
+                == _walked_counts(graph, variant, n_max))
+
+
+def test_suffix_count_on_the_point_is_not_recursive(point):
+    # 1**n never trips max_enum, so the length is unbounded
+    assert count_series(point, "L", 5000).values == (1,) * 5000
+
+
+def test_brute_counts_build_no_automaton(path3, monkeypatch):
+    # the brute counts are the coding automaton's independent check
+    import laddersand.coding as coding
+    import laddersand.measures as measures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a brute count built the coding automaton")
+
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    monkeypatch.setattr(coding, "build_coding", refuse)
+    monkeypatch.setattr(measures, "build_coding", refuse)
+    for variant in ("L", "L0", "S", "S0", "REC"):
+        assert count_series(path3, variant, 2).provenance == "brute"
+
+
+@pytest.mark.parametrize("name, variant, n_max", [
+    ("path2", "L", 14), ("path2", "L0", 14), ("path3", "L", 6),
+    ("path3", "L0", 5), ("cycle3", "L", 4), ("cycle3", "L0", 4),
+])
+def test_brute_matches_automaton_at_longer_lengths(name, variant, n_max):
+    graph = builtin_graph(name)
+    brute = count_series(graph, variant, n_max, max_enum=10 ** 30)
+    auto = count_series(graph, variant, n_max, method="automaton")
+    assert brute.values == auto.values
+
+
+def test_brute_refusals_are_worded_as_before(path2, cycle3):
+    with pytest.raises(FeasibilityError) as exc:
+        count_series(path2, "L", 15)
+    assert str(exc.value) == ("brute enumeration needs 5**15 > max_enum=10000000; "
+                              "raise max_enum or use method='automaton'")
+    with pytest.raises(FeasibilityError) as exc:
+        count_series(cycle3, "S", 3, max_enum=10 ** 4)
+    assert str(exc.value) == ("brute enumeration needs 34**3 > max_enum=10000; "
+                              "raise max_enum or use method='automaton'")
+    with pytest.raises(FeasibilityError) as exc:
+        count_series(path2, "REC", 9)
+    assert str(exc.value) == ("brute enumeration needs 8**9 > max_enum=10000000; "
+                              "raise max_enum")

@@ -10,7 +10,7 @@ from laddersand.burning import (left_burnable, max_rung, right_burnable,
 from laddersand.census import count_series, enum_rungs, iter_recurrent
 from laddersand.coding import CodingAutomaton, build_coding, parry_chain, spectral
 from laddersand.errors import FeasibilityError, ValidationError
-from laddersand.graphs import Window, builtin_graph
+from laddersand.graphs import Window, builtin_graph, make_graph
 from laddersand.measures import (CylinderEvent, _AutomatonBundle, boundary_layer,
                                  cylinder_prob, mixture_experiment,
                                  renewal_quantities, right_cylinder_prob,
@@ -422,6 +422,29 @@ def test_max_states_caps_cold_and_cached_bundles(path2, monkeypatch):
         cylinder_prob(path2, event, "parry", max_states=6)  # cached bundle
     with pytest.raises(FeasibilityError, match="max_states"):
         sample_chain_windows(path2, 3, 1, 0, max_states=6)
+
+
+def test_bundle_cache_evicts_the_least_recent_and_rebuilds(monkeypatch):
+    import laddersand.measures as measures
+    builds = []
+
+    def counted(graph, **kwargs):
+        builds.append(graph.name)
+        return build_coding(graph, **kwargs)
+
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    monkeypatch.setattr(measures, "build_coding", counted)
+    size = _AutomatonBundle.CACHE_SIZE
+    assert size >= 8  # one automaton benchmark pass reads four graphs
+    graphs = [make_graph(1, [], name=f"point{i}") for i in range(size + 1)]
+    for graph in graphs[:size]:
+        _AutomatonBundle.get(graph)
+    first = _AutomatonBundle.get(graphs[0])  # now the most recent
+    _AutomatonBundle.get(graphs[size])  # evicts graphs[1]
+    assert len(_AutomatonBundle._cache) == size
+    assert _AutomatonBundle.get(graphs[0]) is first
+    _AutomatonBundle.get(graphs[1])
+    assert builds == [g.name for g in graphs] + ["point1"]
 
 
 @pytest.mark.parametrize("name", ["path3", "cycle3"])

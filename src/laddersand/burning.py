@@ -11,25 +11,26 @@ never disables another candidate, so a greedy maximal burn reaches the
 same verdict as any other.  Traces are made deterministic by burning the
 lowest ``(rung, vertex)`` candidate first.
 
-The module also provides the rung-at-a-time schedule behind the coding
-construction, the one table every production one-rung burn is read
-from, and the one-rung primitives that define the construction:
+Two engines decide burnability:
 
+* ``_burn`` burns an arbitrary site set and records the trace.  It
+  serves the public :func:`left_burnable`, :func:`right_burnable` and
+  :func:`full_burnable` (the API and the test oracle), the one-rung
+  alphabet tests (:func:`is_rung_symbol`, and the census's single-rung
+  recurrent rungs) and the input check of the rung-zero blast, which
+  also takes graphs beyond the table's 8 vertices;
 * :func:`burn_table` burns each rung of a list between two vertex sets
-  declared burnt on its sides, for every rung and pair of sets at once;
-  the census walks read its rows, and the coding construction derives
-  the one-sided burn of :func:`rung_burn` from it
-  (:func:`laddersand.coding.rung_burn_table`);
-* :func:`rung_burn` burns a single rung between two pre-declared burnt
-  vertex sets (the right-hand set only participates once the burning
-  wave actually reaches a site above it);
-* :func:`first_rung_state` and :func:`advance_rung_state` propagate the
-  pair (burnt set, influence map) that makes the per-rung burning data
-  a Markov chain.
+  declared burnt on its sides, for every rung and pair of sets at once.
+  Every window verdict the library computes for itself reads it: the
+  census engine (walks, counts and boundary layers) and the coding
+  construction (:func:`laddersand.coding.rung_burn_table`).
 
-The construction does not call the last three: it advances all
-influence maps of a layer together by gathers into the table.  They are
-the reference that the table and the construction are tested against.
+The rung-at-a-time schedule :func:`leftmost_schedule` and the one-rung
+primitives :func:`rung_burn`, :func:`first_rung_state` and
+:func:`advance_rung_state` (the pair of burnt set and influence map that
+makes the per-rung burning data a Markov chain) define the coding
+construction; it does not call them, and they are the reference that
+the table and the construction are tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappush, heappop
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -72,16 +73,15 @@ class BurnTrace:
 
 
 def _burn(graph: Graph, heights: Mapping[Site, int], seed_side: str,
-          order: str = "canonical", rng: Optional[random.Random] = None,
-          allowed: Optional[frozenset[Site]] = None) -> BurnTrace:
+          order: str = "canonical", rng: Optional[random.Random] = None
+          ) -> BurnTrace:
     """Run one burning pass.
 
     ``seed_side`` selects which complement components count as burnt
     territory from the start: ``"left"`` (the component reaching the
     left-infinite part of the ladder), ``"right"``, or ``"both"`` (every
     component; the ordinary burning rule).  Components that the burning
-    wave touches are absorbed as it goes.  ``allowed`` optionally
-    restricts which sites may burn; others are held fixed.
+    wave touches are absorbed as it goes.
     """
     if not heights:
         return BurnTrace(success=True, order=(), unburnt=())
@@ -129,32 +129,24 @@ def _burn(graph: Graph, heights: Mapping[Site, int], seed_side: str,
     comp = [-1] * total
     members: list[list[int]] = []
 
-    def flood_into(seeds: Iterable[int], cid: int) -> None:
-        stack = [s for s in seeds if comp[s] == -1]
-        for s in stack:
+    def new_comp(seeds: list[int]) -> int:
+        cid = len(members)
+        members.append([])
+        for s in seeds:
             comp[s] = cid
-        while stack:
-            i = stack.pop()
+        while seeds:
+            i = seeds.pop()
             members[cid].append(i)
             for j in nbr[i]:
                 if not in_v[j] and comp[j] == -1:
                     comp[j] = cid
-                    stack.append(j)
-
-    def new_comp(seeds: Iterable[int]) -> int:
-        cid = len(members)
-        members.append([])
-        flood_into(seeds, cid)
+                    seeds.append(j)
         return cid
 
-    left_seeds = [sid(x, lo - 1) for x in range(n)]
-    right_seeds = [sid(x, hi + 1) for x in range(n)]
-    left_comp = new_comp(left_seeds)
-    if any(comp[s] == left_comp for s in right_seeds):
-        right_comp = left_comp
-        flood_into(right_seeds, left_comp)
-    else:
-        right_comp = new_comp(right_seeds)
+    left_comp = new_comp([sid(x, lo - 1) for x in range(n)])
+    # the base graph is connected, so one site tells whether the two met
+    right_comp = (left_comp if comp[sid(0, hi + 1)] == left_comp
+                  else new_comp([sid(x, hi + 1) for x in range(n)]))
     for i in range(total):
         if not in_v[i] and comp[i] == -1:
             new_comp([i])
@@ -170,25 +162,12 @@ def _burn(graph: Graph, heights: Mapping[Site, int], seed_side: str,
     burnt = bytearray(total)
     cnt = [0] * total
     need = [0] * total
-    if allowed is not None:
-        allow = bytearray(total)
-        for s in allowed:
-            i = sid(*s)
-            if not (0 <= i < total and in_v[i]):
-                raise ValidationError(f"allowed site {s} is not in the site set")
-            allow[i] = 1
-    else:
-        allow = None
-
     vsites = [i for i in range(total) if in_v[i]]
     for i in vsites:
-        x = i % n
-        need[i] = graph.degree[x] + 2 - height[i] + 1
-        c = 0
+        need[i] = graph.degree[i % n] + 2 - height[i] + 1
         for j in nbr[i]:
             if not in_v[j] and active[comp[j]]:
-                c += 1
-        cnt[i] = c
+                cnt[i] += 1
 
     canonical = order == "canonical"
     if order == "random" and rng is None:
@@ -197,8 +176,6 @@ def _burn(graph: Graph, heights: Mapping[Site, int], seed_side: str,
     pool: list[int] = []
 
     def enqueue(i: int) -> None:
-        if allow is not None and not allow[i]:
-            return
         if canonical:
             heappush(heap, (i // n, i % n, i))
         else:
@@ -243,9 +220,7 @@ def _burn(graph: Graph, heights: Mapping[Site, int], seed_side: str,
 
     unburnt = tuple(sorted((site_of(i) for i in vsites if not burnt[i]),
                            key=lambda s: (s[1], s[0])))
-    target = vsites if allow is None else [i for i in vsites if allow[i]]
-    success = all(burnt[i] for i in target)
-    return BurnTrace(success=success, order=tuple(trace), unburnt=unburnt)
+    return BurnTrace(success=not unburnt, order=tuple(trace), unburnt=unburnt)
 
 
 def left_burnable(graph: Graph, heights: Mapping[Site, int], *,

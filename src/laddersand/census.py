@@ -1,22 +1,19 @@
 """Exact enumeration and counting of burnable-configuration classes.
 
-Counts are exact integers.  One depth-first walker serves every class
-(:meth:`_SequenceDFS.walk`): it keeps the left-seeded burning state of
-the prefix as burnt-row bitmasks, appends a rung by a closure that reads
-each row's burn from the one-rung burn table
-(:func:`~laddersand.burning.burn_table`, built once per walk for the
-rungs it reads), never re-burning the whole window, and yields its path
-at every accepted prefix, the empty one first, in rung order.  A fully
-burnt row above the prefix decides acceptance, and a rejected prefix
-has no accepted extension.  ``L``/``L0`` walk the rung symbols with
-ignition (a prefix that cannot ignite its last rung is pruned);
-``S``/``S0`` count the paths of that walk whose mirror image is also
-left-burnable (the table is symmetric in below and above); ``REC``
-walks all stable rungs with no forbidden subconfiguration of their own,
-without ignition, and accepts the recurrent prefixes.
-:func:`iter_left_burnable` and :func:`iter_recurrent` keep the paths of
-one length, and brute :func:`count_series` counts ``S``/``S0`` over
-every path of the walk.
+Counts are exact integers.  One engine per graph (:class:`_SequenceDFS`)
+decides every window verdict the library computes for itself.  It keeps
+the left-seeded burning state of a prefix as burnt-row bitmasks and
+appends a rung by a closure that reads each row's burn from the one-rung
+burn table (:func:`~laddersand.burning.burn_table`, whose rows it burns
+the first time a rung is read), never re-burning the window.  A fully
+burnt row above the prefix decides acceptance, and a rejected prefix has
+no accepted extension.  Its depth-first walk yields every accepted
+prefix in rung order: ``L``/``L0`` walk the rung symbols with ignition
+(a prefix that cannot ignite its last rung is pruned), ``S``/``S0``
+keep the paths whose mirror image is left-burnable too (the table is
+symmetric in below and above), and ``REC`` walks the single-rung
+recurrent rungs without ignition.  The boundary layers of
+:func:`laddersand.measures.boundary_layer` take one pass per side.
 
 Brute ``L``, ``L0`` and ``REC`` counts (:meth:`_SequenceDFS.count`)
 merge the prefixes that share an unresolved suffix.  A fully burnt row
@@ -24,9 +21,8 @@ is never reprocessed, so the rows up to a prefix's last full row never
 change again, and the rows above it rest and burn like a fresh prefix
 over the left sink: every later accept or prune depends only on the
 rungs of that suffix.  The count thus goes one length at a time over
-the distinct suffixes, each with the number of prefixes ending in it,
-and finds each suffix's accepted children once per length.  It reads
-nothing of the coding automaton, so the brute counts stay its
+the distinct suffixes, each with the number of prefixes ending in it.
+It reads nothing of the coding automaton, so the brute counts stay its
 independent check.
 """
 
@@ -136,27 +132,38 @@ def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> N
 
 
 class _SequenceDFS:
-    """The depth-first walk over sequences of the given rungs.  A prefix
-    is represented by its resting left-seeded burnt-row masks, beside
-    the list of its rungs' rows of the one-rung burn table, which the
-    walk appends to and pops so pushes stay allocation-light."""
+    """The census engine of one graph.  A prefix is its resting
+    left-seeded burnt-row masks beside its rungs' table rows, which the
+    walks append to and pop so pushes stay allocation-light."""
 
-    def __init__(self, graph: Graph, rungs: Sequence[RungConfig]):
+    def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.n
         self.full = graph.full_mask
-        self.maxmask = {
-            c: sum(1 << x for x in range(graph.n) if c[x] == graph.max_height[x])
-            for c in rungs
-        }
-        self.tables = dict(zip(rungs, burn_table(graph, rungs).tolist()))
+        self.cmax = max_rung(graph)
+        self.tables: dict[RungConfig, list[int]] = {}
+        self.maxmask: dict[RungConfig, int] = {}
+
+    def rows(self, rungs: Sequence[RungConfig]) -> list[list[int]]:
+        """The table row of each rung; the missing rows are burnt in one
+        :func:`~laddersand.burning.burn_table` call, under its limit."""
+        try:
+            return [self.tables[c] for c in rungs]
+        except KeyError:
+            missing = [c for c in dict.fromkeys(rungs) if c not in self.tables]
+        graph = self.graph
+        self.tables.update(zip(missing, burn_table(graph, missing).tolist()))
+        for c in missing:
+            self.maxmask[c] = sum(1 << x for x in range(graph.n)
+                                  if c[x] == graph.max_height[x])
+        return [self.tables[c] for c in rungs]
 
     def push(self, burnt: list[int], tbls: list, rung: RungConfig,
              ignite: bool = True) -> Optional[list[int]]:
         """Resting state after appending ``rung``.  With ``ignite`` (the
         symbol walks) None when the new rung cannot ignite, in which case
-        no extension is left-burnable either.  ``tbls`` must already
-        include the new rung's table row."""
+        no extension is left-burnable either.  ``tbls[j]`` must be the
+        table row of row ``j``, the new rung's included."""
         k = len(burnt)
         if ignite and k and not burnt[-1] & self.maxmask[rung]:
             return None
@@ -170,31 +177,47 @@ class _SequenceDFS:
         """Whether the closure finishes once a fully burnt row above the
         prefix switches the right sink on: left-burnability after ignited
         pushes, recurrence after any (burning is order-free)."""
-        probe = burnt + [self.full]
-        tbls.append(None)  # a full row is never reprocessed
+        probe = burnt + [self.full]  # a full row is never reprocessed
         _close(probe, tbls, 1 << (len(burnt) - 1), self.full, self.n)
-        tbls.pop()
         return probe.count(self.full) == len(probe)
 
-    def is_right_burnable(self, path: Sequence[RungConfig]) -> bool:
-        """Right-burnability of a nonempty symbol sequence: left-burnability
-        of its mirror image."""
-        burnt, tbls = [], []
-        for c in reversed(path):
-            tbls.append(self.tables[c])
-            burnt = self.push(burnt, tbls, c)
+    def accepts(self, rungs: Sequence[RungConfig], ignite: bool = True) -> bool:
+        """Left-burnability (with ``ignite``) or recurrence of a nonempty
+        rung sequence, in one pass."""
+        tbls = self.rows(rungs)
+        burnt: list[int] = []
+        for c in rungs:
+            burnt = self.push(burnt, tbls, c, ignite)
             if burnt is None:
                 return False
         return self.is_burnable(burnt, tbls)
 
-    def walk(self, n_max: int, ignite: bool) -> Iterator[list[RungConfig]]:
-        """Every burnable sequence of at most ``n_max`` rungs, the empty
-        one first, depth first in rung order, as the walk's own path
-        (copy what you keep).  With ``ignite`` the sequences are
-        left-burnable, otherwise recurrent; either way a prefix that is
-        not burnable has no burnable extension."""
-        cmax = max_rung(self.graph)
-        steps = [(c, tbl, c == cmax) for c, tbl in self.tables.items()]
+    def last_max_prefix(self, rungs: Sequence[RungConfig]) -> int:
+        """The index of the last maximal rung of a recurrent window that
+        ends a left-burnable prefix, or -1: the last one an ignited pass
+        pushes (left-burnability is closed under prefixes).  A pushed
+        maximal rung burns whole, and the window's ordinary burn reaches
+        the rows below it only through it and the left sink, so in that
+        burn's order they all burn here too."""
+        tbls = self.rows(rungs)
+        burnt: list[int] = []
+        last = -1
+        for k, c in enumerate(rungs):
+            burnt = self.push(burnt, tbls, c)
+            if burnt is None:
+                break
+            if c == self.cmax:
+                last = k
+        return last
+
+    def walk(self, rungs: Sequence[RungConfig], n_max: int, ignite: bool
+             ) -> Iterator[list[RungConfig]]:
+        """Every burnable sequence of at most ``n_max`` of the given
+        rungs, the empty one first, depth first in their order, as the
+        walk's own path (copy what you keep).  With ``ignite`` the
+        sequences are left-burnable, otherwise recurrent; either way a
+        prefix that is not burnable has no burnable extension."""
+        steps = [(c, tbl, c == self.cmax) for c, tbl in zip(rungs, self.rows(rungs))]
         path: list[RungConfig] = []
         tbls: list = []
         yield path
@@ -219,7 +242,8 @@ class _SequenceDFS:
                     path.pop()
                     tbls.pop()
 
-    def count(self, n_max: int, ignite: bool) -> list[int]:
+    def count(self, rungs: Sequence[RungConfig], n_max: int, ignite: bool
+              ) -> list[int]:
         """The number of :meth:`walk` paths of each length ``0..n_max``,
         counted one length at a time by unresolved suffix (the rungs above
         a prefix's last full row; the module docstring says why they
@@ -227,8 +251,7 @@ class _SequenceDFS:
         the resting rows behind a full sentinel row that stands in for
         the left sink, to the number of accepted prefixes ending in it.
         The last layer only counts its children."""
-        cmax = max_rung(self.graph)
-        steps = [(c, tbl, c == cmax) for c, tbl in self.tables.items()]
+        steps = [(c, tbl, c == self.cmax) for c, tbl in zip(rungs, self.rows(rungs))]
         full = self.full
         counts = [1] + [0] * n_max
         # suffix rungs -> [resting rows, their table rows, prefixes]
@@ -261,24 +284,32 @@ class _SequenceDFS:
         return counts
 
 
+@lru_cache(maxsize=8)
+def _engine(graph: Graph) -> _SequenceDFS:
+    """The engine of ``graph`` with the table rows read so far, for the
+    8 most recently read graphs."""
+    return _SequenceDFS(graph)
+
+
+def _windows(graph: Graph, rungs: Sequence[RungConfig], n: int, ignite: bool
+             ) -> Iterator[tuple[RungConfig, ...]]:
+    if n < 0:
+        raise ValidationError("n must be >= 0")
+    for path in _engine(graph).walk(rungs, n, ignite):
+        if len(path) == n:
+            yield tuple(path)
+
+
 def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
     """All left-burnable rung sequences of length exactly ``n``, in
     lexicographic order."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
-    for path in _SequenceDFS(graph, enum_rungs(graph).rungs).walk(n, ignite=True):
-        if len(path) == n:
-            yield tuple(path)
+    yield from _windows(graph, enum_rungs(graph).rungs, n, ignite=True)
 
 
 def iter_recurrent(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
     """All recurrent raw configurations on a window of ``n`` rungs, in
     lexicographic order."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
-    for path in _SequenceDFS(graph, single_rung_recurrent(graph)).walk(n, ignite=False):
-        if len(path) == n:
-            yield tuple(path)
+    yield from _windows(graph, single_rung_recurrent(graph), n, ignite=False)
 
 
 def count_series(graph: Graph, variant: str, n_max: int,
@@ -322,19 +353,18 @@ def count_series(graph: Graph, variant: str, n_max: int,
     if base ** n_max > max_enum:
         raise FeasibilityError(
             f"brute enumeration needs {base}**{n_max} > max_enum={max_enum}; raise "
-            "max_enum" + ("" if rec else " or use method='automaton'"))
-    cmax = max_rung(graph)
+            "max_enum" + (" or use method='automaton'" if variant in ("L", "L0") else ""))
+    dfs = _engine(graph)
     rungs = (single_rung_recurrent(graph) if rec else
-             [c for c in enum_rungs(graph) if variant in ("L", "S") or c != cmax])
-    dfs = _SequenceDFS(graph, rungs)
+             [c for c in enum_rungs(graph) if variant in ("L", "S") or c != dfs.cmax])
     if variant in ("S", "S0"):
         # the mirror filter needs every path
         counts = [0] * (n_max + 1)
-        for path in dfs.walk(n_max, ignite=True):
-            if path and dfs.is_right_burnable(path):
+        for path in dfs.walk(rungs, n_max, ignite=True):
+            if path and dfs.accepts(path[::-1]):
                 counts[len(path)] += 1
     else:
-        counts = dfs.count(n_max, ignite=not rec)
+        counts = dfs.count(rungs, n_max, ignite=not rec)
     values = tuple(counts[1:])
     return CountSeries(variant=variant, values=values, provenance="brute",
                        graph_name=graph.name)

@@ -22,6 +22,8 @@ deterministic, so each state of the first rung starts at most one):
 
 The right-sided measure is the reflection of the left-sided one, so all
 right-sided quantities are computed by reflecting events and samples.
+The boundary layers of recurrent windows and the mixture's windows are
+decided on the census engine, never by burning a window.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .burning import (RungConfig, full_burnable, left_burnable, max_rung,
-                      right_burnable)
-from .census import enum_rungs, iter_recurrent, single_rung_recurrent
+from .burning import RungConfig, max_rung
+from .census import _engine, enum_rungs, iter_recurrent, single_rung_recurrent
 from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain, _perron,
                      build_coding, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
@@ -502,41 +503,31 @@ class BoundaryLayers:
 
 
 def boundary_layer(graph: Graph, config: LadderConfig) -> BoundaryLayers:
+    """``sigma_left`` is the last maximal rung of a recurrent window that
+    ends a left-burnable prefix, ``sigma_right`` the first that starts a
+    right-burnable suffix.  Recurrence and each side take one pass of the
+    census engine, the right side over the mirror image (the one-rung
+    burn table is symmetric in its two sides)."""
     window = config.window
-    heights = config.heights_map()
-    if not full_burnable(graph, heights).success:
+    heights = np.asarray(config.heights)
+    if heights.shape != (len(window), graph.n):
+        raise ValidationError(f"heights of shape {heights.shape} do not fit "
+                              f"{len(window)} rungs of {graph.n} vertices")
+    bad = np.argwhere((heights < 1) | (heights > np.array(graph.max_height)))
+    if len(bad):
+        r, x = bad[0].tolist()
+        raise ValidationError(f"height {heights[r, x]} at site ({x},{window.n + r}) "
+                              f"outside stable range 1..{graph.max_height[x]}")
+    rungs = [tuple(row) for row in heights.tolist()]
+    engine = _engine(graph)
+    if not engine.accepts(rungs, ignite=False):
         raise ValidationError("configuration is not recurrent")
-    cmax = max_rung(graph)
-    rungs = {k: tuple(int(h) for h in config.heights[k - window.n])
-             for k in window.rungs}
-    max_positions = [k for k in window.rungs if rungs[k] == cmax]
-
-    def prefix(k: int) -> dict:
-        return {(x, j): h for (x, j), h in heights.items() if j <= k}
-
-    def suffix(k: int) -> dict:
-        return {(x, j): h for (x, j), h in heights.items() if j >= k}
-
-    sigma_left = window.n - 1
-    for k in reversed(max_positions):
-        if left_burnable(graph, prefix(k)).success:
-            sigma_left = k
-            break
-    sigma_right = window.m + 1
-    for k in max_positions:
-        if right_burnable(graph, suffix(k)).success:
-            sigma_right = k
-            break
-    hat_right = window.n - 1
-    for k in reversed(max_positions):
-        if k < sigma_right:
-            hat_right = k
-            break
-    hat_left = window.m + 1
-    for k in max_positions:
-        if k > sigma_left:
-            hat_left = k
-            break
+    # an index of -1 (no such rung) gives the sentinel
+    sigma_left = window.n + engine.last_max_prefix(rungs)
+    sigma_right = window.m - engine.last_max_prefix(rungs[::-1])
+    maxes = [k for k, c in zip(window.rungs, rungs) if c == engine.cmax]
+    hat_right = next((k for k in reversed(maxes) if k < sigma_right), window.n - 1)
+    hat_left = next((k for k in maxes if k > sigma_left), window.m + 1)
     return BoundaryLayers(sigma_left=sigma_left, sigma_right=sigma_right,
                           hat_left=hat_left, hat_right=hat_right,
                           overlap=sigma_left >= sigma_right)

@@ -321,25 +321,29 @@ def test_rung_burn_right_side_needs_contact(path2):
     assert rung_burn(path2, path2.full_mask, (3, 1), 0b11) == 0b11
 
 
-def rung_burn_oracle(graph, left, rung, right):
-    """One-rung burn via the general engine: neighbours declared burnt
-    are removed from the site set, the rest are pinned by restricting
-    which sites may burn."""
-    from laddersand.burning import _burn
-    heights = {}
-    allowed = set()
+def _pinned_rung(graph, rung, below, above):
+    """Rung 1 holds ``rung``; the vertices declared burnt on its two
+    sides are left out of the site set, and every other side vertex is
+    pinned: it and its copy one rung further out hold height 1, so each
+    needs the other burnt first and neither ever burns."""
+    heights = {(x, 1): rung[x] for x in range(graph.n)}
     for x in range(graph.n):
-        heights[(x, 1)] = rung[x]
-        allowed.add((x, 1))
-        if not (left >> x) & 1:
-            heights[(x, 0)] = 1
-        if not (right >> x) & 1:
-            heights[(x, 2)] = 1
-    trace = _burn(graph, heights, "left", allowed=frozenset(allowed))
+        if not (below >> x) & 1:
+            heights[(x, 0)] = heights[(x, -1)] = 1
+        if not (above >> x) & 1:
+            heights[(x, 2)] = heights[(x, 3)] = 1
+    return heights
+
+
+def rung_burn_oracle(graph, left, rung, right):
+    """One-rung burn via the general engine, the undeclared neighbours
+    pinned."""
+    from laddersand.burning import _burn
+    trace = _burn(graph, _pinned_rung(graph, rung, left, right), "left")
     mask = 0
     for x, k in trace.order:
-        if k == 1:
-            mask |= 1 << x
+        assert k == 1
+        mask |= 1 << x
     return mask
 
 
@@ -357,22 +361,13 @@ def test_rung_burn_against_engine(name):
 
 def burn_table_oracle(graph, below, rung, above):
     """Burn of one rung with both sides declared, via the general engine
-    under ordinary burning: declared vertices are removed from the site
-    set, so they join complement components that count as burnt; the
-    rest of the two side rungs are pinned by restricting which sites may
-    burn."""
+    under ordinary burning: declared vertices join the complement
+    components, which all count as burnt, and the undeclared ones are
+    pinned."""
     from laddersand.burning import _burn
-    heights = {}
-    allowed = set()
-    for x in range(graph.n):
-        heights[(x, 1)] = rung[x]
-        allowed.add((x, 1))
-        if not (below >> x) & 1:
-            heights[(x, 0)] = 1
-        if not (above >> x) & 1:
-            heights[(x, 2)] = 1
-    trace = _burn(graph, heights, "both", allowed=frozenset(allowed))
-    return sum(1 << x for x, k in trace.order if k == 1)
+    trace = _burn(graph, _pinned_rung(graph, rung, below, above), "both")
+    assert all(k == 1 for _, k in trace.order)
+    return sum(1 << x for x, _ in trace.order)
 
 
 @pytest.mark.parametrize("name", ["path2", "path3", "cycle3"])

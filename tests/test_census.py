@@ -257,30 +257,21 @@ def _stable_rungs(graph):
     return list(itertools.product(*[range(1, m + 1) for m in graph.max_height]))
 
 
-def _engine_recurrent(dfs, seq):
-    burnt, tbls = [], []
-    for c in seq:
-        tbls.append(dfs.tables[c])
-        burnt = dfs.push(burnt, tbls, c, ignite=False)
-    return dfs.is_burnable(burnt, tbls)
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_engine_matches_burning_oracles(data):
     # the row-mask engine decides recurrence like ordinary burning and
-    # right-burnability like the rung-at-a-time schedule on the mirror
+    # left-burnability like the rung-at-a-time schedule
     graph = builtin_graph(data.draw(st.sampled_from(["path2", "path3", "cycle3",
                                                      "path4"])))
-    dfs = _SequenceDFS(graph, _stable_rungs(graph))
+    dfs = _SequenceDFS(graph)
     seq = data.draw(st.lists(st.sampled_from(_stable_rungs(graph)),
                              min_size=1, max_size=5))
-    assert (_engine_recurrent(dfs, seq)
+    assert (dfs.accepts(seq, ignite=False)
             == full_burnable(graph, window_heights(seq)).success)
     symbols = data.draw(st.lists(st.sampled_from(enum_rungs(graph).rungs),
                                  min_size=1, max_size=5))
-    assert (dfs.is_right_burnable(symbols)
-            == leftmost_schedule(graph, list(reversed(symbols))).success)
+    assert dfs.accepts(symbols) == leftmost_schedule(graph, symbols).success
 
 
 def _reduced_laplacian_det(graph, n):
@@ -415,7 +406,7 @@ def test_brute_refusals_are_worded_as_before(path2, cycle3):
     with pytest.raises(FeasibilityError) as exc:
         count_series(cycle3, "S", 3, max_enum=10 ** 4)
     assert str(exc.value) == ("brute enumeration needs 34**3 > max_enum=10000; "
-                              "raise max_enum or use method='automaton'")
+                              "raise max_enum")
     with pytest.raises(FeasibilityError) as exc:
         count_series(path2, "REC", 9)
     assert str(exc.value) == ("brute enumeration needs 8**9 > max_enum=10000000; "

@@ -4,19 +4,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from laddersand.burning import (left_burnable, max_rung, right_burnable,
-                                window_heights)
-from laddersand.census import count_series, enum_rungs, iter_recurrent
+from laddersand.burning import (full_burnable, left_burnable, max_rung,
+                                right_burnable, window_heights)
+from laddersand.census import (count_series, enum_rungs, iter_left_burnable,
+                               iter_recurrent, single_rung_recurrent)
 from laddersand.coding import CodingAutomaton, build_coding, parry_chain, spectral
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import Window, builtin_graph, make_graph
-from laddersand.measures import (CylinderEvent, _AutomatonBundle, boundary_layer,
-                                 cylinder_prob, mixture_experiment,
+from laddersand.measures import (BoundaryLayers, CylinderEvent, _AutomatonBundle,
+                                 boundary_layer, cylinder_prob, mixture_experiment,
                                  renewal_quantities, right_cylinder_prob,
                                  sample_chain_windows, sample_finite_exact,
                                  sample_window_config)
 from laddersand.toppling import LadderConfig
+from test_coding import connected_graphs
 
 SQRT3 = math.sqrt(3)
 RENEWAL_MASS = (SQRT3 - 1) / 2  # stationary share of the all-maximal rung
@@ -351,6 +354,126 @@ def test_boundary_layer_narrows(path2):
     # the larger-window level are asserted
     assert w6 < w4
     assert w6 < 1.0
+
+
+def _boundary_layer_definition(graph, config):
+    """The boundary layers by their definition: the last maximal rung
+    ending a left-burnable prefix and the first starting a
+    right-burnable suffix, each prefix and suffix burnt on its own."""
+    window = config.window
+    heights = config.heights_map()
+    if not full_burnable(graph, heights).success:
+        raise ValidationError("configuration is not recurrent")
+    cmax = max_rung(graph)
+    maxes = [k for k in window.rungs
+             if tuple(config.heights[k - window.n].tolist()) == cmax]
+    sigma_left = next((k for k in reversed(maxes) if left_burnable(
+        graph, {s: h for s, h in heights.items() if s[1] <= k}).success), window.n - 1)
+    sigma_right = next((k for k in maxes if right_burnable(
+        graph, {s: h for s, h in heights.items() if s[1] >= k}).success), window.m + 1)
+    hat_right = next((k for k in reversed(maxes) if k < sigma_right), window.n - 1)
+    hat_left = next((k for k in maxes if k > sigma_left), window.m + 1)
+    return BoundaryLayers(sigma_left=sigma_left, sigma_right=sigma_right,
+                          hat_left=hat_left, hat_right=hat_right,
+                          overlap=sigma_left >= sigma_right)
+
+
+def _assert_layers_as_defined(graph, rungs, start=1):
+    config = LadderConfig.from_rungs(rungs, start=start)
+    assert boundary_layer(graph, config) == _boundary_layer_definition(graph, config)
+
+
+@pytest.mark.parametrize("name, n_max", [("point", 6), ("path2", 5), ("path3", 2),
+                                         ("cycle3", 2), ("path4", 1), ("cycle4", 1)])
+def test_boundary_layer_matches_its_definition(name, n_max):
+    graph = builtin_graph(name)
+    for n in range(1, n_max + 1):
+        for i, rungs in enumerate(iter_recurrent(graph, n)):
+            _assert_layers_as_defined(graph, rungs, start=i % 5 - 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_boundary_layer_matches_its_definition_on_random_graphs(data):
+    graph = data.draw(connected_graphs())
+    rungs = data.draw(st.lists(st.sampled_from(single_rung_recurrent(graph)),
+                               min_size=1, max_size=6))
+    config = LadderConfig.from_rungs(rungs)
+    try:
+        expected = _boundary_layer_definition(graph, config)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="not recurrent"):
+            boundary_layer(graph, config)
+    else:
+        assert boundary_layer(graph, config) == expected
+    for i, window in enumerate(iter_recurrent(graph, 2)):
+        if i % 7 == 0:
+            _assert_layers_as_defined(graph, window)
+
+
+@pytest.mark.parametrize("name", ["path2", "path3", "cycle3"])
+def test_boundary_layer_matches_its_definition_on_long_windows(name):
+    # chain samples are left-burnable, their mirror images right-burnable,
+    # and the recurrent concatenations of the two are mostly neither
+    graph = builtin_graph(name)
+    left = sample_chain_windows(graph, 32, 30, seed=5)
+    right = [w[::-1] for w in sample_chain_windows(graph, 32, 30, seed=6)]
+    neither = 0
+    for rungs in left + right:
+        _assert_layers_as_defined(graph, rungs)
+    for a, b in zip(left, right):
+        for rungs in (a + b, a[:9] + b[:20]):
+            if full_burnable(graph, window_heights(rungs)).success:
+                _assert_layers_as_defined(graph, rungs, start=-7)
+                heights = window_heights(rungs)
+                neither += not (left_burnable(graph, heights).success
+                                or right_burnable(graph, heights).success)
+    assert neither >= 30
+
+
+def test_boundary_layer_rejects_heights_outside_the_stable_range(path2):
+    for bad in (0, 4):
+        cfg = LadderConfig.from_rungs([(3, 3), (bad, 3), (3, 3)], start=0)
+        with pytest.raises(ValidationError, match="outside stable range"):
+            boundary_layer(path2, cfg)
+
+
+def test_boundary_layer_rejects_a_wrong_shape(path2):
+    wide = LadderConfig.from_rungs([(3, 3, 3)] * 2)
+    short = LadderConfig(Window(0, 2), np.array([[3, 3], [3, 3]]))
+    for cfg in (wide, short):
+        with pytest.raises(ValidationError, match="do not fit"):
+            boundary_layer(path2, cfg)
+
+
+def test_boundary_layer_refuses_graphs_beyond_the_table():
+    # the one-rung burn table holds at most 8 vertices, like iter_recurrent
+    path9 = make_graph(9, [(v, v + 1) for v in range(8)])
+    cfg = LadderConfig.from_rungs([max_rung(path9)] * 2)
+    with pytest.raises(FeasibilityError):
+        boundary_layer(path9, cfg)
+
+
+def test_window_verdicts_burn_no_window(path2, monkeypatch):
+    # once the one-rung alphabets are known, every census class, the
+    # mixture and the boundary layers run on the census engine alone
+    import laddersand.burning as burning
+    enum_rungs(path2), single_rung_recurrent(path2)
+    event = CylinderEvent.centered([(3, 3)])
+    cylinder_prob(path2, event), right_cylinder_prob(path2, event)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window verdict burnt its window")
+
+    monkeypatch.setattr(burning, "_burn", refuse)
+    for variant in ("L", "L0", "S", "S0", "REC"):
+        count_series(path2, variant, 4)
+    assert len(list(iter_left_burnable(path2, 3))) == count_series(path2, "L", 3)[3]
+    configs = list(iter_recurrent(path2, 3))
+    assert len(configs) == count_series(path2, "REC", 3)[3]
+    mixture_experiment(path2, [Window(-1, 1)], event)
+    for rungs in configs:
+        boundary_layer(path2, LadderConfig.from_rungs(rungs))
 
 
 def test_mixture_weight_orientation(path2):

@@ -404,6 +404,7 @@ def leftmost_schedule(graph: Graph, rungs: Sequence[RungConfig]) -> LeftmostResu
 # |alphabet| >= 2**|G| - 1 and the limit leaves |G| <= 8 for any rung set
 # holding the alphabet: vertex sets fit in one byte.
 _MAX_TABLE_ENTRIES = 1 << 26
+MAX_TABLE_VERTICES = 8
 # Entries per chunk of a vectorised sweep, which bounds its temporary
 # arrays.
 _CHUNK_ENTRIES = 1 << 16
@@ -422,11 +423,11 @@ def burn_table(graph: Graph, rungs: Sequence[RungConfig]) -> np.ndarray:
     n = graph.n
     size = 1 << n
     entries = len(rungs) * size * size
-    if entries > _MAX_TABLE_ENTRIES or n > 8:
+    if entries > _MAX_TABLE_ENTRIES or n > MAX_TABLE_VERTICES:
         raise FeasibilityError(
             f"one-rung burn table needs {entries} entries for {len(rungs)} "
             f"rungs on {n} vertices; the limit is {_MAX_TABLE_ENTRIES} entries "
-            "on at most 8 vertices")
+            f"on at most {MAX_TABLE_VERTICES} vertices")
     pairs = np.arange(size * size)
     # burnt copies of vertex x on the two sides of the rung
     sides = [(((pairs >> (n + x)) & 1) + ((pairs >> x) & 1)).astype(np.uint8)

@@ -32,10 +32,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .burning import (RungConfig, burn_table, full_burnable, is_rung_symbol,
-                      max_rung, window_heights)
+from .burning import (MAX_TABLE_VERTICES, RungConfig, burn_table, full_burnable,
+                      is_rung_symbol, max_rung, window_heights)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph
 
@@ -137,6 +137,11 @@ class _SequenceDFS:
     walks append to and pop so pushes stay allocation-light."""
 
     def __init__(self, graph: Graph):
+        # refused before any caller burns the one-rung alphabets
+        if graph.n > MAX_TABLE_VERTICES:
+            raise FeasibilityError(
+                f"the census engine's one-rung burn table takes graphs of at "
+                f"most {MAX_TABLE_VERTICES} vertices, not {graph.n}")
         self.graph = graph
         self.n = graph.n
         self.full = graph.full_mask
@@ -291,11 +296,12 @@ def _engine(graph: Graph) -> _SequenceDFS:
     return _SequenceDFS(graph)
 
 
-def _windows(graph: Graph, rungs: Sequence[RungConfig], n: int, ignite: bool
-             ) -> Iterator[tuple[RungConfig, ...]]:
+def _windows(graph: Graph, alphabet: Callable[[Graph], Sequence[RungConfig]],
+             n: int, ignite: bool) -> Iterator[tuple[RungConfig, ...]]:
     if n < 0:
         raise ValidationError("n must be >= 0")
-    for path in _engine(graph).walk(rungs, n, ignite):
+    engine = _engine(graph)
+    for path in engine.walk(alphabet(graph), n, ignite):
         if len(path) == n:
             yield tuple(path)
 
@@ -303,13 +309,13 @@ def _windows(graph: Graph, rungs: Sequence[RungConfig], n: int, ignite: bool
 def iter_left_burnable(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
     """All left-burnable rung sequences of length exactly ``n``, in
     lexicographic order."""
-    yield from _windows(graph, enum_rungs(graph).rungs, n, ignite=True)
+    yield from _windows(graph, lambda g: enum_rungs(g).rungs, n, ignite=True)
 
 
 def iter_recurrent(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
     """All recurrent raw configurations on a window of ``n`` rungs, in
     lexicographic order."""
-    yield from _windows(graph, single_rung_recurrent(graph), n, ignite=False)
+    yield from _windows(graph, single_rung_recurrent, n, ignite=False)
 
 
 def count_series(graph: Graph, variant: str, n_max: int,
@@ -348,13 +354,13 @@ def count_series(graph: Graph, variant: str, n_max: int,
     if method != "brute":
         raise ValidationError(f"unknown method {method!r}")
 
+    dfs = _engine(graph)
     rec = variant == "REC"
     base = len(single_rung_recurrent(graph) if rec else enum_rungs(graph))
     if base ** n_max > max_enum:
         raise FeasibilityError(
             f"brute enumeration needs {base}**{n_max} > max_enum={max_enum}; raise "
             "max_enum" + (" or use method='automaton'" if variant in ("L", "L0") else ""))
-    dfs = _engine(graph)
     rungs = (single_rung_recurrent(graph) if rec else
              [c for c in enum_rungs(graph) if variant in ("L", "S") or c != dfs.cmax])
     if variant in ("S", "S0"):

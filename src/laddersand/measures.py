@@ -44,7 +44,7 @@ from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain, _perron,
                      build_coding, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph, Window
-from .toppling import LadderConfig
+from .toppling import LadderConfig, _require_integers
 
 DEFAULT_RENEWAL_ORDER = 48
 DEFAULT_TAIL_TOL = 1e-9
@@ -510,6 +510,7 @@ def boundary_layer(graph: Graph, config: LadderConfig) -> BoundaryLayers:
     burn table is symmetric in its two sides)."""
     window = config.window
     heights = np.asarray(config.heights)
+    _require_integers(heights)
     if heights.shape != (len(window), graph.n):
         raise ValidationError(f"heights of shape {heights.shape} do not fit "
                               f"{len(window)} rungs of {graph.n} vertices")

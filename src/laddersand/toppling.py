@@ -9,15 +9,19 @@ nothing about that on its own; the equivalence is exercised by
 :func:`check_abelian` and the test suite.
 
 Heights below 1 never arise from stabilizing a stable configuration
-plus additions, but arbitrary positive heights are accepted so that
-mid-avalanche states can be replayed.
+plus additions, but arbitrary positive integer heights are accepted so
+that mid-avalanche states can be replayed.
 
-The parallel schedule fires whole numpy masks.  The canonical and random
-schedules topple one site at a time on flat Python lists indexed by cell
+All three schedules run on flat Python lists indexed by cell
 ``r * n + x`` (row ``r`` of the heights array, vertex ``x``); the cell
 index defines their order (the canonical schedule fires the least
-unstable cell), and the heights and odometer are written back to numpy
-arrays when the avalanche ends or overruns its step cap.
+unstable cell, the parallel one fires rounds of every unstable cell).
+A cell keeps its room, its maximal height minus its height.  Heights are
+integers and only grow between a cell's own topplings, so the grain that
+takes the room from 0 to -1 is the one that makes the cell unstable, and
+the list of cells to fire needs no flag per cell.  The heights and
+odometer are written back to numpy arrays when the avalanche ends or
+overruns its step cap.
 """
 
 from __future__ import annotations
@@ -102,8 +106,9 @@ class LadderConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "LadderConfig":
-        return cls(Window(*data["window"]),
-                   np.array(data["heights"], dtype=np.int64))
+        heights = np.array(data["heights"])
+        _require_integers(heights)
+        return cls(Window(*data["window"]), heights.astype(np.int64))
 
 
 @dataclass
@@ -128,7 +133,13 @@ class Odometer:
                 "grains_to_sink": self.grains_to_sink}
 
 
+def _require_integers(heights: np.ndarray) -> None:
+    if heights.dtype.kind not in "iu":
+        raise ValidationError(f"heights must be integers, not {heights.dtype}")
+
+
 def _validate_config(graph: Graph, config: LadderConfig) -> None:
+    _require_integers(config.heights)
     if config.heights.shape != (len(config.window), graph.n):
         raise ValidationError("heights array does not match window/graph shape")
     if (config.heights < 1).any():
@@ -166,72 +177,68 @@ def stabilize(graph: Graph, config: LadderConfig,
     window = config.window
     rows = len(window)
     n = graph.n
-    h = config.heights.copy()
+    cells = rows * n
+    cap = list(graph.max_height) * rows
+    room = [m - hc for m, hc in zip(cap, config.heights.ravel().tolist())]
     for x, k in additions:
         if not (0 <= x < n) or not window.contains((x, k)):
             raise ValidationError(f"addition site ({x},{k}) outside window")
-        h[k - window.n, x] += 1
+        room[(k - window.n) * n + x] -= 1
 
+    # A cell's neighbours are its graph neighbours, then the rung below,
+    # then the rung above; todo holds exactly the cells with negative room.
+    nbrs = [tuple([c - x + y for y in graph.neighbors[x]]
+                  + [c + d for d in (-n, n) if 0 <= c + d < cells])
+            for c, x in enumerate(list(range(n)) * rows)]
+    ol = [0] * cells
+    todo = [c for c in range(cells) if room[c] < 0]
     steps = 0
     if schedule.kind == "parallel":
-        mvec = np.array(graph.max_height, dtype=np.int64)
-        odo = np.zeros_like(h)
-        adj = np.zeros((n, n), dtype=np.int64)
-        for u, v in graph.edges:
-            adj[u, v] = adj[v, u] = 1
-        while True:
-            mask = (h > mvec[None, :]).astype(np.int64)
-            fired = int(mask.sum())
-            if fired == 0:
-                break
-            steps += fired
+        # a round fires every listed cell; firing them one after another
+        # lists each cell whose room is negative once the round is done
+        while todo:
+            steps += len(todo)
             if steps > step_cap:
                 break
-            odo += mask
-            h -= mask * mvec[None, :]
-            h += mask @ adj
-            h[1:] += mask[:-1]
-            h[:-1] += mask[1:]
+            nxt = []
+            for c in todo:
+                ol[c] += 1
+                room[c] += cap[c]
+                if room[c] < 0:
+                    nxt.append(c)
+                for d in nbrs[c]:
+                    room[d] -= 1
+                    if room[d] == -1:
+                        nxt.append(d)
+            todo = nxt
     else:
-        # Site (x, window.n + r) is cell r * n + x, so heap order on cells
-        # is (rung, vertex) order.  A cell's neighbours are its graph
-        # neighbours, then the rung below, then the rung above.
-        cells = rows * n
-        cap = list(graph.max_height) * rows
-        nbrs = [[c - x + y for y in graph.neighbors[x]]
-                + [c + d for d in (-n, n) if 0 <= c + d < cells]
-                for c, x in enumerate(list(range(n)) * rows)]
-        hl = h.ravel().tolist()
-        ol = [0] * cells
-        queued = [hc > m for hc, m in zip(hl, cap)]
-        todo = [c for c in range(cells) if queued[c]]
-        draw = (random.Random(schedule.seed).randrange
+        # randrange(len(todo)) inlined: the same draws from the same seed
+        bits = (random.Random(schedule.seed).getrandbits
                 if schedule.kind == "random" else None)
-        push = heappush if draw is None else list.append
-        # a queued cell stays unstable until it topples: heights only grow
+        push = heappush if bits is None else list.append
         while todo:
-            if draw is None:
+            if bits is None:
                 c = heappop(todo)
             else:  # the drawn cell swaps with the last, so pop() shifts nothing
-                k = draw(len(todo))
+                size = len(todo)
+                k = bits(size.bit_length())
+                while k >= size:
+                    k = bits(size.bit_length())
                 c, todo[k] = todo[k], todo[-1]
                 todo.pop()
-            queued[c] = False
             steps += 1
             if steps > step_cap:
                 break
             ol[c] += 1
-            hl[c] -= cap[c]
+            room[c] += cap[c]
             for d in nbrs[c]:
-                hl[d] += 1
-                if hl[d] > cap[d] and not queued[d]:
-                    queued[d] = True
+                room[d] -= 1
+                if room[d] == -1:
                     push(todo, d)
-            if hl[c] > cap[c]:
-                queued[c] = True
+            if room[c] < 0:
                 push(todo, c)
-        h = np.array(hl, dtype=np.int64).reshape(rows, n)
-        odo = np.array(ol, dtype=np.int64).reshape(rows, n)
+    h = np.array([m - r for m, r in zip(cap, room)], dtype=np.int64).reshape(rows, n)
+    odo = np.array(ol, dtype=np.int64).reshape(rows, n)
 
     # the end rungs drain to the sink; a single-rung window drains twice
     odometer = Odometer(window, odo, int(odo[0].sum() + odo[-1].sum()))

@@ -225,6 +225,29 @@ def test_census_beyond_the_burn_table_is_refused():
         count_series(builtin_graph("path7"), "L", 1)
 
 
+def test_census_refuses_graphs_beyond_the_table_before_any_burn(monkeypatch):
+    # the engine's vertex limit comes first: iter_recurrent on path9 once
+    # spent seconds on one-rung burns of its alphabet before the table
+    # refused it
+    import laddersand.burning as burning
+    from laddersand.graphs import make_graph
+    from laddersand.measures import boundary_layer
+    from laddersand.toppling import LadderConfig
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("burnt a window of a graph beyond the table")
+
+    monkeypatch.setattr(burning, "_burn", refuse)
+    path9 = make_graph(9, [(v, v + 1) for v in range(8)])
+    calls = [lambda: next(iter_recurrent(path9, 1)),
+             lambda: next(iter_left_burnable(path9, 1)),
+             lambda: boundary_layer(path9, LadderConfig.from_rungs([max_rung(path9)] * 2))]
+    calls += [lambda v=v: count_series(path9, v, 1) for v in ("L", "L0", "S", "S0", "REC")]
+    for call in calls:
+        with pytest.raises(FeasibilityError, match="at most 8 vertices"):
+            call()
+
+
 def test_entropy_bounds(path2, point):
     a = count_series(path2, "L", 8)
     bounds = entropy_bounds(a)

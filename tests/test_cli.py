@@ -254,6 +254,15 @@ def test_topple_rejects_a_site_without_a_rung(tmp_path, capsys):
     assert code == 2 and "bad site '1'" in err
 
 
+@pytest.mark.parametrize("command", ["topple", "blast"])
+def test_config_heights_must_be_integers(tmp_path, capsys, command):
+    # the file's 2.5 and 3.9 were read as 2 and 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"window": [0, 1], "heights": [[2.5, 3], [3, 3.9]]}))
+    code, out, err = run(capsys, command, "--graph", "path2", "--config", str(path))
+    assert code == 2 and out == "" and "heights must be integers" in err
+
+
 def test_topple_rejects_a_config_without_heights(tmp_path, capsys):
     code, _, err = _topple_with(tmp_path, capsys, {"window": [0, 1]}, "0,0")
     assert code == 2 and "heights" in err

@@ -438,6 +438,13 @@ def test_boundary_layer_rejects_heights_outside_the_stable_range(path2):
             boundary_layer(path2, cfg)
 
 
+def test_boundary_layer_rejects_heights_that_are_not_integers(path2):
+    # 2.5 burnt as need 1, like a height of 3
+    cfg = LadderConfig(Window(0, 2), np.array([[3, 3], [2.5, 3], [3, 3]]))
+    with pytest.raises(ValidationError, match="integers"):
+        boundary_layer(path2, cfg)
+
+
 def test_boundary_layer_rejects_a_wrong_shape(path2):
     wide = LadderConfig.from_rungs([(3, 3, 3)] * 2)
     short = LadderConfig(Window(0, 2), np.array([[3, 3], [3, 3]]))

@@ -10,6 +10,8 @@ from laddersand.toppling import (CANONICAL, PARALLEL, LadderConfig, Odometer,
                                  check_abelian, demo_wave_config,
                                  laplacian_apply, random_schedule,
                                  rung_zero_blast, stabilize)
+from reference_toppling import stabilize as reference_stabilize
+from test_coding import connected_graphs
 
 I01_ALPHABET = [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)]
 
@@ -175,7 +177,7 @@ def test_step_cap_carries_partial_state():
         for x, k in adds:
             init[k, x] += 1
         total = int(stabilize(graph, cfg, adds)[1].counts.sum())
-        for sched in (CANONICAL, random_schedule(1), random_schedule(2)):
+        for sched in (CANONICAL, PARALLEL, random_schedule(1), random_schedule(2)):
             for cap in (1, 2, total // 2, total - 1):
                 with pytest.raises(StepCapExceeded) as info:
                     stabilize(graph, cfg, adds, sched, step_cap=cap)
@@ -183,7 +185,11 @@ def test_step_cap_carries_partial_state():
                 assert isinstance(err.odometer, Odometer)
                 assert isinstance(err.heights, LadderConfig)
                 counts = err.odometer.counts
-                assert counts.sum() == cap, case
+                # a parallel round that would overrun the cap does not fire
+                if sched is PARALLEL:
+                    assert counts.sum() <= cap, case
+                else:
+                    assert counts.sum() == cap, case
                 assert (err.heights.heights == init - laplacian_apply(
                     graph, cfg.window, counts)).all(), case
                 assert err.odometer.grains_to_sink == sum(
@@ -193,18 +199,92 @@ def test_step_cap_carries_partial_state():
 
 def test_random_schedule_partial_odometer_pinned():
     # a seed fixes the random schedule's toppling order, so the partial
-    # odometer at a cap is part of its output
+    # odometer at a cap is part of its output; so it is for the canonical
+    # order and the parallel rounds
     graph = builtin_graph("path3")
     cfg = LadderConfig.from_rungs([(3, 4, 3)] * 5, start=0)
     expected = {
-        6: [[1, 0, 0], [1, 0, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0]],
-        23: [[1, 1, 1], [1, 2, 2], [2, 2, 2], [2, 2, 2], [1, 1, 1]],
+        (random_schedule(5), 6): [[1, 0, 0], [1, 0, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0]],
+        (random_schedule(5), 23): [[1, 1, 1], [1, 2, 2], [2, 2, 2], [2, 2, 2], [1, 1, 1]],
+        (CANONICAL, 6): [[1, 1, 1], [1, 1, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        (CANONICAL, 23): [[2, 2, 2], [2, 2, 2], [1, 1, 2], [1, 1, 2], [1, 1, 1]],
+        (PARALLEL, 6): [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]],
+        (PARALLEL, 23): [[1, 1, 1], [1, 2, 2], [2, 2, 2], [2, 2, 2], [1, 1, 1]],
     }
-    for cap, counts in expected.items():
+    for (sched, cap), counts in expected.items():
         with pytest.raises(StepCapExceeded) as info:
-            stabilize(graph, cfg, [(0, 0), (2, 3)], random_schedule(5),
-                      step_cap=cap)
-        assert info.value.odometer.counts.tolist() == counts
+            stabilize(graph, cfg, [(0, 0), (2, 3)], sched, step_cap=cap)
+        assert info.value.odometer.counts.tolist() == counts, (sched, cap)
+
+
+def _outcome(engine, graph, cfg, adds, sched, cap):
+    try:
+        final, odo = engine(graph, cfg, adds, sched, cap)
+    except StepCapExceeded as err:
+        final, odo, kind = err.heights, err.odometer, "cap"
+    else:
+        kind = "stable"
+    return (kind, final.window, final.heights.tolist(), odo.window,
+            odo.counts.tolist(), odo.grains_to_sink)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_schedules_match_the_reference_engine(data):
+    # heights up to twice the maximum make unstable mid-avalanche inputs
+    graph = data.draw(st.sampled_from(
+        [builtin_graph(name) for name in ("path2", "path3", "cycle3")])
+        | connected_graphs())
+    length = data.draw(st.integers(1, 6))
+    start = data.draw(st.integers(-3, 3))
+    rows = data.draw(st.lists(
+        st.tuples(*[st.integers(1, 2 * m) for m in graph.max_height]),
+        min_size=length, max_size=length))
+    cfg = LadderConfig.from_rungs(rows, start=start)
+    adds = data.draw(st.lists(
+        st.tuples(st.integers(0, graph.n - 1),
+                  st.integers(start, start + length - 1)), max_size=6))
+    seed = data.draw(st.integers(0, 2 ** 31 - 1))
+    total = int(reference_stabilize(graph, cfg, adds)[1].counts.sum())
+    caps = {1, 2, 17, max(total // 2, 1), max(total - 1, 1), total + 1,
+            data.draw(st.integers(1, total + 2))}
+    for sched in (CANONICAL, PARALLEL, random_schedule(seed)):
+        for cap in sorted(caps):
+            case = (sched, cap)
+            assert (_outcome(stabilize, graph, cfg, adds, sched, cap)
+                    == _outcome(reference_stabilize, graph, cfg, adds, sched, cap)), case
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_schedules_match_the_reference_engine_on_long_blasts(path2, seed):
+    # rung-zero blasts on sampled windows of halfwidth 48, thousands of
+    # topplings long, where the random schedule draws from long lists
+    from laddersand.measures import sample_window_config
+    cfg = sample_window_config(path2, 48, seed)
+    adds = [(x, 0) for x in range(path2.n)]
+    total = int(stabilize(path2, cfg, adds)[1].counts.sum())
+    assert total > 2000
+    for sched in (CANONICAL, PARALLEL, random_schedule(seed)):
+        for cap in (1, 17, 1000, total // 2, total - 1, total):
+            assert (_outcome(stabilize, path2, cfg, adds, sched, cap)
+                    == _outcome(reference_stabilize, path2, cfg, adds, sched, cap))
+
+
+@pytest.mark.parametrize("heights", [[[3.5, 3.0]], [[3.0, 3.0]], [[True, True]]])
+def test_refuses_heights_that_are_not_integers(path2, heights):
+    # float heights made the schedules disagree: 3.5 + 1 toppled to 2 one
+    # way and to 2.5 the other
+    cfg = LadderConfig(Window(0, 0), np.array(heights))
+    for sched in (CANONICAL, PARALLEL, random_schedule(1)):
+        with pytest.raises(ValidationError, match="integers"):
+            stabilize(path2, cfg, [(0, 0)], sched)
+
+
+def test_from_json_refuses_heights_that_are_not_integers():
+    with pytest.raises(ValidationError, match="integers"):
+        LadderConfig.from_json({"window": [0, 1], "heights": [[2.5, 3], [3, 3.9]]})
+    cfg = LadderConfig.from_json({"window": [0, 1], "heights": [[2, 3], [3, 3]]})
+    assert cfg.heights.dtype == np.int64 and cfg.heights.tolist() == [[2, 3], [3, 3]]
 
 
 def test_blast_all_max(path2):

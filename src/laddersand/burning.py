@@ -15,15 +15,15 @@ Two engines decide burnability:
 
 * ``_burn`` burns an arbitrary site set and records the trace.  It
   serves the public :func:`left_burnable`, :func:`right_burnable` and
-  :func:`full_burnable` (the API and the test oracle), the one-rung
-  alphabet tests (:func:`is_rung_symbol`, and the census's single-rung
-  recurrent rungs) and the input check of the rung-zero blast, which
-  also takes graphs beyond the table's 8 vertices;
-* :func:`burn_table` burns each rung of a list between two vertex sets
-  declared burnt on its sides, for every rung and pair of sets at once.
-  Every window verdict the library computes for itself reads it: the
-  census engine (walks, counts and boundary layers) and the coding
-  construction (:func:`laddersand.coding.rung_burn_table`).
+  :func:`full_burnable` (the API and the test oracle), the census's
+  single-rung recurrent rungs and the input check of the rung-zero
+  blast, which also takes graphs beyond the table's 8 vertices;
+* ``_burn_columns`` burns rungs between vertex sets declared burnt on
+  their two sides, many at once.  Every window verdict the library
+  computes for itself reads its :func:`burn_table` of every pair of
+  sets: the census engine and the coding construction
+  (:func:`laddersand.coding.rung_burn_table`).  The rung alphabet
+  (:func:`is_rung_symbol`, ``census.enum_rungs``) reads two pairs.
 
 The rung-at-a-time schedule :func:`leftmost_schedule` and the one-rung
 primitives :func:`rung_burn`, :func:`first_rung_state` and
@@ -35,6 +35,7 @@ the table and the construction are tested against.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -266,7 +267,7 @@ def is_rung_symbol(graph: Graph, rung: RungConfig) -> bool:
         return False
     if any(not (1 <= h <= graph.max_height[x]) for x, h in enumerate(rung)):
         return False
-    return left_burnable(graph, window_heights([rung], start=0)).success
+    return _rung_symbols(graph, [rung])[0]
 
 
 def max_rung(graph: Graph) -> RungConfig:
@@ -410,44 +411,64 @@ MAX_TABLE_VERTICES = 8
 _CHUNK_ENTRIES = 1 << 16
 
 
-def burn_table(graph: Graph, rungs: Sequence[RungConfig]) -> np.ndarray:
-    """``table[c, below << n | above]`` is the burnt vertex set of rung
-    ``rungs[c]`` when the vertex sets ``below`` and ``above`` are burnt
-    on its two sides, for every rung and pair of sets at once (uint8).
+def _require_table_vertices(graph: Graph) -> None:
+    if graph.n > MAX_TABLE_VERTICES:
+        raise FeasibilityError(f"the one-rung burn table takes graphs of at most "
+                               f"{MAX_TABLE_VERTICES} vertices, not {graph.n}")
 
-    The burn is the least fixed point of burning every vertex whose
-    burnt neighbours reach its need ``max - height + 1``; sweeping the
-    vertices until nothing changes reaches it in any order.  Refused
-    with a :class:`FeasibilityError` above 2**26 entries or 8 vertices.
-    """
+
+def _burn_columns(graph: Graph, columns: Optional[Sequence[int]],
+                  rungs: Optional[Sequence[RungConfig]]) -> np.ndarray:
+    """``out[c, j]`` is the burnt vertex set of ``rungs[c]`` (uint8) when
+    the sets of ``columns[j] = below << n | above`` are burnt beside it;
+    None stands for every pair of sets, or every stable rung in order.
+    The burn is the least fixed point of burning each vertex whose burnt
+    neighbours reach its need ``max - height + 1``, which sweeping until
+    nothing changes reaches.  Refused above 8 vertices or 2**26 entries."""
+    _require_table_vertices(graph)
     n = graph.n
-    size = 1 << n
-    entries = len(rungs) * size * size
-    if entries > _MAX_TABLE_ENTRIES or n > MAX_TABLE_VERTICES:
+    count = math.prod(graph.max_height) if rungs is None else len(rungs)
+    entries = count * (1 << 2 * n if columns is None else len(columns))
+    if entries > _MAX_TABLE_ENTRIES:
         raise FeasibilityError(
-            f"one-rung burn table needs {entries} entries for {len(rungs)} "
+            f"one-rung burn table needs {entries} entries for {count} "
             f"rungs on {n} vertices; the limit is {_MAX_TABLE_ENTRIES} entries "
             f"on at most {MAX_TABLE_VERTICES} vertices")
-    pairs = np.arange(size * size)
+    cols = np.arange(1 << 2 * n) if columns is None else np.asarray(columns)
+    heights = (np.indices(graph.max_height, dtype=np.uint8).reshape(n, -1).T + 1
+               if rungs is None else np.array(rungs, dtype=np.uint8).reshape(count, n))
+    need = np.array(graph.max_height, dtype=np.uint8) + 1 - heights
     # burnt copies of vertex x on the two sides of the rung
-    sides = [(((pairs >> (n + x)) & 1) + ((pairs >> x) & 1)).astype(np.uint8)
+    sides = [(((cols >> (n + x)) & 1) + ((cols >> x) & 1)).astype(np.uint8)
              for x in range(n)]
-    need = np.array([[m - h + 1 for m, h in zip(graph.max_height, c)]
-                     for c in rungs], dtype=np.uint8)
-    table = np.zeros((len(rungs), size * size), dtype=np.uint8)
-    step = max(1, _CHUNK_ENTRIES // (size * size))
-    for lo in range(0, len(rungs), step):
+    table = np.zeros((count, len(cols)), dtype=np.uint8)
+    step = max(1, _CHUNK_ENTRIES // len(cols))
+    for lo in range(0, count, step):
         burnt = table[lo:lo + step]
         while True:
             before = burnt.copy()
             for x in range(n):
-                count = sides[x]
+                hits = sides[x]
                 for y in graph.neighbors[x]:
-                    count = count + ((burnt >> y) & 1)
-                burnt |= (count >= need[lo:lo + step, x, None]).astype(np.uint8) << x
+                    hits = hits + ((burnt >> y) & 1)
+                burnt |= (hits >= need[lo:lo + step, x, None]).astype(np.uint8) << x
             if np.array_equal(before, burnt):
                 break
     return table
+
+
+def burn_table(graph: Graph, rungs: Sequence[RungConfig]) -> np.ndarray:
+    """``table[c, below << n | above]``: :func:`_burn_columns` of every pair."""
+    return _burn_columns(graph, None, rungs)
+
+
+def _rung_symbols(graph: Graph, rungs: Optional[Sequence[RungConfig]]) -> list[bool]:
+    """Whether each rung is a symbol: its burn with the left side burnt is
+    not empty, and as it touches the right copies they count too (as in
+    :func:`laddersand.coding.rung_burn_table`), so it must end full."""
+    full, left = graph.full_mask, graph.full_mask << graph.n
+    alone, both = _burn_columns(graph, (left, left | graph.full_mask), rungs).T
+    return ((alone != 0) & (both == full)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ is never reprocessed, so the rows up to a prefix's last full row never
 change again, and the rows above it rest and burn like a fresh prefix
 over the left sink: every later accept or prune depends only on the
 rungs of that suffix.  The count thus goes one length at a time over
-the distinct suffixes, each with the number of prefixes ending in it.
+the distinct suffixes, each with the number of prefixes ending in it,
+and each length may draw its own rungs (the mixture pins an event's).
 It reads nothing of the coding automaton, so the brute counts stay its
 independent check.
 """
@@ -31,11 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .burning import (MAX_TABLE_VERTICES, RungConfig, burn_table, full_burnable,
-                      is_rung_symbol, max_rung, window_heights)
+from .burning import (RungConfig, _require_table_vertices, _rung_symbols,
+                      burn_table, full_burnable, max_rung, window_heights)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph
 
@@ -85,19 +86,19 @@ class CountSeries:
 
 @lru_cache(maxsize=None)
 def enum_rungs(graph: Graph) -> RungAlphabet:
-    """Enumerate the rung alphabet by testing one-rung left-burnability
-    over all stable height vectors."""
-    rungs = [h for h in product(*[range(1, m + 1) for m in graph.max_height])
-             if is_rung_symbol(graph, h)]
-    return RungAlphabet(graph=graph, rungs=tuple(sorted(rungs)))
+    """The stable height vectors left-burnable on a one-rung window, from
+    one sweep of one-rung burns over them all."""
+    stable = product(*[range(1, m + 1) for m in graph.max_height])
+    return RungAlphabet(graph, tuple(compress(stable, _rung_symbols(graph, None))))
 
 
 @lru_cache(maxsize=None)
 def single_rung_recurrent(graph: Graph) -> tuple[RungConfig, ...]:
-    """Stable rungs with no forbidden subconfiguration of their own."""
-    out = [h for h in product(*[range(1, m + 1) for m in graph.max_height])
-           if full_burnable(graph, window_heights([h], start=0)).success]
-    return tuple(sorted(out))
+    """Stable rungs with no forbidden subconfiguration of their own,
+    refused like the burn table on graphs of more than 8 vertices."""
+    _require_table_vertices(graph)
+    return tuple(h for h in product(*[range(1, m + 1) for m in graph.max_height])
+                 if full_burnable(graph, window_heights([h], start=0)).success)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +138,6 @@ class _SequenceDFS:
     walks append to and pop so pushes stay allocation-light."""
 
     def __init__(self, graph: Graph):
-        # refused before any caller burns the one-rung alphabets
-        if graph.n > MAX_TABLE_VERTICES:
-            raise FeasibilityError(
-                f"the census engine's one-rung burn table takes graphs of at "
-                f"most {MAX_TABLE_VERTICES} vertices, not {graph.n}")
         self.graph = graph
         self.n = graph.n
         self.full = graph.full_mask
@@ -247,21 +243,26 @@ class _SequenceDFS:
                     path.pop()
                     tbls.pop()
 
-    def count(self, rungs: Sequence[RungConfig], n_max: int, ignite: bool
+    def count(self, depths: Sequence[Sequence[RungConfig]], ignite: bool
               ) -> list[int]:
-        """The number of :meth:`walk` paths of each length ``0..n_max``,
-        counted one length at a time by unresolved suffix (the rungs above
-        a prefix's last full row; the module docstring says why they
-        alone decide its extensions).  A layer maps each suffix, held as
-        the resting rows behind a full sentinel row that stands in for
-        the left sink, to the number of accepted prefixes ending in it.
-        The last layer only counts its children."""
-        steps = [(c, tbl, c == self.cmax) for c, tbl in zip(rungs, self.rows(rungs))]
+        """The number of burnable sequences of each length ``0..len(depths)``
+        whose ``k``-th rung is one of ``depths[k - 1]``, counted one length
+        at a time by unresolved suffix (the rungs above a prefix's last
+        full row; the module docstring says why they alone decide its
+        extensions).  A layer maps each suffix, held as the resting rows
+        behind a full sentinel row that stands in for the left sink, to
+        the number of accepted prefixes ending in it.  The last layer only
+        counts its children."""
         full = self.full
+        n_max = len(depths)
         counts = [1] + [0] * n_max
         # suffix rungs -> [resting rows, their table rows, prefixes]
         layer = {(): [[full], [None], 1]}
-        for depth in range(1, n_max + 1):
+        read = None
+        for depth, rungs in enumerate(depths, start=1):
+            if rungs is not read:  # a run of one list reads its rows once
+                read = rungs
+                steps = [(c, tbl, c == self.cmax) for c, tbl in zip(rungs, self.rows(rungs))]
             last = depth == n_max
             nxt: dict = {}
             total = 0
@@ -370,7 +371,7 @@ def count_series(graph: Graph, variant: str, n_max: int,
             if path and dfs.accepts(path[::-1]):
                 counts[len(path)] += 1
     else:
-        counts = dfs.count(rungs, n_max, ignite=not rec)
+        counts = dfs.count([rungs] * n_max, ignite=not rec)
     values = tuple(counts[1:])
     return CountSeries(variant=variant, values=values, provenance="brute",
                        graph_name=graph.name)

@@ -23,17 +23,17 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import __version__
 from .burning import max_rung
-from .census import count_series, entropy_bounds
-from .coding import (build_coding, check_transitive, influence_maps_monotone,
-                     parry_chain, restrict, spectral)
+from .census import DEFAULT_MAX_ENUM, count_series, entropy_bounds
+from .coding import (DEFAULT_MAX_STATES, build_coding, check_transitive,
+                     influence_maps_monotone, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, StepCapExceeded, ValidationError
-from .graphs import Graph, Window, builtin_graph, parse_graph
-from .measures import (CylinderEvent, cylinder_prob, mixture_experiment,
-                       right_cylinder_prob, sample_chain_windows,
+from .graphs import DEFAULT_VERTEX_CAP, Graph, Window, builtin_graph, parse_graph
+from .measures import (DEFAULT_RENEWAL_ORDER, CylinderEvent, cylinder_prob,
+                       mixture_experiment, right_cylinder_prob, sample_chain_windows,
                        sample_finite_exact, sample_window_config)
-from .toppling import (CANONICAL, PARALLEL, LadderConfig, Schedule,
-                       demo_wave_config, random_schedule, rung_zero_blast,
-                       stabilize)
+from .toppling import (CANONICAL, DEFAULT_STEP_CAP, PARALLEL, LadderConfig,
+                       Schedule, demo_wave_config, random_schedule,
+                       rung_zero_blast, stabilize)
 
 BUILTIN_NAMES = ("point", "path2", "path3", "cycle3")
 
@@ -325,9 +325,9 @@ _SHARED_FLAGS = {
                        "or an edge-list file"),
     "seed": dict(type=int, default=None),
     "format": dict(choices=("csv", "json"), default="csv"),
-    "max-states": dict(type=int, default=10 ** 6),
-    "max-enum": dict(type=int, default=10 ** 7),
-    "step-cap": dict(type=int, default=10 ** 7),
+    "max-states": dict(type=int, default=DEFAULT_MAX_STATES),
+    "max-enum": dict(type=int, default=DEFAULT_MAX_ENUM),
+    "step-cap": dict(type=int, default=DEFAULT_STEP_CAP),
 }
 
 
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         shared flags, which are the ones it reads."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--vertex-cap", type=int, default=12)
+        p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
         for flag in flags:
             p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
         return p
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the right-sided measure")
     p.add_argument("--method", choices=("parry", "renewal", "finite_dp", "all"),
                    default="all")
-    p.add_argument("--renewal-order", type=int, default=48)
+    p.add_argument("--renewal-order", type=int, default=DEFAULT_RENEWAL_ORDER)
     p.add_argument("--dp-halfwidth", type=int, default=32)
     p.set_defaults(func=cmd_measure)
 

@@ -22,8 +22,9 @@ deterministic, so each state of the first rung starts at most one):
 
 The right-sided measure is the reflection of the left-sided one, so all
 right-sided quantities are computed by reflecting events and samples.
-The boundary layers of recurrent windows and the mixture's windows are
-decided on the census engine, never by burning a window.
+The boundary layers of recurrent windows are decided on the census
+engine, and the mixture counts its windows by unresolved suffix on the
+same engine, never burning or listing a window.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .burning import RungConfig, max_rung
-from .census import _engine, enum_rungs, iter_recurrent, single_rung_recurrent
+from .census import (DEFAULT_MAX_ENUM, _engine, count_series, enum_rungs,
+                     single_rung_recurrent)
 from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain, _perron,
                      build_coding, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
@@ -545,7 +547,7 @@ class MixtureRow:
 
 
 def mixture_experiment(graph: Graph, windows: Iterable[Window],
-                       event: CylinderEvent, *, max_enum: int = 10 ** 7,
+                       event: CylinderEvent, *, max_enum: int = DEFAULT_MAX_ENUM,
                        max_states: int = DEFAULT_MAX_STATES) -> list[MixtureRow]:
     """Compare the uniform-recurrent probability of an event on finite
     windows against the convex mixture of the two one-sided limits.
@@ -557,26 +559,24 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
     right.  (For an event centered in a symmetric window both
     orientations of the weight agree at one half; the asymmetric cases
     here were checked against exact enumeration.)  The finite-window
-    probability is computed exactly, by enumerating the window.
+    probability is exact: the recurrent windows, and those with the
+    event's rungs pinned, are counted by unresolved suffix on the census
+    engine, under the brute ``REC`` count's ``max_enum`` cap.
     """
     mu_l = cylinder_prob(graph, event, "parry", max_states=max_states).value
     mu_r = right_cylinder_prob(graph, event, "parry", max_states=max_states).value
+    single = single_rung_recurrent(graph)
     rows = []
     for window in windows:
         length = len(window)
         if event.lo < window.n or event.hi > window.m:
             raise ValidationError(f"event does not fit window {window}")
-        base = len(single_rung_recurrent(graph))
-        if base ** length > max_enum:
-            raise FeasibilityError(
-                f"enumeration needs {base}**{length} > max_enum={max_enum}")
-        offset = event.lo - window.n
-        block = event.rungs
-        matches = 0
-        total = 0
-        for cfg in iter_recurrent(graph, length):
-            total += 1
-            matches += cfg[offset:offset + len(block)] == block
+        total = count_series(graph, "REC", length, max_enum=max_enum)[length]
+        depths = [single] * length
+        for k, c in enumerate(event.rungs, start=event.lo - window.n):
+            # a rung that is not recurrent alone is in no recurrent window
+            depths[k] = [c] if c in single else []
+        matches = _engine(graph).count(depths, ignite=False)[length]
         measured = matches / total
         if window.m == window.n:
             weight = 0.5

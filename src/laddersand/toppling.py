@@ -267,8 +267,7 @@ def check_abelian(graph: Graph, config: LadderConfig,
 
 def rung_zero_blast(graph: Graph, config: LadderConfig,
                     schedule: Schedule = CANONICAL,
-                    step_cap: int = DEFAULT_STEP_CAP,
-                    require_burnable: bool = True
+                    step_cap: int = DEFAULT_STEP_CAP
                     ) -> tuple[LadderConfig, Odometer]:
     """Add one grain to every site of rung 0 and stabilize.
 
@@ -278,7 +277,7 @@ def rung_zero_blast(graph: Graph, config: LadderConfig,
     """
     if not config.window.contains((0, 0)):
         raise ValidationError("window must contain rung 0")
-    if require_burnable and not left_burnable(graph, config.heights_map()).success:
+    if not left_burnable(graph, config.heights_map()).success:
         raise ValidationError("configuration is not left-burnable")
     additions = [(x, 0) for x in range(graph.n)]
     return stabilize(graph, config, additions, schedule, step_cap)

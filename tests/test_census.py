@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laddersand.burning import (full_burnable, leftmost_schedule, max_rung,
-                                right_burnable, window_heights)
+from laddersand.burning import (full_burnable, is_rung_symbol, left_burnable,
+                                leftmost_schedule, max_rung, right_burnable,
+                                window_heights)
 from laddersand.census import (_SequenceDFS, count_series, entropy_bounds,
                                enum_rungs, iter_left_burnable, iter_recurrent,
                                renewal_identity_check, single_rung_recurrent)
@@ -225,13 +226,14 @@ def test_census_beyond_the_burn_table_is_refused():
         count_series(builtin_graph("path7"), "L", 1)
 
 
-def test_census_refuses_graphs_beyond_the_table_before_any_burn(monkeypatch):
-    # the engine's vertex limit comes first: iter_recurrent on path9 once
-    # spent seconds on one-rung burns of its alphabet before the table
-    # refused it
+def test_census_refuses_graphs_beyond_the_table_before_any_burn(monkeypatch, capsys):
+    # the vertex limit comes first: iter_recurrent on path9 once spent
+    # seconds on one-rung burns of its alphabet before the table refused
+    # it, and build_coding did the same through the alphabet
     import laddersand.burning as burning
+    from laddersand.cli import main
     from laddersand.graphs import make_graph
-    from laddersand.measures import boundary_layer
+    from laddersand.measures import CylinderEvent, boundary_layer, cylinder_prob
     from laddersand.toppling import LadderConfig
 
     def refuse(*args, **kwargs):
@@ -239,13 +241,55 @@ def test_census_refuses_graphs_beyond_the_table_before_any_burn(monkeypatch):
 
     monkeypatch.setattr(burning, "_burn", refuse)
     path9 = make_graph(9, [(v, v + 1) for v in range(8)])
+    top = max_rung(path9)
     calls = [lambda: next(iter_recurrent(path9, 1)),
              lambda: next(iter_left_burnable(path9, 1)),
-             lambda: boundary_layer(path9, LadderConfig.from_rungs([max_rung(path9)] * 2))]
+             lambda: boundary_layer(path9, LadderConfig.from_rungs([top] * 2)),
+             lambda: enum_rungs(path9), lambda: single_rung_recurrent(path9),
+             lambda: burning.is_rung_symbol(path9, top),
+             lambda: build_coding(path9),
+             lambda: count_series(path9, "L", 1, method="automaton"),
+             lambda: cylinder_prob(path9, CylinderEvent.single(top))]
     calls += [lambda v=v: count_series(path9, v, 1) for v in ("L", "L0", "S", "S0", "REC")]
     for call in calls:
         with pytest.raises(FeasibilityError, match="at most 8 vertices"):
             call()
+    assert main(["coding", "--graph", "path9", "--vertex-cap", "9"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "at most 8 vertices" in err
+
+
+def _assert_alphabets_match_the_traced_burn(graph):
+    symbols, recurrent = [], []
+    for c in _stable_rungs(graph):
+        window = window_heights([c], start=0)
+        left = left_burnable(graph, window).success
+        assert is_rung_symbol(graph, c) == left, c
+        symbols += [c] * left
+        recurrent += [c] * full_burnable(graph, window).success
+    assert enum_rungs(graph).rungs == tuple(symbols)
+    assert single_rung_recurrent(graph) == tuple(recurrent)
+
+
+@pytest.mark.parametrize("name", ["point", "path2", "path3", "path4", "path5",
+                                  "cycle3", "cycle4", "cycle5"])
+def test_alphabets_match_the_traced_burn(name):
+    _assert_alphabets_match_the_traced_burn(builtin_graph(name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=connected_graphs())
+def test_alphabets_match_the_traced_burn_on_random_graphs(graph):
+    _assert_alphabets_match_the_traced_burn(graph)
+
+
+def test_rung_symbol_needs_the_shape_and_stable_heights(path2, cycle3):
+    for graph in (path2, cycle3):
+        top = max_rung(graph)
+        assert is_rung_symbol(graph, top)
+        for bad in (top[:-1], top + (1,), (0,) + top[1:], (top[0] + 1,) + top[1:],
+                    (-1,) * graph.n, ()):
+            assert not is_rung_symbol(graph, bad), bad
 
 
 def test_entropy_bounds(path2, point):

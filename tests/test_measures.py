@@ -528,6 +528,57 @@ def test_mixture_guards(path2):
     with pytest.raises(FeasibilityError):
         mixture_experiment(path2, [Window(-8, 8)],
                            CylinderEvent.single((3, 3)), max_enum=100)
+    # the cap is the brute REC count's: 8**5 windows of 5 rungs
+    with pytest.raises(FeasibilityError, match="max_enum=32767"):
+        mixture_experiment(path2, [Window(-2, 2)],
+                           CylinderEvent.single((3, 3)), max_enum=8 ** 5 - 1)
+    assert mixture_experiment(path2, [Window(-2, 2)], CylinderEvent.single((3, 3)),
+                              max_enum=8 ** 5)[0].total_configs == 4680
+
+
+def _enumerated_frequencies(graph, length, sizes):
+    """The mixture's reference by enumeration: the number of recurrent
+    windows of ``length`` rungs, and of those holding each block of each
+    of ``sizes`` rungs at each offset."""
+    held = Counter()
+    total = 0
+    for cfg in iter_recurrent(graph, length):
+        total += 1
+        held.update((off, cfg[off:off + size]) for size in sizes
+                    for off in range(length - size + 1))
+    return total, held
+
+
+# per graph: the events at every offset of every window up to a length,
+# then events at every offset of longer windows; path2's (1, 1) and the
+# (1, 1, 1) of path3 and cycle3 are not recurrent alone, and path2's
+# (3, 4) is not even stable
+MIXTURE_EVENTS = {
+    "path2": {5: [((1, 1),), ((3, 4),), ((3, 3),), ((2, 1),), ((2, 1), (3, 3)), ((1, 3), (1, 1)),
+                  ((3, 1),), ((3, 1), (3, 2))],
+              6: [((3, 1),), ((3, 1), (3, 2))],
+              7: [((3, 1),)]},
+    "path3": {3: [((3, 4, 3),), ((1, 4, 3),), ((1, 1, 1),), ((3, 4, 3), (1, 4, 3))]},
+    "cycle3": {3: [((2, 4, 3),), ((1, 1, 1),), ((4, 3, 4), (4, 4, 2))]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURE_EVENTS))
+def test_mixture_matches_the_enumeration(name):
+    graph = builtin_graph(name)
+    by_length = MIXTURE_EVENTS[name]
+    for length in range(1, max(by_length) + 1):
+        events = by_length[min(k for k in by_length if k >= length)]
+        total, held = _enumerated_frequencies(graph, length, {len(e) for e in events})
+        for rungs in events:
+            offsets = range(length - len(rungs) + 1)
+            rows = mixture_experiment(graph, [Window(-off, length - 1 - off) for off in offsets],
+                                      CylinderEvent(rungs=rungs))
+            assert len(rows) == len(offsets)
+            for off, row in zip(offsets, rows):
+                assert row.total_configs == total
+                assert row.measured == held[off, rungs] / total, (rungs, length, off)
+                assert row.gap == abs(row.measured - row.predicted)
 
 
 @pytest.mark.parametrize("count", [0, -3])

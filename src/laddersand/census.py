@@ -8,23 +8,24 @@ burn table (:func:`~laddersand.burning.burn_table`, whose rows it burns
 the first time a rung is read), never re-burning the window.  A fully
 burnt row above the prefix decides acceptance, and a rejected prefix has
 no accepted extension.  Its depth-first walk yields every accepted
-prefix in rung order: ``L``/``L0`` walk the rung symbols with ignition
-(a prefix that cannot ignite its last rung is pruned), ``S``/``S0``
-keep the paths whose mirror image is left-burnable too (the table is
-symmetric in below and above), and ``REC`` walks the single-rung
-recurrent rungs without ignition.  The boundary layers of
+prefix in rung order, over the rung symbols with ignition (a prefix
+that cannot ignite its last rung is pruned) or over the single-rung
+recurrent rungs without it.  The boundary layers of
 :func:`laddersand.measures.boundary_layer` take one pass per side.
 
-Brute ``L``, ``L0`` and ``REC`` counts (:meth:`_SequenceDFS.count`)
-merge the prefixes that share an unresolved suffix.  A fully burnt row
-is never reprocessed, so the rows up to a prefix's last full row never
-change again, and the rows above it rest and burn like a fresh prefix
-over the left sink: every later accept or prune depends only on the
-rungs of that suffix.  The count thus goes one length at a time over
-the distinct suffixes, each with the number of prefixes ending in it,
-and each length may draw its own rungs (the mixture pins an event's).
-It reads nothing of the coding automaton, so the brute counts stay its
-independent check.
+Brute counts (:meth:`_SequenceDFS.count`) merge the prefixes that share
+an unresolved suffix.  A fully burnt row is never reprocessed, so the
+rows up to a prefix's last full row never change again, and the rows
+above it rest and burn like a fresh prefix over the left sink: every
+later accept or prune depends only on the rungs of that suffix.  The
+count thus goes one length at a time over the distinct suffixes, each
+with the number of prefixes ending in it, and each length may draw its
+own rungs (the mixture pins an event's).  ``S``/``S0`` key a suffix by
+the prefix's right-burn state too: for each set held burnt to its
+right, its last row's burn and whether every row burns.  Later rungs
+meet the right-seeded burn only through that last row, so the merge
+stays exact.  The counts read nothing of the coding automaton, so they
+stay its independent check.
 """
 
 from __future__ import annotations
@@ -142,6 +143,8 @@ class _SequenceDFS:
         self.n = graph.n
         self.full = graph.full_mask
         self.cmax = max_rung(graph)
+        # the empty prefix's right-burn state (see right_step)
+        self.sink = tuple((self.full if y else 0) | 1 << self.n for y in range(1 << self.n))
         self.tables: dict[RungConfig, list[int]] = {}
         self.maxmask: dict[RungConfig, int] = {}
 
@@ -243,8 +246,24 @@ class _SequenceDFS:
                     path.pop()
                     tbls.pop()
 
-    def count(self, depths: Sequence[Sequence[RungConfig]], ignite: bool
-              ) -> list[int]:
+    def right_step(self, state: tuple[int, ...], tbl: list[int]) -> tuple[int, ...]:
+        """The right-burn state after appending a rung of table row ``tbl``:
+        entry ``t`` is ``last | flag << n``, the last row's burn and whether
+        every row burns while the set ``t`` is burnt to the right.  The new
+        row's burn is the least fixed point under the old last row's, at
+        most ``n + 1`` rounds from nothing; the empty prefix's state is the
+        left sink, burnt whole once the first rung burns at all."""
+        n, full = self.n, self.full
+        out = []
+        for t in range(1 << n):
+            y, z = -1, 0
+            while z != y:
+                y, z = z, tbl[(state[z] & full) << n | t]
+            out.append(y | (y == full and state[y] >> n) << n)
+        return tuple(out)
+
+    def count(self, depths: Sequence[Sequence[RungConfig]], ignite: bool,
+              two_sided: bool = False) -> list[int]:
         """The number of burnable sequences of each length ``0..len(depths)``
         whose ``k``-th rung is one of ``depths[k - 1]``, counted one length
         at a time by unresolved suffix (the rungs above a prefix's last
@@ -252,12 +271,17 @@ class _SequenceDFS:
         extensions).  A layer maps each suffix, held as the resting rows
         behind a full sentinel row that stands in for the left sink, to
         the number of accepted prefixes ending in it.  The last layer only
-        counts its children."""
+        counts its children.
+
+        With ``two_sided`` a sequence must be right-burnable too: the key adds
+        the right-burn state (:meth:`right_step`), exact to merge on since
+        later rungs meet a prefix only through its last row."""
         full = self.full
         n_max = len(depths)
         counts = [1] + [0] * n_max
-        # suffix rungs -> [resting rows, their table rows, prefixes]
-        layer = {(): [[full], [None], 1]}
+        # (suffix rungs, right-burn state) -> [resting rows, their table rows, prefixes]
+        layer = {((), self.sink if two_sided else None): [[full], [None], 1]}
+        moves: dict = {}
         read = None
         for depth, rungs in enumerate(depths, start=1):
             if rungs is not read:  # a run of one list reads its rows once
@@ -266,18 +290,22 @@ class _SequenceDFS:
             last = depth == n_max
             nxt: dict = {}
             total = 0
-            for key, (burnt, tbls, mult) in layer.items():
+            for (key, right), (burnt, tbls, mult) in layer.items():
                 for c, tbl, is_max in steps:
                     tbls.append(tbl)
                     child = self.push(burnt, tbls, c, ignite)
                     # appending a maximal rung preserves burnability outright
                     if child is not None and (is_max or self.is_burnable(child, tbls)):
-                        total += mult
+                        if two_sided and (right, c) not in moves:
+                            moves[right, c] = self.right_step(right, tbl)
+                        cright = moves[right, c] if two_sided else None
+                        if cright is None or cright[full] >> self.n:
+                            total += mult
                         if not last:
                             f = len(child) - 1
                             while child[f] != full:
                                 f -= 1
-                            ckey = (key + (c,))[f:]
+                            ckey = ((key + (c,))[f:], cright)
                             entry = nxt.get(ckey)
                             if entry is None:
                                 nxt[ckey] = [[full] + child[f + 1:],
@@ -327,6 +355,9 @@ def count_series(graph: Graph, variant: str, n_max: int,
     left-burnable without maximal rungs, ``S`` two-sided burnable, ``S0``
     two-sided without maximal rungs, ``REC`` all recurrent.
 
+    ``method="brute"`` counts on the census engine by unresolved suffix
+    and, for ``S``/``S0``, right-burn state (the module docstring says why).
+
     ``method="automaton"`` counts accepted words of the rung-coding
     automaton instead of enumerating; it exists for ``L`` and ``L0``
     only (no automaton is built for the symmetric or recurrent classes).
@@ -364,14 +395,8 @@ def count_series(graph: Graph, variant: str, n_max: int,
             "max_enum" + (" or use method='automaton'" if variant in ("L", "L0") else ""))
     rungs = (single_rung_recurrent(graph) if rec else
              [c for c in enum_rungs(graph) if variant in ("L", "S") or c != dfs.cmax])
-    if variant in ("S", "S0"):
-        # the mirror filter needs every path
-        counts = [0] * (n_max + 1)
-        for path in dfs.walk(rungs, n_max, ignite=True):
-            if path and dfs.accepts(path[::-1]):
-                counts[len(path)] += 1
-    else:
-        counts = dfs.count([rungs] * n_max, ignite=not rec)
+    counts = dfs.count([rungs] * n_max, ignite=not rec,
+                       two_sided=variant in ("S", "S0"))
     values = tuple(counts[1:])
     return CountSeries(variant=variant, values=values, provenance="brute",
                        graph_name=graph.name)

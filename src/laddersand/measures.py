@@ -561,17 +561,22 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
     here were checked against exact enumeration.)  The finite-window
     probability is exact: the recurrent windows, and those with the
     event's rungs pinned, are counted by unresolved suffix on the census
-    engine, under the brute ``REC`` count's ``max_enum`` cap.
+    engine.  One brute ``REC`` series up to the longest window, under
+    its ``max_enum`` cap, gives every window's total.
     """
     mu_l = cylinder_prob(graph, event, "parry", max_states=max_states).value
     mu_r = right_cylinder_prob(graph, event, "parry", max_states=max_states).value
     single = single_rung_recurrent(graph)
+    windows = list(windows)
+    for window in windows:
+        if event.lo < window.n or event.hi > window.m:
+            raise ValidationError(f"event does not fit window {window}")
+    totals = (count_series(graph, "REC", max(map(len, windows)), max_enum=max_enum)
+              if windows else None)
     rows = []
     for window in windows:
         length = len(window)
-        if event.lo < window.n or event.hi > window.m:
-            raise ValidationError(f"event does not fit window {window}")
-        total = count_series(graph, "REC", length, max_enum=max_enum)[length]
+        total = totals[length]
         depths = [single] * length
         for k, c in enumerate(event.rungs, start=event.lo - window.n):
             # a rung that is not recurrent alone is in no recurrent window

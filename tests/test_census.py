@@ -404,6 +404,82 @@ def test_two_sided_counts_pinned(path2, path3, cycle3):
     assert count_series(cycle3, "S0", 2).values == (33, 615)
 
 
+def _mirror_walked_counts(graph, n_max):
+    """The ``S`` and ``S0`` counts of the plain walk: every left-burnable
+    path whose mirror image is left-burnable too, an ``S0`` one holding
+    no maximal rung."""
+    dfs = _SequenceDFS(graph)
+    cmax = max_rung(graph)
+    s, s0 = [0] * n_max, [0] * n_max
+    for path in dfs.walk(enum_rungs(graph).rungs, n_max, ignite=True):
+        if path and dfs.accepts(path[::-1]):
+            s[len(path) - 1] += 1
+            s0[len(path) - 1] += cmax not in path
+    return tuple(s), tuple(s0)
+
+
+@pytest.mark.parametrize("name, n_max", [("point", 6), ("path2", 8), ("path3", 4),
+                                         ("cycle3", 4), ("path4", 3), ("cycle4", 2)])
+def test_two_sided_counts_match_the_mirror_walk(name, n_max):
+    graph = builtin_graph(name)
+    s, s0 = _mirror_walked_counts(graph, n_max)
+    assert count_series(graph, "S", n_max, max_enum=10 ** 30).values == s
+    assert count_series(graph, "S0", n_max, max_enum=10 ** 30).values == s0
+
+
+@settings(max_examples=10, deadline=None)
+@given(graph=connected_graphs())
+def test_two_sided_counts_match_the_mirror_walk_on_random_graphs(graph):
+    n_max = 3 if graph.n <= 2 else 2
+    s, s0 = _mirror_walked_counts(graph, n_max)
+    assert count_series(graph, "S", n_max).values == s
+    assert count_series(graph, "S0", n_max).values == s0
+
+
+def _right_verdict(dfs, rungs):
+    state = dfs.sink
+    for tbl in dfs.rows(rungs):
+        state = dfs.right_step(state, tbl)
+    return bool(state[dfs.full] >> dfs.n)
+
+
+def _check_right_state(data, graph):
+    # stable rungs, then symbols, since most stable windows are not
+    # right-burnable
+    dfs = _SequenceDFS(graph)
+    for alphabet in (_stable_rungs(graph), enum_rungs(graph).rungs):
+        rungs = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=5))
+        assert (_right_verdict(dfs, rungs)
+                == right_burnable(graph, window_heights(rungs)).success)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_right_burn_state_matches_right_burning(data):
+    graph = builtin_graph(data.draw(st.sampled_from(
+        ["point", "path2", "path3", "cycle3", "path4", "cycle4"])))
+    _check_right_state(data, graph)
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=connected_graphs(), data=st.data())
+def test_right_burn_state_matches_right_burning_on_random_graphs(graph, data):
+    _check_right_state(data, graph)
+
+
+def test_two_sided_counts_burn_no_window(path2, path3, monkeypatch):
+    # the right-burn state replaces the walk and the mirror image's burn
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-sided count walked or re-burnt a window")
+
+    monkeypatch.setattr(_SequenceDFS, "walk", refuse)
+    monkeypatch.setattr(_SequenceDFS, "accepts", refuse)
+    assert count_series(path2, "S", 6).values == (5, 17, 59, 205, 713, 2481)
+    assert count_series(path2, "S0", 6).values == (4, 8, 14, 24, 42, 76)
+    assert count_series(path3, "S", 3).values == (22, 258, 2944)
+    assert count_series(path3, "S0", 3).values == (21, 215, 2009)
+
+
 def _walked_counts(graph, variant, n_max):
     """Per-length numbers of the plain walk's windows of a class; an
     ``L0`` window is a left-burnable one with no maximal rung."""

@@ -536,6 +536,33 @@ def test_mixture_guards(path2):
                               max_enum=8 ** 5)[0].total_configs == 4680
 
 
+def test_mixture_counts_the_totals_once(path2, monkeypatch):
+    # one REC series up to the longest window gives every window's total,
+    # after every window is checked to hold the event
+    import laddersand.measures as measures
+    calls = []
+
+    def counted(graph, variant, n_max, **kwargs):
+        calls.append((variant, n_max))
+        return count_series(graph, variant, n_max, **kwargs)
+
+    monkeypatch.setattr(measures, "count_series", counted)
+    event = CylinderEvent.single((3, 3))
+    windows = [Window(-1, 1), Window(-2, 2), Window(0, 0), Window(-2, 1), Window(-1, 1)]
+    rows = mixture_experiment(path2, iter(windows), event)
+    assert calls == [("REC", 5)]
+    assert [row.window for row in rows] == windows
+    assert [row.total_configs for row in rows] == [224, 4680, 8, 1045, 224]
+    with pytest.raises(ValidationError, match="does not fit"):
+        mixture_experiment(path2, [Window(-2, 2), Window(1, 3)], event)
+    with pytest.raises(FeasibilityError, match="max_enum=32767"):
+        mixture_experiment(path2, [Window(-1, 1), Window(-2, 2)], event,
+                           max_enum=8 ** 5 - 1)
+    assert calls == [("REC", 5), ("REC", 5)]
+    assert mixture_experiment(path2, [], event) == []
+    assert calls == [("REC", 5), ("REC", 5)]
+
+
 def _enumerated_frequencies(graph, length, sizes):
     """The mixture's reference by enumeration: the number of recurrent
     windows of ``length`` rungs, and of those holding each block of each

@@ -27,19 +27,29 @@ growth rate, and the maximal-entropy chain scaled out of them is what
 the measure samplers draw from, all read off the list of transitions.
 
 Word counts run on two lumpings of the automaton rather than on its
-states.  The suffix lumping is the coarsest partition in which all
-members of a block have the same multiset of successor blocks; the
-number of words of a given length starting at a state then depends only
-on the state's block, and one step of the count is a sum over that
-multiset (Kemeny and Snell, *Finite Markov Chains*, 1960, 6.3).  The
-prefix lumping is the same construction on predecessors, seeded with
-the start states, so the number of words ending at a state depends only
-on its block.  Both counts are exact integers, equal to the per-state
-sweeps they replace; on cycle4 the 745 states fall into 22 suffix and
-54 prefix blocks.  The quotients carry the Perron data too: the suffix
+states, both computed on its row classes: a state's successors depend
+on its influence map alone, so many states share one successor row
+(the 745 states of cycle4 have 127 distinct rows), and the states
+grouped by row are the row classes.  The suffix lumping is the coarsest
+partition in which all members of a block have the same multiset of
+successor blocks; the number of words of a given length starting at a
+state then depends only on the state's block, and one step of the count
+is a sum over that multiset (Kemeny and Snell, *Finite Markov Chains*,
+1960, 6.3).  States of one class always share a block, so it is taken
+on the classes and lifted to the states.  The prefix lumping is the
+same construction on the classes' predecessors, a class ``k'`` counted
+once for each state of class ``k`` in its row, seeded with each class's
+number of start states: the number of words of a given length ending
+in a state of a class then depends only on the class's block, and the
+words ending at one state are those of the classes whose row holds it,
+read through the state's (block, count) pairs.  Both counts are exact
+integers, equal to the per-state sweeps they replace; on cycle4 the
+suffix lumping has 22 blocks of states and the prefix lumping 22 blocks
+of classes.  The quotients carry the Perron data too: the suffix
 quotient's Perron value and eigenvector, read on each state's block,
-are those of the transition matrix, and the prefix quotient's give its
-left eigenvector (:func:`spectral`).
+are those of the transition matrix, and the prefix quotient's, summed
+over the classes whose row holds a state, give its left eigenvector
+(:func:`spectral`).
 """
 
 from __future__ import annotations
@@ -85,10 +95,44 @@ class CodeSymbol:
         }
 
 
+class RowClasses(NamedTuple):
+    """The automaton's states grouped by their successor rows: ``of[i]``
+    is state ``i``'s class, numbered in order of first member, and
+    ``rows[k]`` the successor states of every member of class ``k``."""
+
+    of: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+
+class PrefixPairs(NamedTuple):
+    """The states grouped by how their prefix counts read off the prefix
+    lumping: the members of group ``g`` (the states ``j`` with
+    ``group[j] == g``) are start states if ``start[g]`` and none
+    otherwise, and the row classes whose row holds one of them fall into
+    the prefix blocks ``b`` with the multiplicities ``count`` of the
+    pairs ``pairs[g]``."""
+
+    group: tuple[int, ...]
+    start: tuple[int, ...]
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
+
+    def step(self, vec: list) -> list:
+        """Per group, the sum of a per-prefix-block vector over the row
+        classes whose row holds a member."""
+        return [sum(count * vec[b] for b, count in row) for row in self.pairs]
+
+    def lift(self, counts: list[list[int]]) -> list[list[int]]:
+        """``[l][g]``: accepted words of length ``l + 1`` ending at a
+        state of group ``g``, for ``l < len(counts)``, from the prefix
+        lumping's :meth:`CodingAutomaton.prefix_counts`."""
+        return [list(self.start)] + [self.step(vec) for vec in counts[:-1]]
+
+
 class Lumping(NamedTuple):
-    """A partition of the automaton's states into blocks: ``block[i]`` is
-    state ``i``'s block, ``adj[b]`` the ``(neighbour block, count)`` pairs
-    shared by every member of block ``b``."""
+    """A partition of the automaton's states, or of its row classes, into
+    blocks: ``block[i]`` is member ``i``'s block, ``adj[b]`` the
+    ``(neighbour block, count)`` pairs shared by every member of block
+    ``b``."""
 
     block: tuple[int, ...]
     adj: tuple[tuple[tuple[int, int], ...], ...]
@@ -161,23 +205,59 @@ class CodingAutomaton:
         return tuple(sorted(self.inclusion.values()))
 
     @cached_property
-    def suffix_lumping(self) -> Lumping:
-        """States lumped by their successor blocks."""
-        return _lump(self.targets, [0] * len(self.states))
+    def row_classes(self) -> RowClasses:
+        """The states grouped by identical successor rows."""
+        index: dict[tuple[int, ...], int] = {}
+        of = tuple(index.setdefault(row, len(index)) for row in self.targets)
+        return RowClasses(of, tuple(index))
 
-    def predecessors(self) -> list[list[int]]:
-        """``predecessors()[j]``: the states with a transition to ``j``."""
-        preds: list[list[int]] = [[] for _ in self.states]
-        for i, row in enumerate(self.targets):
+    @cached_property
+    def class_predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """``[k]`` lists row class ``k'`` once for each state of class
+        ``k`` in the row of ``k'``."""
+        of, rows = self.row_classes
+        preds: list[list[int]] = [[] for _ in rows]
+        for k, row in enumerate(rows):
             for j in row:
-                preds[j].append(i)
-        return preds
+                preds[of[j]].append(k)
+        return tuple(map(tuple, preds))
+
+    @cached_property
+    def suffix_lumping(self) -> Lumping:
+        """States lumped by their successor blocks.  Members of one row
+        class always share a block, so the classes are lumped and the
+        partition lifted to the states, numbered as on the states."""
+        of, rows = self.row_classes
+        lump = _lump([[of[j] for j in row] for row in rows], [0] * len(rows))
+        return Lumping(tuple(lump.block[k] for k in of), lump.adj)
+
+    def _class_starts(self) -> list[int]:
+        """The number of start states in each row class."""
+        starts = [0] * len(self.row_classes.rows)
+        for i in self.start_states():
+            starts[self.row_classes.of[i]] += 1
+        return starts
 
     @cached_property
     def prefix_lumping(self) -> Lumping:
-        """States lumped by their predecessor blocks, start states apart."""
+        """Row classes lumped by their predecessor classes, with
+        multiplicity, seeded with their numbers of start states."""
+        return _lump(self.class_predecessors, self._class_starts())
+
+    @cached_property
+    def prefix_pairs(self) -> PrefixPairs:
+        """The states grouped by their start flag and by the ``(prefix
+        block, count)`` pairs of the row classes whose row holds them."""
+        blocks: list[list[int]] = [[] for _ in self.states]
+        for b, row in zip(self.prefix_lumping.block, self.row_classes.rows):
+            for j in row:
+                blocks[j].append(b)
         starts = set(self.start_states())
-        return _lump(self.predecessors(), [i in starts for i in range(len(self.states))])
+        index: dict[tuple, int] = {}
+        group = tuple(index.setdefault((i in starts, tuple(sorted(bs))), len(index))
+                      for i, bs in enumerate(blocks))
+        return PrefixPairs(group, tuple(int(start) for start, _ in index),
+                           tuple(tuple(sorted(Counter(bs).items())) for _, bs in index))
 
     def suffix_counts(self, n: int) -> list[list[int]]:
         """``[l][b]``: words of length ``l + 1`` starting at a state of
@@ -186,12 +266,12 @@ class CodingAutomaton:
         return lump.sweep([1] * len(lump.adj), n - 1)
 
     def prefix_counts(self, n: int) -> list[list[int]]:
-        """``[l][b]``: accepted words of length ``l + 1`` ending at a state
-        of prefix block ``b``, for ``l < n``."""
+        """``[l][b]``: accepted words of length ``l + 1`` ending at any
+        state of one row class of prefix block ``b``, for ``l < n``."""
         lump = self.prefix_lumping
         vec = [0] * len(lump.adj)
-        for i in self.start_states():
-            vec[lump.block[i]] = 1
+        for b, count in zip(lump.block, self._class_starts()):
+            vec[b] = count
         return lump.sweep(vec, n - 1)
 
     def word_counts(self, n_max: int) -> list[int]:
@@ -436,10 +516,12 @@ def decode(automaton: CodingAutomaton, word: Sequence[int]
     return tuple(automaton.states[i].rung for i in word)
 
 
-def _levels(adj: Sequence[Sequence[int]]) -> list[int]:
-    """Breadth-first distances from state 0 under ``adj``, -1 where unreached."""
-    level = [0] + [-1] * (len(adj) - 1)
-    order = [0]
+def _levels(adj: Sequence[Sequence[int]], seeds: Sequence[int] = (0,)) -> list[int]:
+    """Breadth-first distances from ``seeds`` under ``adj``, -1 where unreached."""
+    level = [-1] * len(adj)
+    for s in seeds:
+        level[s] = 0
+    order = list(seeds)
     for u in order:
         for v in adj[u]:
             if level[v] < 0:
@@ -457,9 +539,17 @@ def check_transitive(automaton: CodingAutomaton
     ``i -> j``, with breadth-first levels from state 0.  At period 1 the
     powers run as bitset rows, row ``p`` of state ``i`` holding the
     states that walks of length ``p`` from ``i`` reach, until every row
-    is full, which a primitive matrix reaches."""
+    is full, which a primitive matrix reaches.
+
+    The search back to state 0 runs over the row classes: a state other
+    than 0 reaches it exactly when a state of its row does, which
+    depends on its class alone, so it starts from the classes whose row
+    holds state 0."""
     level = _levels(automaton.targets)
-    if min(level) < 0 or min(_levels(automaton.predecessors())) < 0:
+    of, class_rows = automaton.row_classes
+    back = _levels(automaton.class_predecessors,
+                   [k for k, row in enumerate(class_rows) if 0 in row])
+    if min(level) < 0 or min((back[k] for k in of[1:]), default=0) < 0:
         return False, None
     rows, cols = automaton.edges
     level = np.array(level)
@@ -501,23 +591,32 @@ class SpectralData:
 
 def _perron(lump: Lumping) -> tuple[float, np.ndarray]:
     """The largest eigenvalue of the lumping's quotient matrix and its
-    eigenvector, lifted to the states blockwise and normalised to sum 1."""
+    eigenvector, one entry per block."""
     q = np.zeros((len(lump.adj),) * 2)
     for b, row in enumerate(lump.adj):
         for c, count in row:
             q[b, c] = count
     values, vectors = np.linalg.eig(q)
     top = int(np.argmax(values.real))
-    vec = vectors[:, top].real[list(lump.block)]
-    return float(values[top].real), vec / vec.sum()
+    return float(values[top].real), vectors[:, top].real
 
 
 def spectral(automaton: CodingAutomaton) -> SpectralData:
     """Perron value and right vector from the suffix lumping's quotient,
-    left vector from the prefix lumping's, each certified by the residual
-    of one sparse product over the transitions."""
-    rho, right = _perron(automaton.suffix_lumping)
-    _, left = _perron(automaton.prefix_lumping)
+    left vector from the prefix lumping's, each normalised to sum 1 and
+    certified by the residual of one sparse product over the transitions.
+
+    The prefix quotient's eigenvector weighs each row class with the sum
+    of the left vector over its states, and a state's left entry is, up
+    to the factor ``rho``, the sum of those weights over the classes
+    whose row holds it: one step of its prefix group's pairs."""
+    rho, vec = _perron(automaton.suffix_lumping)
+    right = vec[list(automaton.suffix_lumping.block)]
+    right = right / right.sum()
+    _, vec = _perron(automaton.prefix_lumping)
+    pairs = automaton.prefix_pairs
+    left = np.array(pairs.step(vec.tolist()))[list(pairs.group)]
+    left /= left.sum()
     rows, cols = automaton.edges
     res_r = np.abs(np.bincount(rows, right[cols], len(right)) - rho * right).max()
     res_l = np.abs(np.bincount(cols, left[rows], len(left)) - rho * left).max()

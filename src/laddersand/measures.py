@@ -14,11 +14,11 @@ deterministic, so each state of the first rung starts at most one):
 * ``parry``    - the stationary marginal of the maximal-entropy chain
   on the coding automaton, ``u[first] v[last] / (rho**(len - 1) u.v)``;
 * ``finite_dp`` - exact rational probability on a large finite window
-  by integer path counting: the prefix-block count of words ending at a
+  by integer path counting: the prefix-group count of words ending at a
   walk's start times the suffix-block count of words starting at its
-  end, over the number of words of the window's length.  Both block
-  tables are swept once per window length and kept with the automaton,
-  so a query costs the same wherever its event sits.
+  end, over the number of words of the window's length.  Both tables
+  are swept once per window length and kept with the automaton, so a
+  query costs the same wherever its event sits.
 
 The right-sided measure is the reflection of the left-sided one, so all
 right-sided quantities are computed by reflecting events and samples.
@@ -143,18 +143,19 @@ class _AutomatonBundle:
 
     def window_counts(self, length: int
                       ) -> tuple[list[list[int]], list[list[int]], int]:
-        """Prefix- and suffix-block counts for every word length up to
-        ``length``, and the number of accepted words of that length.
-        Swept once per window length, so a finite_dp query's cost does
-        not depend on where its event sits in the window."""
+        """Prefix-group and suffix-block counts for every word length up
+        to ``length``, and the number of accepted words of that length.
+        Swept and lifted to the prefix groups once per window length, so
+        a finite_dp query's cost does not depend on where its event sits
+        in the window."""
         if length not in self._window_counts:
             auto = self.automaton
-            prefix = auto.prefix_counts(length)
-            # each state of prefix block b ends prefix[-1][b] words
+            counts = auto.prefix_counts(length)
+            # each row class of prefix block b ends counts[-1][b] words
             sizes = Counter(auto.prefix_lumping.block)
-            total = sum(size * prefix[-1][b] for b, size in sizes.items())
-            self._window_counts[length] = (prefix, auto.suffix_counts(length),
-                                           total)
+            total = sum(size * counts[-1][b] for b, size in sizes.items())
+            self._window_counts[length] = (auto.prefix_pairs.lift(counts),
+                                           auto.suffix_counts(length), total)
         return self._window_counts[length]
 
 
@@ -360,12 +361,13 @@ def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
     prefixes, suffixes, denominator = bundle.window_counts(len(window))
     prefix = prefixes[before - 1]
     suffix = suffixes[after - 1]
-    pblock = auto.prefix_lumping.block
+    group = auto.prefix_pairs.group
     sblock = auto.suffix_lumping.block
-    numerator = sum(prefix[pblock[f]] * suffix[sblock[s]]
+    numerator = sum(prefix[group[f]] * suffix[sblock[s]]
                     for f, s in zip(*_event_walks(bundle, event)))
-    frac = Fraction(numerator, denominator)
-    return float(frac), (frac if exact else None)
+    # int division rounds correctly, as float() of the fraction does
+    return (numerator / denominator,
+            Fraction(numerator, denominator) if exact else None)
 
 
 def cylinder_prob(graph: Graph, event: CylinderEvent, method: str = "parry", *,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from laddersand.burning import (advance_rung_state, first_rung_state, max_rung,
                                 rung_burn)
 from laddersand.census import count_series, enum_rungs, iter_left_burnable
-from laddersand.coding import (CodeSymbol, CodingAutomaton, build_coding,
+from laddersand.coding import (CodeSymbol, CodingAutomaton, _lump, build_coding,
                                check_transitive, decode, encode,
                                influence_maps_monotone, parry_chain, restrict,
                                rung_burn_table, spectral)
@@ -101,19 +101,24 @@ def _toy(graph, *rows):
 def test_transitive_matches_dense_powers(point, path2, path3, cycle3):
     # a two-cycle, and cycles of lengths 2 and 4 through one state, are
     # periodic; the next two are reducible, one with a state without
-    # successors; the last three are primitive
+    # successors; the next three are primitive; in the last two a state
+    # shares its row with another, state 0 in the primitive one, and in
+    # the reducible one no state reaches state 0; a lone state without
+    # successors counts as strongly connected, with no positive power
     autos = [_toy(path2, [1], [0]), _toy(path2, [1], [0, 2], [3], [0]),
              _toy(path2, [1], [1]), _toy(path2, [1], []), _toy(path2, [0]),
-             _toy(path2, [1], [0, 1]), _toy(path2, [1], [2], [0, 1])]
+             _toy(path2, [1], [0, 1]), _toy(path2, [1], [2], [0, 1]),
+             _toy(path2, [1, 2], [0], [1, 2]), _toy(path2, [1, 2], [1], [1]),
+             _toy(path2, [])]
     autos.append(build_coding(point))
     for graph in (path2, path3, cycle3):
         auto = build_coding(graph)
         autos += [auto, restrict(auto, lambda c, m=max_rung(graph): c != m)]
     for auto in autos:
         assert check_transitive(auto) == _dense_transitivity(auto)
-    assert [check_transitive(a) for a in autos[:7]] == [
+    assert [check_transitive(a) for a in autos[:10]] == [
         (True, None), (True, None), (False, None), (False, None), (True, 1),
-        (True, 2), (True, 5)]
+        (True, 2), (True, 5), (True, 3), (False, None), (True, None)]
 
 
 def test_transitive_path5_without_the_dense_matrix(monkeypatch):
@@ -326,6 +331,63 @@ def _assert_stable(lumping, adj):
         assert Counter(lumping.block[j] for j in row) == pairs
 
 
+def _prefix_counts_by_state(auto, n_max):
+    """``[l][j]``: accepted words of length ``l + 1`` ending at state ``j``."""
+    starts = set(auto.start_states())
+    vec = [int(i in starts) for i in range(len(auto))]
+    out = [vec]
+    for _ in range(n_max - 1):
+        nxt = [0] * len(auto)
+        for i, v in enumerate(vec):
+            for j in auto.targets[i]:
+                nxt[j] += v
+        vec = nxt
+        out.append(vec)
+    return out
+
+
+def _assert_lumped_counts(auto, n):
+    counts = _word_counts_by_state(auto, n)
+    assert auto.word_counts(n) == counts
+    assert auto.count_words(n) == counts[-1]
+    _assert_stable(auto.suffix_lumping, auto.targets)
+    # lumped on the row classes, the suffix lumping is the one on the
+    # states, numbering included
+    assert auto.suffix_lumping == _lump(auto.targets, [0] * len(auto))
+    # the row classes: each state's row, and no row twice
+    of, rows = auto.row_classes
+    preds = auto.class_predecessors
+    assert [rows[k] for k in of] == list(auto.targets)
+    assert len(set(rows)) == len(rows)
+    # the prefix lumping is stable under the class predecessors, class
+    # k' counted once per state of class k in its row, and splits no
+    # block's number of start states
+    lump = auto.prefix_lumping
+    assert list(preds) == [tuple(k2 for k2, row in enumerate(rows)
+                                 for j in row if of[j] == k)
+                           for k in range(len(rows))]
+    _assert_stable(lump, preds)
+    starts = Counter(of[i] for i in auto.start_states())
+    per_block = {}
+    for k, b in enumerate(lump.block):
+        per_block.setdefault(b, set()).add(starts[k])
+    assert all(len(s) == 1 for s in per_block.values())
+    # every class's prefix count, read on its block, against the
+    # per-state sweep
+    by_state = _prefix_counts_by_state(auto, n)
+    prefix = auto.prefix_counts(n)
+    for vec, by_class in zip(by_state, prefix):
+        sums = [0] * len(rows)
+        for i, count in enumerate(vec):
+            sums[of[i]] += count
+        assert [by_class[b] for b in lump.block] == sums
+    # and every state's, read through its group's pairs
+    group = auto.prefix_pairs.group
+    lifted = auto.prefix_pairs.lift(prefix)
+    for l in range(n):
+        assert [lifted[l][g] for g in group] == by_state[l]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lumped_counts_match_per_state_sweep(data):
@@ -334,21 +396,17 @@ def test_lumped_counts_match_per_state_sweep(data):
     name = data.draw(st.sampled_from(["path2", "path3", "cycle3", "path4"]))
     _, full, nonmax = _automata(name)
     auto = data.draw(st.sampled_from([full, nonmax]))
-    n = data.draw(st.integers(1, 20))
-    counts = _word_counts_by_state(auto, n)
-    assert auto.word_counts(n) == counts
-    assert auto.count_words(n) == counts[-1]
-    _assert_stable(auto.suffix_lumping, auto.targets)
-    preds = [[] for _ in auto.states]
-    for i, row in enumerate(auto.targets):
-        for j in row:
-            preds[j].append(i)
-    _assert_stable(auto.prefix_lumping, preds)
-    starts = set(auto.start_states())
-    flags = {}
-    for i, b in enumerate(auto.prefix_lumping.block):
-        flags.setdefault(b, set()).add(i in starts)
-    assert all(len(f) == 1 for f in flags.values())
+    _assert_lumped_counts(auto, data.draw(st.integers(1, 20)))
+
+
+def test_lumped_counts_match_per_state_sweep_on_cycle4():
+    # cycle4 has the most states sharing one successor row: 745 states
+    # in 127 row classes, whose prefix lumping has 22 blocks
+    _, full, nonmax = _automata("cycle4")
+    assert len(full.row_classes.rows) == 127
+    assert len(full.prefix_lumping.adj) == 22
+    for auto in (full, nonmax):
+        _assert_lumped_counts(auto, 12)
 
 
 def test_word_counts_guard(auto2):
@@ -375,6 +433,9 @@ def test_finite_dp_matches_per_state_dp(data):
                         exact=True)
     expected = _finite_dp_by_state(auto, event, halfwidth)
     assert res.detail["exact"] == expected
+    assert res.value == float(expected)
+    res = cylinder_prob(graph, event, "finite_dp", dp_halfwidth=halfwidth)
+    assert "exact" not in res.detail
     assert res.value == float(expected)
 
 
@@ -476,10 +537,16 @@ def test_perron_data_match_dense_eigenvalues(name):
         autos.append(restrict(auto, lambda c: c != max_rung(graph)))
     for a in autos:
         spec = spectral(a)
-        dense = np.linalg.eigvals(a.matrix().astype(float)).real.max()
+        m = a.matrix().astype(float)
+        dense = np.linalg.eigvals(m).real.max()
         assert spec.rho == pytest.approx(dense, rel=1e-13)
         assert spec.residual_right <= 1e-12 * spec.rho
         assert spec.residual_left <= 1e-12 * spec.rho
+        # the Perron eigenvectors of the dense matrix, summing to 1
+        for vec, mat in ((spec.right, m), (spec.left, m.T)):
+            values, vectors = np.linalg.eig(mat)
+            ref = vectors[:, np.argmax(values.real)].real
+            assert vec == pytest.approx(ref / ref.sum(), rel=1e-12)
 
 
 def _recurrent_growth_rate(graph):

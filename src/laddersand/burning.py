@@ -6,10 +6,13 @@ may burn only when enough of its neighbourhood already belongs to the
 set.  Burning from the right is the mirror image, and counting every
 complement component recovers the ordinary burning test for recurrence.
 
-Burnability under any of the three rules is order-free: burning a site
-never disables another candidate, so a greedy maximal burn reaches the
-same verdict as any other.  Traces are made deterministic by burning the
-lowest ``(rung, vertex)`` candidate first.
+Each rule is a least fixed point: a site burns once ``max - height + 1``
+of its neighbours have burnt, a cell outside the site set once one has
+(so a complement component burns whole), starting from the cells left
+of the sites, right of them, or every cell outside them.  Burning a cell
+never stops another from burning, so the verdict does not depend on the
+order; traces burn the lowest ``(rung, vertex)`` site that can burn
+first.
 
 Two engines decide burnability:
 
@@ -17,7 +20,9 @@ Two engines decide burnability:
   serves the public :func:`left_burnable`, :func:`right_burnable` and
   :func:`full_burnable` (the API and the test oracle), the census's
   single-rung recurrent rungs and the input check of the rung-zero
-  blast, which also takes graphs beyond the table's 8 vertices;
+  blast, which also takes graphs beyond the table's 8 vertices.  It
+  shares its cell layout and neighbour lists with toppling
+  (:func:`laddersand.graphs.ladder_neighbors`);
 * ``_burn_columns`` burns rungs between vertex sets declared burnt on
   their two sides, many at once.  Every window verdict the library
   computes for itself reads its :func:`burn_table` of every pair of
@@ -36,16 +41,16 @@ the table and the construction are tested against.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappush, heappop
+from operator import index
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import FeasibilityError, InternalInvariantError, ValidationError
-from .graphs import Graph, Site
+from .graphs import Graph, Site, ladder_neighbors
 
 RungConfig = tuple[int, ...]
 InfluenceMap = tuple[int, ...]  # table indexed by vertex-subset mask
@@ -73,176 +78,79 @@ class BurnTrace:
         }
 
 
-def _burn(graph: Graph, heights: Mapping[Site, int], seed_side: str,
-          order: str = "canonical", rng: Optional[random.Random] = None
-          ) -> BurnTrace:
-    """Run one burning pass.
-
-    ``seed_side`` selects which complement components count as burnt
-    territory from the start: ``"left"`` (the component reaching the
-    left-infinite part of the ladder), ``"right"``, or ``"both"`` (every
-    component; the ordinary burning rule).  Components that the burning
-    wave touches are absorbed as it goes.
-    """
+def _burn(graph: Graph, heights: Mapping[Site, int], seed_side: str) -> BurnTrace:
+    """Burn a site set from the seeds of ``seed_side`` (``"left"``,
+    ``"right"`` or ``"both"``) on the cells ``r * n + x`` of its rungs and
+    one more on each side.  Cells outside the sites burn as soon as they
+    can, before the least site that can burn, and the trace lists the
+    sites in the order they burnt."""
     if not heights:
         return BurnTrace(success=True, order=(), unburnt=())
     n = graph.n
-    lo = min(k for _, k in heights)
-    hi = max(k for _, k in heights)
-    width = hi - lo + 3  # region covers rungs lo-1 .. hi+1
-    total = width * n
-
-    def sid(x: int, k: int) -> int:
-        return (k - lo + 1) * n + x
-
-    def site_of(i: int) -> Site:
-        return (i % n, i // n + lo - 1)
-
-    in_v = bytearray(total)
-    height = [0] * total
+    sites: dict[Site, int] = {}
     for (x, k), h in heights.items():
-        if not (0 <= x < n):
+        try:
+            sites[index(x), index(k)] = index(h)
+        except TypeError:
+            raise ValidationError(f"site ({x!r},{k!r}) or its height {h!r} "
+                                  "is not an integer") from None
+    lo = min(k for _, k in sites) - 1
+    nbrs = ladder_neighbors(graph, max(k for _, k in sites) - lo + 2)
+    cells = range(len(nbrs))
+    need = [1] * len(nbrs)  # burnt neighbours still missing
+    is_site = bytearray(len(nbrs))
+    for (x, k), h in sites.items():
+        if not 0 <= x < n:
             raise ValidationError(f"vertex {x} outside base graph")
-        if not (1 <= h <= graph.max_height[x]):
+        if not 1 <= h <= graph.max_height[x]:
             raise ValidationError(
                 f"height {h} at site ({x},{k}) outside stable range "
                 f"1..{graph.max_height[x]}")
-        i = sid(x, k)
-        in_v[i] = 1
-        height[i] = h
+        c = (k - lo) * n + x
+        need[c] = graph.max_height[x] - h + 1
+        is_site[c] = 1
 
-    nbr: list[list[int]] = [[] for _ in range(total)]
-    for r in range(width):
-        base = r * n
-        for x in range(n):
-            i = base + x
-            for y in graph.neighbors[x]:
-                nbr[i].append(base + y)
-            if r > 0:
-                nbr[i].append(i - n)
-            if r < width - 1:
-                nbr[i].append(i + n)
+    if seed_side == "both":
+        stack = [c for c in cells if not is_site[c]]
+    else:
+        stack = list({"left": cells[:n], "right": cells[-n:]}[seed_side])
+    for c in stack:
+        need[c] = 0
+    ready: list[int] = []  # sites that can burn, a heap
+    order: list[int] = []
+    while stack:  # burnt cells yet to count for their neighbours
+        for d in nbrs[stack.pop()]:
+            need[d] -= 1
+            if need[d] == 0:
+                if is_site[d]:
+                    heappush(ready, d)
+                else:
+                    stack.append(d)
+        if not stack and ready:
+            order.append(heappop(ready))
+            stack.append(order[-1])
 
-    # Component labels on the static complement.  All sites of the rung
-    # below lo are one component (they join through rungs further left);
-    # same for the rung above hi.  Other complement sites are grouped by
-    # ordinary adjacency inside the region.
-    comp = [-1] * total
-    members: list[list[int]] = []
+    def site(c: int) -> Site:
+        return c % n, c // n + lo
 
-    def new_comp(seeds: list[int]) -> int:
-        cid = len(members)
-        members.append([])
-        for s in seeds:
-            comp[s] = cid
-        while seeds:
-            i = seeds.pop()
-            members[cid].append(i)
-            for j in nbr[i]:
-                if not in_v[j] and comp[j] == -1:
-                    comp[j] = cid
-                    seeds.append(j)
-        return cid
-
-    left_comp = new_comp([sid(x, lo - 1) for x in range(n)])
-    # the base graph is connected, so one site tells whether the two met
-    right_comp = (left_comp if comp[sid(0, hi + 1)] == left_comp
-                  else new_comp([sid(x, hi + 1) for x in range(n)]))
-    for i in range(total):
-        if not in_v[i] and comp[i] == -1:
-            new_comp([i])
-
-    active = [seed_side == "both"] * len(members)
-    if seed_side == "left":
-        active[left_comp] = True
-    elif seed_side == "right":
-        active[right_comp] = True
-    elif seed_side != "both":
-        raise ValueError(f"bad seed_side {seed_side!r}")
-
-    burnt = bytearray(total)
-    cnt = [0] * total
-    need = [0] * total
-    vsites = [i for i in range(total) if in_v[i]]
-    for i in vsites:
-        need[i] = graph.degree[i % n] + 2 - height[i] + 1
-        for j in nbr[i]:
-            if not in_v[j] and active[comp[j]]:
-                cnt[i] += 1
-
-    canonical = order == "canonical"
-    if order == "random" and rng is None:
-        rng = random.Random(0)
-    heap: list[tuple[int, int, int]] = []
-    pool: list[int] = []
-
-    def enqueue(i: int) -> None:
-        if canonical:
-            heappush(heap, (i // n, i % n, i))
-        else:
-            pool.append(i)
-
-    for i in vsites:
-        if cnt[i] >= need[i]:
-            enqueue(i)
-
-    trace: list[Site] = []
-
-    def activate(cid: int) -> None:
-        active[cid] = True
-        for s in members[cid]:
-            for j in nbr[s]:
-                if in_v[j] and not burnt[j]:
-                    cnt[j] += 1
-                    if cnt[j] == need[j]:
-                        enqueue(j)
-
-    while True:
-        if canonical:
-            if not heap:
-                break
-            _, _, i = heappop(heap)
-        else:
-            if not pool:
-                break
-            i = pool.pop(rng.randrange(len(pool)))
-        if burnt[i]:
-            continue
-        burnt[i] = 1
-        trace.append(site_of(i))
-        for j in nbr[i]:
-            if in_v[j]:
-                if not burnt[j]:
-                    cnt[j] += 1
-                    if cnt[j] == need[j]:
-                        enqueue(j)
-            elif not active[comp[j]]:
-                activate(comp[j])
-
-    unburnt = tuple(sorted((site_of(i) for i in vsites if not burnt[i]),
-                           key=lambda s: (s[1], s[0])))
-    return BurnTrace(success=not unburnt, order=tuple(trace), unburnt=unburnt)
+    unburnt = tuple(site(c) for c in cells if is_site[c] and need[c] > 0)
+    return BurnTrace(success=not unburnt, order=tuple(map(site, order)),
+                     unburnt=unburnt)
 
 
-def left_burnable(graph: Graph, heights: Mapping[Site, int], *,
-                  order: str = "canonical",
-                  rng: Optional[random.Random] = None) -> BurnTrace:
+def left_burnable(graph: Graph, heights: Mapping[Site, int]) -> BurnTrace:
     """Burning restricted to the left boundary; success certifies the
     configuration lies in the left-burnable class of its site set."""
-    return _burn(graph, heights, "left", order=order, rng=rng)
+    return _burn(graph, heights, "left")
 
 
-def right_burnable(graph: Graph, heights: Mapping[Site, int], *,
-                   order: str = "canonical",
-                   rng: Optional[random.Random] = None) -> BurnTrace:
-    return _burn(graph, heights, "right", order=order, rng=rng)
+def right_burnable(graph: Graph, heights: Mapping[Site, int]) -> BurnTrace:
+    return _burn(graph, heights, "right")
 
 
-def full_burnable(graph: Graph, heights: Mapping[Site, int], *,
-                  order: str = "canonical",
-                  rng: Optional[random.Random] = None) -> BurnTrace:
+def full_burnable(graph: Graph, heights: Mapping[Site, int]) -> BurnTrace:
     """Ordinary burning: success is exactly recurrence of the configuration."""
-    return _burn(graph, heights, "both", order=order, rng=rng)
+    return _burn(graph, heights, "both")
 
 
 def window_heights(rungs: Sequence[RungConfig], start: int = 1) -> dict[Site, int]:
@@ -262,10 +170,11 @@ def reflect_heights(heights: Mapping[Site, int]) -> dict[Site, int]:
 @lru_cache(maxsize=None)
 def is_rung_symbol(graph: Graph, rung: RungConfig) -> bool:
     """Whether a height vector is admissible as a rung of a left-burnable
-    configuration (equivalently: left-burnable on a one-rung window)."""
-    if len(rung) != graph.n:
-        return False
-    if any(not (1 <= h <= graph.max_height[x]) for x, h in enumerate(rung)):
+    configuration (equivalently: left-burnable on a one-rung window).
+    Heights are compared by value, as the cache and ``enum_rungs``
+    membership compare them: ``2.0`` is the height 2, ``2.5`` no height."""
+    if len(rung) != graph.n or any(h not in range(1, m + 1)
+                                   for h, m in zip(rung, graph.max_height)):
         return False
     return _rung_symbols(graph, [rung])[0]
 

@@ -199,6 +199,18 @@ def ladder_adjacent(u: Site, v: Site, graph: Graph) -> bool:
     return x == y and abs(k - ell) == 1
 
 
+def ladder_neighbors(graph: Graph, rows: int) -> list[tuple[int, ...]]:
+    """Neighbours of each cell ``r * n + x`` of ``rows`` consecutive rungs
+    (row ``r``, vertex ``x``): its graph neighbours, then the rung below,
+    then the rung above, the last two where the rows have them."""
+    n = graph.n
+    inner = [tuple(y - x for y in graph.neighbors[x]) for x in range(n)]
+    first, middle, last = ([step + end for step in inner]
+                           for end in ((n,), (-n, n), (-n,)))
+    offsets = first + middle * (rows - 2) + last if rows > 1 else inner
+    return [tuple([c + d for d in step]) for c, step in enumerate(offsets)]
+
+
 def laplacian_entry(graph: Graph, u: Site, v: Site) -> int:
     """Entry of the ladder Laplacian: degree on the diagonal, -1 between
     neighbours, 0 otherwise.  The diagonal is ``deg(x) + 2`` because every

@@ -35,7 +35,7 @@ import numpy as np
 
 from .burning import left_burnable
 from .errors import StepCapExceeded, ValidationError
-from .graphs import Graph, Site, Window
+from .graphs import Graph, Site, Window, ladder_neighbors
 
 DEFAULT_STEP_CAP = 10 ** 7
 
@@ -185,12 +185,9 @@ def stabilize(graph: Graph, config: LadderConfig,
             raise ValidationError(f"addition site ({x},{k}) outside window")
         room[(k - window.n) * n + x] -= 1
 
-    # A cell's neighbours are its graph neighbours, then the rung below,
-    # then the rung above; todo holds exactly the cells with negative room.
-    nbrs = [tuple([c - x + y for y in graph.neighbors[x]]
-                  + [c + d for d in (-n, n) if 0 <= c + d < cells])
-            for c, x in enumerate(list(range(n)) * rows)]
+    nbrs = ladder_neighbors(graph, rows)
     ol = [0] * cells
+    # todo holds exactly the cells with negative room
     todo = [c for c in range(cells) if room[c] < 0]
     steps = 0
     if schedule.kind == "parallel":

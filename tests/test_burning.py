@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laddersand.burning import (advance_rung_state, burn_table, first_rung_state,
-                                full_burnable, is_rung_symbol, left_burnable,
-                                leftmost_schedule, max_rung,
+from laddersand.burning import (_burn, advance_rung_state, burn_table,
+                                first_rung_state, full_burnable, is_rung_symbol,
+                                left_burnable, leftmost_schedule, max_rung,
                                 path2_characterization, reflect_heights,
                                 right_burnable, rung_burn, window_heights)
+from laddersand.census import enum_rungs
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import builtin_graph
+from reference_burning import _burn as reference_burn
+from test_coding import connected_graphs
 
 I01_ALPHABET = [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)]
 
@@ -106,16 +109,20 @@ def test_left_burnable_implies_recurrent(path2):
 
 
 def test_verdict_order_free(path2):
+    # the canonical verdict is the one the reference engine reaches when
+    # it burns candidates in a random order
     rng = random.Random(3)
     for trial in range(200):
         seq = [tuple(rng.randint(1, 3) for _ in range(2))
                for _ in range(rng.randint(1, 5))]
         hm = window_heights(seq)
-        base = left_burnable(path2, hm).success
-        for seed in (0, 1, 2):
-            alt = left_burnable(path2, hm, order="random",
-                                rng=random.Random(seed))
-            assert alt.success == base
+        for side, burnable in (("left", left_burnable), ("right", right_burnable),
+                               ("both", full_burnable)):
+            base = burnable(path2, hm).success
+            for seed in (0, 1, 2):
+                alt = reference_burn(path2, hm, side, order="random",
+                                     rng=random.Random(seed))
+                assert alt.success == base
 
 
 def test_trace_contents(path2):
@@ -134,6 +141,47 @@ def test_rejects_unstable_heights(path2):
         left_burnable(path2, {(0, 0): 4, (1, 0): 1})
     with pytest.raises(ValidationError):
         left_burnable(path2, {(0, 0): 0, (1, 0): 1})
+
+
+def test_rejects_non_integer_height(path2):
+    with pytest.raises(ValidationError):
+        left_burnable(path2, {(0, 1): 3, (1, 1): 2.5})
+
+
+def test_rejects_string_height(path2):
+    with pytest.raises(ValidationError):
+        right_burnable(path2, {(0, 1): 3, (1, 1): "2"})
+
+
+def test_rejects_non_integer_site(path2):
+    with pytest.raises(ValidationError):
+        full_burnable(path2, {(0, 1.5): 3, (1, 1): 3})
+
+
+BURN_GRAPHS = ["point", "path2", "path3", "cycle3", "path4", "cycle4"]
+
+
+@st.composite
+def site_sets(draw, graph):
+    """A window of up to 5 rungs at a signed offset, whole or a scattered
+    subset, with heights leaning to the maximum so that both verdicts
+    occur."""
+    start = draw(st.integers(-6, 6))
+    length = draw(st.integers(1, 5))
+    sites = [(x, k) for k in range(start, start + length) for x in range(graph.n)]
+    if draw(st.booleans()):
+        sites = [s for s in sites if draw(st.booleans())]
+    m = graph.max_height
+    return {(x, k): draw(st.sampled_from((m[x], m[x] - 1)) | st.integers(1, m[x]))
+            for x, k in sites}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), side=st.sampled_from(["left", "right", "both"]),
+       graph=st.sampled_from(BURN_GRAPHS).map(builtin_graph) | connected_graphs())
+def test_burn_matches_reference(data, side, graph):
+    heights = data.draw(site_sets(graph))
+    assert _burn(graph, heights, side) == reference_burn(graph, heights, side)
 
 
 def test_translation_invariance(path2):
@@ -282,7 +330,6 @@ def test_leftmost_phases_match_state_advance(path2):
 
 
 def test_leftmost_matches_reference_path3(path3):
-    from laddersand.census import enum_rungs
     alphabet = enum_rungs(path3).rungs
     rng = random.Random(31)
     agree_true = agree_false = 0
@@ -300,6 +347,14 @@ def test_leftmost_rejects_bad_rung(path2):
         leftmost_schedule(path2, [(2, 2)])
     with pytest.raises(ValidationError):
         leftmost_schedule(path2, [])
+
+
+def test_rung_symbol_refuses_non_integer_height(path2):
+    # the uint8 sweep would read 2.5 as 2
+    assert not is_rung_symbol(path2, (3, 2.5))
+    assert (3, 2.5) not in enum_rungs(path2)
+    with pytest.raises(ValidationError):
+        leftmost_schedule(path2, [(3, 2.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +393,6 @@ def _pinned_rung(graph, rung, below, above):
 def rung_burn_oracle(graph, left, rung, right):
     """One-rung burn via the general engine, the undeclared neighbours
     pinned."""
-    from laddersand.burning import _burn
     trace = _burn(graph, _pinned_rung(graph, rung, left, right), "left")
     mask = 0
     for x, k in trace.order:
@@ -351,7 +405,6 @@ def rung_burn_oracle(graph, left, rung, right):
 def test_rung_burn_against_engine(name):
     graph = builtin_graph(name)
     full = graph.full_mask
-    from laddersand.census import enum_rungs
     for rung in enum_rungs(graph):
         for left in range(full + 1):
             for right in range(full + 1):
@@ -364,7 +417,6 @@ def burn_table_oracle(graph, below, rung, above):
     under ordinary burning: declared vertices join the complement
     components, which all count as burnt, and the undeclared ones are
     pinned."""
-    from laddersand.burning import _burn
     trace = _burn(graph, _pinned_rung(graph, rung, below, above), "both")
     assert all(k == 1 for _, k in trace.order)
     return sum(1 << x for x, _ in trace.order)
@@ -405,7 +457,6 @@ def test_first_rung_state_shapes(path2):
 
 def test_influence_fixes_small_sets(path3):
     # declaring a subset of the already-burnt set changes nothing
-    from laddersand.census import enum_rungs
     for rung in enum_rungs(path3):
         burnt, infl = first_rung_state(path3, rung)
         sub = burnt

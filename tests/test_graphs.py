@@ -4,8 +4,8 @@ import pytest
 
 from laddersand.errors import ValidationError
 from laddersand.graphs import (Window, builtin_graph, laplacian_entry,
-                               ladder_adjacent, make_graph, mask_to_vertices,
-                               parse_graph, sink_multiplicity,
+                               ladder_adjacent, ladder_neighbors, make_graph,
+                               mask_to_vertices, parse_graph, sink_multiplicity,
                                vertices_to_mask)
 
 
@@ -150,3 +150,21 @@ def test_graph_hashable_equal():
     b = builtin_graph("path2")
     assert a.degree == b.degree and a.edges == b.edges
     assert isinstance(hash(b), int)
+
+
+@pytest.mark.parametrize("name", ["point", "path2", "path3", "cycle3", "path4", "cycle4"])
+def test_ladder_neighbors_match_adjacency(name):
+    graph = builtin_graph(name)
+    n = graph.n
+    for rows in range(1, 5):
+        nbrs = ladder_neighbors(graph, rows)
+        assert len(nbrs) == rows * n
+        sites = [(c % n, c // n) for c in range(rows * n)]
+        for c, u in enumerate(sites):
+            assert sorted(nbrs[c]) == [d for d, v in enumerate(sites)
+                                       if ladder_adjacent(u, v, graph)]
+            # graph neighbours, then the rung below, then the rung above
+            x, r = u
+            assert nbrs[c] == (tuple(r * n + y for y in graph.neighbors[x])
+                               + ((c - n,) if r > 0 else ())
+                               + ((c + n,) if r < rows - 1 else ()))

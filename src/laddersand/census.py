@@ -13,19 +13,15 @@ that cannot ignite its last rung is pruned) or over the single-rung
 recurrent rungs without it.  The boundary layers of
 :func:`laddersand.measures.boundary_layer` take one pass per side.
 
-Brute counts (:meth:`_SequenceDFS.count`) merge the prefixes that share
-an unresolved suffix.  A fully burnt row is never reprocessed, so the
-rows up to a prefix's last full row never change again, and the rows
-above it rest and burn like a fresh prefix over the left sink: every
-later accept or prune depends only on the rungs of that suffix.  The
-count thus goes one length at a time over the distinct suffixes, each
-with the number of prefixes ending in it, and each length may draw its
-own rungs (the mixture pins an event's).  ``S``/``S0`` key a suffix by
-the prefix's right-burn state too: for each set held burnt to its
-right, its last row's burn and whether every row burns.  Later rungs
-meet the right-seeded burn only through that last row, so the merge
-stays exact.  The counts read nothing of the coding automaton, so they
-stay its independent check.
+Brute counts (:meth:`_SequenceDFS.count`) go one length at a time over
+transfer states: for each vertex set held burnt right of a prefix, its
+last row's burn and whether every row burns.  Taking the burn's least
+fixed point one row at a time (Bekić's lemma), later rungs meet a prefix
+only through that state, so the prefixes sharing it are counted
+together, and the states stay bounded as the windows grow.  Each length
+may draw its own rungs (the mixture pins an event's).  ``S``/``S0`` pair
+the left-seeded state with the right-seeded one.  The counts read
+nothing of the coding automaton, so they stay its independent check.
 """
 
 from __future__ import annotations
@@ -143,10 +139,9 @@ class _SequenceDFS:
         self.n = graph.n
         self.full = graph.full_mask
         self.cmax = max_rung(graph)
-        # the empty prefix's right-burn state (see right_step)
+        # the empty prefix's right-seeded transfer state (see right_step)
         self.sink = tuple((self.full if y else 0) | 1 << self.n for y in range(1 << self.n))
         self.tables: dict[RungConfig, list[int]] = {}
-        self.maxmask: dict[RungConfig, int] = {}
 
     def rows(self, rungs: Sequence[RungConfig]) -> list[list[int]]:
         """The table row of each rung; the missing rows are burnt in one
@@ -155,21 +150,18 @@ class _SequenceDFS:
             return [self.tables[c] for c in rungs]
         except KeyError:
             missing = [c for c in dict.fromkeys(rungs) if c not in self.tables]
-        graph = self.graph
-        self.tables.update(zip(missing, burn_table(graph, missing).tolist()))
-        for c in missing:
-            self.maxmask[c] = sum(1 << x for x in range(graph.n)
-                                  if c[x] == graph.max_height[x])
+        self.tables.update(zip(missing, burn_table(self.graph, missing).tolist()))
         return [self.tables[c] for c in rungs]
 
-    def push(self, burnt: list[int], tbls: list, rung: RungConfig,
-             ignite: bool = True) -> Optional[list[int]]:
-        """Resting state after appending ``rung``.  With ``ignite`` (the
-        symbol walks) None when the new rung cannot ignite, in which case
-        no extension is left-burnable either.  ``tbls[j]`` must be the
-        table row of row ``j``, the new rung's included."""
+    def push(self, burnt: list[int], tbls: list, ignite: bool = True
+             ) -> Optional[list[int]]:
+        """Resting state after appending a rung as row ``len(burnt)``;
+        ``tbls[j]`` must be the table row of row ``j``, the new rung's
+        included.  With ``ignite`` (the symbol walks) None when the new
+        rung cannot ignite, in which case no extension is left-burnable
+        either; its burn grows from nothing, so one round decides that."""
         k = len(burnt)
-        if ignite and k and not burnt[-1] & self.maxmask[rung]:
+        if ignite and k and not tbls[k][burnt[-1] << self.n]:
             return None
         child = burnt + [0]
         _close(child, tbls, 1 << k, self.full, self.n)
@@ -190,8 +182,8 @@ class _SequenceDFS:
         rung sequence, in one pass."""
         tbls = self.rows(rungs)
         burnt: list[int] = []
-        for c in rungs:
-            burnt = self.push(burnt, tbls, c, ignite)
+        for _ in rungs:
+            burnt = self.push(burnt, tbls, ignite)
             if burnt is None:
                 return False
         return self.is_burnable(burnt, tbls)
@@ -207,7 +199,7 @@ class _SequenceDFS:
         burnt: list[int] = []
         last = -1
         for k, c in enumerate(rungs):
-            burnt = self.push(burnt, tbls, c)
+            burnt = self.push(burnt, tbls)
             if burnt is None:
                 break
             if c == self.cmax:
@@ -230,7 +222,7 @@ class _SequenceDFS:
             burnt, children = stack[-1]
             for c, tbl, is_max in children:
                 tbls.append(tbl)
-                child = self.push(burnt, tbls, c, ignite)
+                child = self.push(burnt, tbls, ignite)
                 # appending a maximal rung preserves burnability outright
                 if child is not None and (is_max or self.is_burnable(child, tbls)):
                     path.append(c)
@@ -246,75 +238,85 @@ class _SequenceDFS:
                     path.pop()
                     tbls.pop()
 
-    def right_step(self, state: tuple[int, ...], tbl: list[int]) -> tuple[int, ...]:
-        """The right-burn state after appending a rung of table row ``tbl``:
-        entry ``t`` is ``last | flag << n``, the last row's burn and whether
-        every row burns while the set ``t`` is burnt to the right.  The new
-        row's burn is the least fixed point under the old last row's, at
-        most ``n + 1`` rounds from nothing; the empty prefix's state is the
-        left sink, burnt whole once the first rung burns at all."""
+    def _entry(self, state: tuple[int, ...], tbl: list[int], t: int) -> int:
+        """Entry ``t`` of :meth:`right_step`: the new row's burn is the least
+        fixed point under the old last row's, at most ``n + 1`` rounds."""
         n, full = self.n, self.full
-        out = []
-        for t in range(1 << n):
-            y, z = -1, 0
-            while z != y:
-                y, z = z, tbl[(state[z] & full) << n | t]
-            out.append(y | (y == full and state[y] >> n) << n)
-        return tuple(out)
+        y, z = -1, 0
+        while z != y:
+            y, z = z, tbl[(state[z] & full) << n | t]
+        return y | (y == full and state[y] >> n) << n
+
+    def right_step(self, state: tuple[int, ...], tbl: list[int]) -> tuple[int, ...]:
+        """The transfer state after appending a rung of table row ``tbl``:
+        entry ``t`` is ``last | flag << n``, the last row's burn and whether
+        every row burns while the set ``t`` is burnt to the right.  The
+        empty prefix's state is the burnt left sink, or :attr:`sink`."""
+        return tuple([self._entry(state, tbl, t) for t in range(1 << self.n)])
+
+    def _accepts(self, state: tuple[int, ...], tbl: list[int], ignite: bool) -> bool:
+        """Whether every row burns after a rung of table row ``tbl`` under
+        a burnt right end (entry ``full``) and, with ``ignite``, the rung
+        burns with nothing there (entry 0, nonzero iff its first round is)."""
+        return bool((not ignite or tbl[(state[0] & self.full) << self.n])
+                    and self._entry(state, tbl, self.full) >> self.n)
 
     def count(self, depths: Sequence[Sequence[RungConfig]], ignite: bool,
               two_sided: bool = False) -> list[int]:
         """The number of burnable sequences of each length ``0..len(depths)``
         whose ``k``-th rung is one of ``depths[k - 1]``, counted one length
-        at a time by unresolved suffix (the rungs above a prefix's last
-        full row; the module docstring says why they alone decide its
-        extensions).  A layer maps each suffix, held as the resting rows
-        behind a full sentinel row that stands in for the left sink, to
-        the number of accepted prefixes ending in it.  The last layer only
-        counts its children.
+        at a time by transfer state (:meth:`right_step`), all that later
+        rungs see of a prefix: a layer maps each state to its number of
+        accepted prefixes.  A step is taken once per state and rung, only
+        for an accepted child, and the last layer reads only the entries
+        acceptance needs (:meth:`_accepts`).  A rejected prefix has no
+        accepted extension.  With ``two_sided`` the state adds the
+        right-seeded one from :attr:`sink`, which is never dropped."""
+        n, full = self.n, self.full
+        counts = [1] + [0] * len(depths)
+        # (left-seeded state, right-seeded state or None) -> prefixes
+        layer = {(tuple(full | 1 << n for _ in range(1 << n)),
+                  self.sink if two_sided else None): 1}
+        lmoves: dict = {}  # state -> rung -> child, () when rejected
+        rmoves: dict = {}
 
-        With ``two_sided`` a sequence must be right-burnable too: the key adds
-        the right-burn state (:meth:`right_step`), exact to merge on since
-        later rungs meet a prefix only through its last row."""
-        full = self.full
-        n_max = len(depths)
-        counts = [1] + [0] * n_max
-        # (suffix rungs, right-burn state) -> [resting rows, their table rows, prefixes]
-        layer = {((), self.sink if two_sided else None): [[full], [None], 1]}
-        moves: dict = {}
-        read = None
+        def verdicts(moves, state, ignited, mask=-1):
+            # the accepted rungs of mask after state, as a bitmask over steps
+            row, bits = moves.get(state, {}), 0
+            for i, (c, tbl) in enumerate(steps):
+                child = row.get(c)
+                if mask >> i & 1 and (self._accepts(state, tbl, ignited) if child is None
+                                      else child and child[full] >> n):
+                    bits |= 1 << i
+            return bits
+
         for depth, rungs in enumerate(depths, start=1):
-            if rungs is not read:  # a run of one list reads its rows once
-                read = rungs
-                steps = [(c, tbl, c == self.cmax) for c, tbl in zip(rungs, self.rows(rungs))]
-            last = depth == n_max
+            steps = list(zip(rungs, self.rows(rungs)))
+            if depth == len(depths):
+                lbits = {left: verdicts(lmoves, left, ignite) for left, _ in layer}
+                need: dict = {}  # right-seeded state -> rungs accepted on the left
+                for left, right in layer:
+                    need[right] = need.get(right, 0) | lbits[left]
+                rbits = {right: verdicts(rmoves, right, False, mask) if two_sided else -1
+                         for right, mask in need.items()}
+                counts[depth] = sum(mult * (lbits[left] & rbits[right]).bit_count()
+                                    for (left, right), mult in layer.items())
+                break
             nxt: dict = {}
-            total = 0
-            for (key, right), (burnt, tbls, mult) in layer.items():
-                for c, tbl, is_max in steps:
-                    tbls.append(tbl)
-                    child = self.push(burnt, tbls, c, ignite)
-                    # appending a maximal rung preserves burnability outright
-                    if child is not None and (is_max or self.is_burnable(child, tbls)):
-                        if two_sided and (right, c) not in moves:
-                            moves[right, c] = self.right_step(right, tbl)
-                        cright = moves[right, c] if two_sided else None
-                        if cright is None or cright[full] >> self.n:
-                            total += mult
-                        if not last:
-                            f = len(child) - 1
-                            while child[f] != full:
-                                f -= 1
-                            ckey = ((key + (c,))[f:], cright)
-                            entry = nxt.get(ckey)
-                            if entry is None:
-                                nxt[ckey] = [[full] + child[f + 1:],
-                                             [None] + tbls[f + 1:], mult]
-                            else:
-                                entry[2] += mult
-                    tbls.pop()
-            counts[depth] = total
+            for (left, right), mult in layer.items():
+                lrow, rrow = lmoves.setdefault(left, {}), rmoves.setdefault(right, {})
+                for c, tbl in steps:
+                    if c not in lrow:
+                        lrow[c] = (self.right_step(left, tbl)
+                                   if self._accepts(left, tbl, ignite) else ())
+                    if lrow[c]:
+                        if two_sided and c not in rrow:
+                            rrow[c] = self.right_step(right, tbl)
+                        key = lrow[c], rrow[c] if two_sided else None
+                        nxt[key] = nxt.get(key, 0) + mult
             layer = nxt
+            counts[depth] = sum(mult for (_, right), mult in layer.items()
+                                if right is None or right[full] >> n)
         return counts
 
 
@@ -355,8 +357,8 @@ def count_series(graph: Graph, variant: str, n_max: int,
     left-burnable without maximal rungs, ``S`` two-sided burnable, ``S0``
     two-sided without maximal rungs, ``REC`` all recurrent.
 
-    ``method="brute"`` counts on the census engine by unresolved suffix
-    and, for ``S``/``S0``, right-burn state (the module docstring says why).
+    ``method="brute"`` counts on the census engine by transfer state (the
+    module docstring says why).
 
     ``method="automaton"`` counts accepted words of the rung-coding
     automaton instead of enumerating; it exists for ``L`` and ``L0``

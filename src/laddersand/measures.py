@@ -23,7 +23,7 @@ deterministic, so each state of the first rung starts at most one):
 The right-sided measure is the reflection of the left-sided one, so all
 right-sided quantities are computed by reflecting events and samples.
 The boundary layers of recurrent windows are decided on the census
-engine, and the mixture counts its windows by unresolved suffix on the
+engine, and the mixture counts its windows by transfer state on the
 same engine, never burning or listing a window.
 """
 
@@ -562,7 +562,7 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
     orientations of the weight agree at one half; the asymmetric cases
     here were checked against exact enumeration.)  The finite-window
     probability is exact: the recurrent windows, and those with the
-    event's rungs pinned, are counted by unresolved suffix on the census
+    event's rungs pinned, are counted by transfer state on the census
     engine.  One brute ``REC`` series up to the longest window, under
     its ``max_enum`` cap, gives every window's total.
     """

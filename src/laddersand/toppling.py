@@ -84,11 +84,9 @@ class LadderConfig:
         return int(self.heights[k - self.window.n, x])
 
     def heights_map(self) -> dict[Site, int]:
-        out = {}
-        for r, row in enumerate(self.heights):
-            for x, h in enumerate(row):
-                out[(x, self.window.n + r)] = int(h)
-        return out
+        start = self.window.n
+        return {(x, start + r): h for r, row in enumerate(self.heights.tolist())
+                for x, h in enumerate(row)}
 
     def is_stable(self, graph: Graph) -> bool:
         return bool((self.heights >= 1).all()

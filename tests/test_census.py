@@ -341,18 +341,78 @@ def test_engine_matches_burning_oracles(data):
     assert dfs.accepts(symbols) == leftmost_schedule(graph, symbols).success
 
 
+def _bareiss_det(matrix):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in matrix]
+    size, sign, pivot = len(a), 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // pivot
+        pivot = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
 def _reduced_laplacian_det(graph, n):
     sites = [(x, k) for k in range(1, n + 1) for x in range(graph.n)]
-    a = [[Fraction(laplacian_entry(graph, u, v)) for v in sites] for u in sites]
-    det = Fraction(1)
-    # positive definite, so elimination needs no pivoting
-    for k in range(len(a)):
-        det *= a[k][k]
-        for i in range(k + 1, len(a)):
-            f = a[i][k] / a[k][k]
-            for j in range(k, len(a)):
-                a[i][j] -= f * a[k][j]
-    return int(det)
+    return _bareiss_det([[laplacian_entry(graph, u, v) for v in sites] for u in sites])
+
+
+def _recurrent_counts(graph, n_max):
+    """``|REC_n| = det P_n`` for ``n = 1..n_max``: the reduced Laplacian of
+    ``G x [1,n]`` is block tridiagonal with commuting blocks, so its
+    determinant is that of ``P_n``, where ``P_0 = I``, ``P_1 = L_G + 2I``
+    and ``P_{n+1} = P_1 P_n - P_{n-1}`` (matrix-tree theorem)."""
+    size = graph.n
+    a = [[laplacian_entry(graph, (x, 1), (y, 1)) for y in range(size)]
+         for x in range(size)]
+    prev = [[int(x == y) for y in range(size)] for x in range(size)]
+    cur, counts = a, []
+    for _ in range(n_max):
+        counts.append(_bareiss_det(cur))
+        prev, cur = cur, [[sum(a[x][z] * cur[z][y] for z in range(size)) - prev[x][y]
+                           for y in range(size)] for x in range(size)]
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("name, n_max", [("point", 5), ("path2", 5), ("path3", 4),
+                                         ("cycle3", 4), ("path4", 3), ("cycle4", 3)])
+def test_matrix_polynomial_is_the_reduced_laplacian_det(name, n_max):
+    graph = builtin_graph(name)
+    assert _recurrent_counts(graph, n_max) == tuple(
+        _reduced_laplacian_det(graph, n) for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("name, n_max", [("point", 40), ("path2", 40), ("path3", 40),
+                                         ("cycle3", 40), ("path4", 8)])
+def test_recurrent_counts_match_the_determinant_oracle(name, n_max):
+    graph = builtin_graph(name)
+    assert (count_series(graph, "REC", n_max, max_enum=10 ** 80).values
+            == _recurrent_counts(graph, n_max))
+
+
+def test_recurrent_counts_reach_hundreds_of_rungs(path2, monkeypatch):
+    # merged by the rungs above their last full row, the prefixes of one
+    # length fall into about 4 times more groups at each rung; by transfer
+    # state, into the 8 live states of path2's recurrent windows
+    steps = []
+    right_step = _SequenceDFS.right_step
+
+    def counted(self, state, tbl):
+        steps.append((state, tuple(tbl)))
+        return right_step(self, state, tbl)
+
+    monkeypatch.setattr(_SequenceDFS, "right_step", counted)
+    assert (count_series(path2, "REC", 200, max_enum=10 ** 400).values
+            == _recurrent_counts(path2, 200))
+    assert len(set(steps)) == len(steps)  # one step per state and rung
+    assert len({state for state, _ in steps}) <= 8
 
 
 def test_recurrent_counts_path5_are_matrix_tree_counts():
@@ -554,3 +614,71 @@ def test_brute_refusals_are_worded_as_before(path2, cycle3):
         count_series(path2, "REC", 9)
     assert str(exc.value) == ("brute enumeration needs 8**9 > max_enum=10000000; "
                               "raise max_enum")
+
+
+@pytest.mark.parametrize("name, variant, n, expected", [
+    ("path3", "L", 8, 1161748727), ("path3", "REC", 6, 33380711),
+    ("cycle3", "S", 6, 125432689), ("path4", "L", 4, 7511609),
+    ("cycle4", "S", 3, 771441), ("cycle4", "REC", 4, 259683545),
+    ("path5", "L", 2, 59891), ("path5", "S", 2, 53187),
+    ("cycle5", "L", 2, 184761), ("cycle5", "S", 2, 157891),
+    ("path5", "REC", 3, 16560324),
+])
+def test_counts_pinned_on_larger_graphs(name, variant, n, expected):
+    # pinned from the count by unresolved suffix, which shares no code with
+    # the transfer states
+    graph = builtin_graph(name)
+    assert count_series(graph, variant, n, max_enum=10 ** 30)[n] == expected
+
+
+@pytest.mark.parametrize("name", ["path4", "cycle4"])
+@pytest.mark.parametrize("variant", ["L", "L0"])
+def test_brute_matches_automaton_at_ten_rungs(name, variant):
+    graph = builtin_graph(name)
+    assert (count_series(graph, variant, 10, max_enum=10 ** 30).values
+            == count_series(graph, variant, 10, method="automaton").values)
+
+
+def test_a_layer_without_rungs_counts_nothing_from_there_on(path2):
+    # the mixture pins a rung that is not recurrent alone as no rung at all
+    dfs = _SequenceDFS(path2)
+    rec, symbols = single_rung_recurrent(path2), enum_rungs(path2).rungs
+    assert dfs.count([rec, [], rec, rec], ignite=False) == [1, 8, 0, 0, 0]
+    assert dfs.count([rec, rec, []], ignite=False) == [1, 8, 45, 0]
+    assert dfs.count([[], symbols], ignite=True) == [1, 0, 0]
+    assert dfs.count([symbols, [], symbols], ignite=True, two_sided=True) == [1, 5, 0, 0]
+    assert dfs.count([], ignite=False) == [1]
+
+
+def _inline_right_step(dfs, state, tbl):
+    """The right-burn step as one loop over the held sets."""
+    n, full = dfs.n, dfs.full
+    out = []
+    for t in range(1 << n):
+        y, z = -1, 0
+        while z != y:
+            y, z = z, tbl[(state[z] & full) << n | t]
+        out.append(y | (y == full and state[y] >> n) << n)
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_right_step_is_its_entries(data):
+    # every entry is one fixed point, and acceptance reads the entries
+    # it needs without taking the step
+    graph = builtin_graph(data.draw(st.sampled_from(
+        ["point", "path2", "path3", "cycle3", "path4"])))
+    dfs = _SequenceDFS(graph)
+    n, full = dfs.n, dfs.full
+    rungs = data.draw(st.lists(st.sampled_from(_stable_rungs(graph)),
+                               min_size=1, max_size=5))
+    for state in (tuple(full | 1 << n for _ in range(1 << n)), dfs.sink):
+        for tbl in dfs.rows(rungs):
+            child = dfs.right_step(state, tbl)
+            assert child == _inline_right_step(dfs, state, tbl)
+            assert child == tuple(dfs._entry(state, tbl, t) for t in range(1 << n))
+            for ignite in (False, True):
+                assert dfs._accepts(state, tbl, ignite) == bool(
+                    child[full] >> n and (not ignite or child[0] & full))
+            state = child

@@ -324,3 +324,11 @@ def test_config_helpers(path2):
     again = LadderConfig.from_json(doc)
     assert (again.heights == cfg.heights).all()
     assert again.window == cfg.window
+
+
+def test_heights_map_is_plain_ints_by_site(path2):
+    cfg = LadderConfig.from_rungs([(3, 1), (2, 3), (1, 2)], start=-1)
+    hm = cfg.heights_map()
+    assert hm == {(0, -1): 3, (1, -1): 1, (0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): 2}
+    assert all(type(h) is int for h in hm.values())
+    assert list(hm) == [(0, -1), (1, -1), (0, 0), (1, 0), (0, 1), (1, 1)]

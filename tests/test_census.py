@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 from laddersand.burning import (full_burnable, is_rung_symbol, left_burnable,
                                 leftmost_schedule, max_rung, right_burnable,
                                 window_heights)
-from laddersand.census import (_SequenceDFS, count_series, entropy_bounds,
-                               enum_rungs, iter_left_burnable, iter_recurrent,
-                               renewal_identity_check, single_rung_recurrent)
+from laddersand.census import (_SequenceDFS, _engine, count_series,
+                               entropy_bounds, enum_rungs, iter_left_burnable,
+                               iter_recurrent, renewal_identity_check,
+                               single_rung_recurrent)
 from laddersand.coding import build_coding, restrict
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import builtin_graph, laplacian_entry
-from laddersand.measures import _AutomatonBundle
+from laddersand.measures import _AutomatonBundle, boundary_layer
+from laddersand.toppling import LadderConfig
+from reference_census import _RowMaskEngine
 from test_coding import connected_graphs
 
 I01_A = (5, 19, 71, 265, 989, 3691, 13775, 51409)
@@ -327,8 +330,8 @@ def _stable_rungs(graph):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_engine_matches_burning_oracles(data):
-    # the row-mask engine decides recurrence like ordinary burning and
-    # left-burnability like the rung-at-a-time schedule
+    # the transfer-state engine decides recurrence like ordinary burning
+    # and left-burnability like the rung-at-a-time schedule
     graph = builtin_graph(data.draw(st.sampled_from(["path2", "path3", "cycle3",
                                                      "path4"])))
     dfs = _SequenceDFS(graph)
@@ -400,7 +403,9 @@ def test_recurrent_counts_match_the_determinant_oracle(name, n_max):
 def test_recurrent_counts_reach_hundreds_of_rungs(path2, monkeypatch):
     # merged by the rungs above their last full row, the prefixes of one
     # length fall into about 4 times more groups at each rung; by transfer
-    # state, into the 8 live states of path2's recurrent windows
+    # state, into the 8 live states of path2's recurrent windows.  A cold
+    # engine, since a warm one has kept the steps of earlier tests
+    _engine.cache_clear()
     steps = []
     right_step = _SequenceDFS.right_step
 
@@ -455,6 +460,23 @@ def test_iter_left_burnable_edge_lengths(path2):
         list(iter_left_burnable(path2, -1))
 
 
+def test_iter_recurrent_refuses_a_fractional_length(path2):
+    with pytest.raises(ValidationError, match="not an integer"):
+        list(iter_recurrent(path2, 2.5))
+
+
+def test_iter_left_burnable_refuses_a_float_length(path2):
+    # 2.0 is refused like 2.5, not read as 2
+    with pytest.raises(ValidationError, match="not an integer"):
+        list(iter_left_burnable(path2, 2.0))
+
+
+@pytest.mark.parametrize("method", ["brute", "automaton"])
+def test_count_series_refuses_a_fractional_length(path2, method):
+    with pytest.raises(ValidationError, match="not an integer"):
+        count_series(path2, "L", 2.5, method=method)
+
+
 def test_two_sided_counts_pinned(path2, path3, cycle3):
     assert count_series(path2, "S", 6).values == (5, 17, 59, 205, 713, 2481)
     assert count_series(path2, "S0", 6).values == (4, 8, 14, 24, 42, 76)
@@ -465,14 +487,14 @@ def test_two_sided_counts_pinned(path2, path3, cycle3):
 
 
 def _mirror_walked_counts(graph, n_max):
-    """The ``S`` and ``S0`` counts of the plain walk: every left-burnable
-    path whose mirror image is left-burnable too, an ``S0`` one holding
-    no maximal rung."""
-    dfs = _SequenceDFS(graph)
+    """The ``S`` and ``S0`` counts of the reference walk: every
+    left-burnable path whose mirror image is left-burnable too, an ``S0``
+    one holding no maximal rung."""
+    ref = _RowMaskEngine(graph)
     cmax = max_rung(graph)
     s, s0 = [0] * n_max, [0] * n_max
-    for path in dfs.walk(enum_rungs(graph).rungs, n_max, ignite=True):
-        if path and dfs.accepts(path[::-1]):
+    for path in ref.walk(enum_rungs(graph).rungs, n_max, ignite=True):
+        if path and ref.accepts(path[::-1]):
             s[len(path) - 1] += 1
             s0[len(path) - 1] += cmax not in path
     return tuple(s), tuple(s0)
@@ -541,15 +563,16 @@ def test_two_sided_counts_burn_no_window(path2, path3, monkeypatch):
 
 
 def _walked_counts(graph, variant, n_max):
-    """Per-length numbers of the plain walk's windows of a class; an
+    """Per-length numbers of the reference walk's windows of a class; an
     ``L0`` window is a left-burnable one with no maximal rung."""
-    cmax = max_rung(graph)
-    if variant == "REC":
-        return tuple(sum(1 for _ in iter_recurrent(graph, n))
-                     for n in range(1, n_max + 1))
-    return tuple(sum(1 for w in iter_left_burnable(graph, n)
-                     if variant == "L" or cmax not in w)
-                 for n in range(1, n_max + 1))
+    ref = _RowMaskEngine(graph)
+    rec = variant == "REC"
+    counts = [0] * n_max
+    for path in ref.walk(single_rung_recurrent(graph) if rec else enum_rungs(graph).rungs,
+                         n_max, ignite=not rec):
+        if path and (variant != "L0" or ref.cmax not in path):
+            counts[len(path) - 1] += 1
+    return tuple(counts)
 
 
 @pytest.mark.parametrize("name, n_max", [("point", 6), ("path2", 6), ("path3", 3),
@@ -682,3 +705,72 @@ def test_right_step_is_its_entries(data):
                 assert dfs._accepts(state, tbl, ignite) == bool(
                     child[full] >> n and (not ignite or child[0] & full))
             state = child
+
+
+def _check_against_reference(data, graph):
+    # one engine for every draw, so that the walks, verdicts and steps
+    # read and overwrite each other's kept steps
+    dfs, ref = _SequenceDFS(graph), _RowMaskEngine(graph)
+    symbols, recurrent = enum_rungs(graph).rungs, single_rung_recurrent(graph)
+    n_max = data.draw(st.integers(0, {1: 6, 2: 4, 3: 3}.get(graph.n, 2)))
+    for ignite, alphabet in ((True, symbols), (False, recurrent)):
+        rungs = data.draw(st.one_of(st.just(list(alphabet)),
+                                    st.permutations(alphabet)))
+        assert ([tuple(p) for p in dfs.walk(rungs, n_max, ignite)]
+                == [tuple(p) for p in ref.walk(rungs, n_max, ignite)])
+    for alphabet in (_stable_rungs(graph), symbols, recurrent):
+        for _ in range(3):
+            rungs = data.draw(st.lists(st.sampled_from(alphabet), min_size=1,
+                                       max_size=8))
+            # a maximal rung last ends the prefixes that ignite it
+            for window in (rungs, rungs + [ref.cmax]):
+                assert dfs.last_max_prefix(window) == ref.last_max_prefix(window)
+            for ignite in (True, False):
+                assert dfs.accepts(rungs, ignite) == ref.accepts(rungs, ignite)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_engine_matches_the_reference_engine(data):
+    graph = builtin_graph(data.draw(st.sampled_from(
+        ["point", "path2", "path3", "cycle3", "path4", "cycle4"])))
+    _check_against_reference(data, graph)
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=connected_graphs(), data=st.data())
+def test_engine_matches_the_reference_engine_on_random_graphs(graph, data):
+    _check_against_reference(data, graph)
+
+
+def test_boundary_layers_of_walked_windows_take_no_step(path2, monkeypatch):
+    # the walk keeps the steps of every recurrent prefix, and a window's
+    # mirror image is recurrent too
+    _engine.cache_clear()
+    windows = list(iter_recurrent(path2, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a boundary layer took a step")
+
+    monkeypatch.setattr(_SequenceDFS, "right_step", refuse)
+    monkeypatch.setattr(_SequenceDFS, "_entry", refuse)
+    layers = [boundary_layer(path2, LadderConfig.from_rungs(w, start=-1))
+              for w in windows]
+    assert len(layers) == 1045
+
+
+def test_a_stepped_rejection_stays_rejected(path2):
+    # step overwrites a kept () with the real state; child reads that
+    # state's flag and still refuses it
+    dfs = _SequenceDFS(path2)
+    c = next(c for c in _stable_rungs(path2) if c not in single_rung_recurrent(path2))
+    tbl, = dfs.rows([c])
+    assert dfs.child(dfs.source, c, tbl, ignite=False) is None
+    assert dfs.moves[dfs.source][c] == ()
+    stepped = dfs.step(dfs.source, c, tbl)
+    assert stepped == dfs.right_step(dfs.source, tbl)
+    assert dfs.moves[dfs.source][c] == stepped
+    for ignite in (False, True):
+        assert dfs.child(dfs.source, c, tbl, ignite) is None
+        assert not dfs.accepts([c], ignite)
+    assert dfs.step(dfs.source, c, tbl) is stepped

@@ -1,26 +1,30 @@
 """Exact enumeration and counting of burnable-configuration classes.
 
 Counts are exact integers.  One engine per graph (:class:`_SequenceDFS`)
-decides every window verdict the library computes for itself, on one
-kind of *transfer state*: for each vertex set held burnt right of a
-prefix, its last row's burn and whether every row burns, read off the
-one-rung burn table (:func:`~laddersand.burning.burn_table`, whose rows
-it burns the first time a rung is read).  Taking the burn's least fixed
-point one row at a time (Bekić's lemma), later rungs meet a prefix only
-through that state, so the engine keeps each step it takes for as long
-as it lives, and a window is decided without re-burning it.  A rejected
-prefix has no accepted extension.  Its depth-first walk yields every
-accepted prefix in rung order, over the rung symbols with ignition (a
-prefix that cannot ignite its last rung is pruned) or over the
-single-rung recurrent rungs without it.  The boundary layers of
-:func:`laddersand.measures.boundary_layer` take one pass per side.
+decides every window verdict the library computes for itself, reading
+each row's burn off the one-rung burn table
+(:func:`~laddersand.burning.burn_table`, whose rows it burns the first
+time a rung is read).  Walks and brute counts run on *transfer states*:
+for each vertex set held burnt right of a prefix, its last row's burn
+and whether every row burns.  Taking the burn's least fixed point one
+row at a time (Bekić's lemma), later rungs meet a prefix only through
+that state, and a rejected prefix has no accepted extension.  The
+depth-first walk reads each prefix's state entry by entry, taking only
+the entries it reads, and yields every accepted prefix in rung order,
+over the rung symbols with ignition (a prefix that cannot ignite its
+last rung is pruned) or over the single-rung recurrent rungs without
+it.  The verdicts on one window known in full, among them the boundary
+layers of :func:`laddersand.measures.boundary_layer` (one pass per
+side), extend its burnt-row masks by a closure instead, which touches
+fewer rows than a prefix has entries.
 
 Brute counts (:meth:`_SequenceDFS.count`) go one length at a time over
-transfer states, so the prefixes sharing a state are counted together,
-and the states stay bounded as the windows grow.  Each length
+whole transfer states, so the prefixes sharing a state are counted
+together, and the states stay bounded as the windows grow.  Each length
 may draw its own rungs (the mixture pins an event's).  ``S``/``S0`` pair
-the left-seeded state with the right-seeded one.  The counts read
-nothing of the coding automaton, so they stay its independent check.
+the left-seeded state with the right-seeded one.  The engine keeps its
+table rows between calls and nothing else.  The counts read nothing of
+the coding automaton, so they stay its independent check.
 """
 
 from __future__ import annotations
@@ -99,18 +103,63 @@ def single_rung_recurrent(graph: Graph) -> tuple[RungConfig, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The census engine: transfer states, stepped through one memo
+# The census engine: transfer states for walks and counts, a burnt-row
+# closure for single windows
 # ---------------------------------------------------------------------------
 
-State = tuple[int, ...]
+def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> None:
+    """Burning closure over burnt-row masks: reprocess dirty rows (a
+    bitmask of row indices) until nothing new burns.  ``tbls[j]`` is the
+    one-rung burn table's row for the rung of row ``j``, indexed by
+    ``below << n | above``: a row's burn sees the burnt vertices beside
+    it and the open left end below row 0.  A row only grows and always
+    lies inside the burn of its current neighbours, so that burn is its
+    new value."""
+    top = len(burnt) - 1
+    while dirty:
+        jbit = dirty & -dirty
+        dirty ^= jbit
+        j = jbit.bit_length() - 1
+        row = burnt[j]
+        if row == full:
+            continue
+        below = burnt[j - 1] if j else full
+        above = burnt[j + 1] if j < top else 0
+        new = tbls[j][(below << n) | above]
+        if new != row:
+            burnt[j] = new
+            if j:
+                dirty |= jbit >> 1
+            if j < top:
+                dirty |= jbit << 1
+
+
+class _Prefix(dict):
+    """A prefix's transfer state (:meth:`_SequenceDFS.right_step`) read
+    entry by entry: entry ``t`` is taken when it is first read, from the
+    state before the last rung and that rung's table row, and takes in
+    turn only the entries of that state that it reads.  A walk takes
+    about one entry for each child it tries, of the ``2**n``."""
+
+    __slots__ = ("engine", "prev", "tbl")
+
+    def __init__(self, engine: "_SequenceDFS", prev, tbl: list[int]):
+        self.engine, self.prev, self.tbl = engine, prev, tbl
+
+    def __missing__(self, t: int) -> int:
+        entry = self[t] = self.engine._entry(self.prev, self.tbl, t)
+        return entry
 
 
 class _SequenceDFS:
-    """The census engine of one graph.  A prefix is its transfer state
-    (:meth:`right_step`), from the burnt left sink :attr:`source` or,
-    right-seeded, from :attr:`sink`.  :attr:`moves` keeps every step taken
-    for as long as the engine lives: state -> rung -> next state, ``()``
-    where the prefix does not burn whole and the step was not needed."""
+    """The census engine of one graph.  Walks and counts follow each
+    prefix's transfer state (:meth:`right_step`), from the burnt left
+    sink :attr:`source` or, right-seeded, from :attr:`sink`: a walk reads
+    it entry by entry (:class:`_Prefix`), a count takes it whole and
+    merges the prefixes that share one.  The verdicts on a single window
+    extend its resting left-seeded burnt-row masks by a closure instead
+    (:meth:`push`).  It keeps nothing but table rows from one call to
+    the next."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -120,7 +169,6 @@ class _SequenceDFS:
         self.source = tuple(self.full | 1 << self.n for _ in range(1 << self.n))
         self.sink = tuple((self.full if y else 0) | 1 << self.n for y in range(1 << self.n))
         self.tables: dict[RungConfig, list[int]] = {}
-        self.moves: dict[State, dict[RungConfig, State]] = {}
 
     def rows(self, rungs: Sequence[RungConfig]) -> list[list[int]]:
         """The table row of each rung; the missing rows are burnt in one
@@ -132,86 +180,110 @@ class _SequenceDFS:
         self.tables.update(zip(missing, burn_table(self.graph, missing).tolist()))
         return [self.tables[c] for c in rungs]
 
-    def child(self, state: State, c: RungConfig, tbl: list[int], ignite: bool,
-              moves: Optional[dict] = None) -> Optional[State]:
-        """The state after appending rung ``c`` of table row ``tbl`` when
-        every row then burns under a burnt right end and, with ``ignite``,
-        the rung burns with nothing there (:meth:`_accepts`); else None.
-        A rejected child is kept as ``()`` without taking its step.
-        ``moves`` is ``state``'s memo row, for callers that hold it."""
-        n, full = self.n, self.full
-        if ignite and not tbl[(state[0] & full) << n]:
+    def push(self, burnt: list[int], tbls: list, ignite: bool = True
+             ) -> Optional[list[int]]:
+        """Resting state after appending a rung as row ``len(burnt)``;
+        ``tbls[j]`` must be the table row of row ``j``, the new rung's
+        included.  With ``ignite`` None when the new rung cannot ignite,
+        in which case no extension is left-burnable either; its burn
+        grows from nothing, so one round decides that."""
+        k = len(burnt)
+        if ignite and k and not tbls[k][burnt[-1] << self.n]:
             return None
-        if moves is None:
-            moves = self.moves.setdefault(state, {})
-        nxt = moves.get(c)
-        if nxt is None:
-            nxt = moves[c] = (self.right_step(state, tbl)
-                              if self._entry(state, tbl, full) >> n else ())
-        return nxt if nxt and nxt[full] >> n else None
+        child = burnt + [0]
+        _close(child, tbls, 1 << k, self.full, self.n)
+        if ignite and child[k] == 0:
+            return None
+        return child
 
-    def step(self, state: State, c: RungConfig, tbl: list[int],
-             moves: Optional[dict] = None) -> State:
-        """The state after appending rung ``c`` whether or not the prefix
-        burns whole, taken in place of a kept ``()``."""
-        if moves is None:
-            moves = self.moves.setdefault(state, {})
-        nxt = moves.get(c)
-        if not nxt:
-            nxt = moves[c] = self.right_step(state, tbl)
-        return nxt
+    def is_burnable(self, burnt: list[int], tbls: list) -> bool:
+        """Whether the closure finishes once a fully burnt row above the
+        prefix switches the right sink on: left-burnability after ignited
+        pushes, recurrence after any (burning is order-free)."""
+        probe = burnt + [self.full]  # a full row is never reprocessed
+        _close(probe, tbls, 1 << (len(burnt) - 1), self.full, self.n)
+        return probe.count(self.full) == len(probe)
 
     def accepts(self, rungs: Sequence[RungConfig], ignite: bool = True) -> bool:
-        """Left-burnability (with ``ignite``) or recurrence of a rung
-        sequence, one :meth:`child` per rung; both classes are closed
-        under prefixes."""
-        state: Optional[State] = self.source
-        for c, tbl in zip(rungs, self.rows(rungs)):
-            state = self.child(state, c, tbl, ignite)
-            if state is None:
+        """Left-burnability (with ``ignite``) or recurrence of a nonempty
+        rung sequence, in one pass."""
+        tbls = self.rows(rungs)
+        burnt: list[int] = []
+        for _ in rungs:
+            burnt = self.push(burnt, tbls, ignite)
+            if burnt is None:
                 return False
-        return True
+        return self.is_burnable(burnt, tbls)
 
     def last_max_prefix(self, rungs: Sequence[RungConfig]) -> int:
         """The index of the last maximal rung of a recurrent window that
-        ends a left-burnable prefix, or -1: the last one that still
-        ignites, stepping from :attr:`source` (left-burnability is closed
-        under prefixes).  An ignited maximal rung burns whole, and the
-        window's ordinary burn reaches the rows below it only through it
-        and the left sink, so in that burn's order they all burn here
-        too."""
-        n, full = self.n, self.full
-        state, last = self.source, -1
-        for k, (c, tbl) in enumerate(zip(rungs, self.rows(rungs))):
-            if not tbl[(state[0] & full) << n]:
+        ends a left-burnable prefix, or -1: the last one an ignited pass
+        pushes (left-burnability is closed under prefixes).  A pushed
+        maximal rung burns whole, and the window's ordinary burn reaches
+        the rows below it only through it and the left sink, so in that
+        burn's order they all burn here too."""
+        tbls = self.rows(rungs)
+        burnt: list[int] = []
+        last = -1
+        for k, c in enumerate(rungs):
+            burnt = self.push(burnt, tbls)
+            if burnt is None:
                 break
-            state = self.step(state, c, tbl)
             if c == self.cmax:
                 last = k
         return last
+
+    def _entry(self, state, tbl: list[int], t: int, z: int = 0) -> int:
+        """Entry ``t`` of :meth:`right_step`: the new row's burn is the least
+        fixed point under the old last row's, at most ``n + 1`` rounds from
+        ``z``, any burn inside it."""
+        n, full = self.n, self.full
+        y = -1
+        while z != y:
+            y, z = z, tbl[(state[z] & full) << n | t]
+        return y | (y == full and state[y] >> n) << n
+
+    def right_step(self, state, tbl: list[int]) -> tuple[int, ...]:
+        """The transfer state after appending a rung of table row ``tbl``:
+        entry ``t`` is ``last | flag << n``, the last row's burn and whether
+        every row burns while the set ``t`` is burnt to the right.  An
+        entry's burn holds that of ``t`` less its lowest vertex, so its
+        rounds start there."""
+        full, out = self.full, [self._entry(state, tbl, 0)]
+        for t in range(1, 1 << self.n):
+            out.append(self._entry(state, tbl, t, out[t & t - 1] & full))
+        return tuple(out)
+
+    def _accepts(self, state, tbl: list[int], ignite: bool) -> bool:
+        """Whether every row burns after a rung of table row ``tbl`` under
+        a burnt right end (entry ``full``) and, with ``ignite``, the rung
+        burns with nothing there (entry 0 grows from nothing, so it is
+        nonzero exactly when its first round is)."""
+        n, full = self.n, self.full
+        return bool((not ignite or tbl[(state[0] & full) << n])
+                    and self._entry(state, tbl, full) >> n)
 
     def walk(self, rungs: Sequence[RungConfig], n_max: int, ignite: bool
              ) -> Iterator[list[RungConfig]]:
         """Every burnable sequence of at most ``n_max`` of the given
         rungs, the empty one first, depth first in their order, as the
-        walk's own path (copy what you keep): each node steps its state
-        by :meth:`child`.  With ``ignite`` the sequences are
-        left-burnable, otherwise recurrent; either way a prefix that is
-        not burnable has no burnable extension."""
+        walk's own path (copy what you keep): a node's state is read
+        entry by entry from its parent's (:class:`_Prefix`).  With
+        ``ignite`` the sequences are left-burnable, otherwise recurrent;
+        either way a prefix that is not burnable has no burnable
+        extension."""
         steps = list(zip(rungs, self.rows(rungs)))
         path: list[RungConfig] = []
         yield path
         stack = [(self.source, iter(steps))] if n_max else []
         while stack:
             state, children = stack[-1]
-            moves = self.moves.setdefault(state, {})
             for c, tbl in children:
-                child = self.child(state, c, tbl, ignite, moves)
-                if child is not None:
+                if self._accepts(state, tbl, ignite):
                     path.append(c)
                     yield path
                     if len(path) < n_max:
-                        stack.append((child, iter(steps)))
+                        stack.append((_Prefix(self, state, tbl), iter(steps)))
                         break
                     path.pop()
             else:
@@ -219,77 +291,57 @@ class _SequenceDFS:
                 if path:
                     path.pop()
 
-    def _entry(self, state: State, tbl: list[int], t: int) -> int:
-        """Entry ``t`` of :meth:`right_step`: the new row's burn is the least
-        fixed point under the old last row's, at most ``n + 1`` rounds."""
-        n, full = self.n, self.full
-        y, z = -1, 0
-        while z != y:
-            y, z = z, tbl[(state[z] & full) << n | t]
-        return y | (y == full and state[y] >> n) << n
-
-    def right_step(self, state: State, tbl: list[int]) -> State:
-        """The transfer state after appending a rung of table row ``tbl``:
-        entry ``t`` is ``last | flag << n``, the last row's burn and whether
-        every row burns while the set ``t`` is burnt to the right.  The
-        empty prefix's state is the burnt left sink, or :attr:`sink`."""
-        return tuple([self._entry(state, tbl, t) for t in range(1 << self.n)])
-
-    def _accepts(self, state: State, tbl: list[int], ignite: bool,
-                 nxt: Optional[State] = None) -> bool:
-        """Whether every row burns after a rung of table row ``tbl`` under
-        a burnt right end (entry ``full``, read off a kept step ``nxt``
-        when there is one) and, with ``ignite``, the rung burns with
-        nothing there (entry 0, nonzero iff its first round is)."""
-        n, full = self.n, self.full
-        return bool((not ignite or tbl[(state[0] & full) << n])
-                    and (self._entry(state, tbl, full) if nxt is None
-                         else nxt[full] if nxt else 0) >> n)
-
     def count(self, depths: Sequence[Sequence[RungConfig]], ignite: bool,
               two_sided: bool = False) -> list[int]:
         """The number of burnable sequences of each length ``0..len(depths)``
         whose ``k``-th rung is one of ``depths[k - 1]``, counted one length
-        at a time by transfer state, all that later rungs see of a prefix:
-        a layer maps each state to its number of accepted prefixes, and
-        steps it by :meth:`child`.  The last layer takes no step: it reads
-        acceptance off the kept steps, or else the entries it needs
-        (:meth:`_accepts`).  A rejected prefix has no accepted extension.
-        With ``two_sided`` the state adds the right-seeded one from
-        :attr:`sink`, stepped by :meth:`step` and never dropped."""
+        at a time by transfer state (:meth:`right_step`), all that later
+        rungs see of a prefix: a layer maps each state to its number of
+        accepted prefixes.  Within the call a step is taken once per state
+        and rung, only for an accepted child, and the last layer reads only
+        the entries acceptance needs (:meth:`_accepts`).  A rejected prefix
+        has no accepted extension.  With ``two_sided`` the state adds the
+        right-seeded one from :attr:`sink`, which is never dropped."""
         n, full = self.n, self.full
         counts = [1] + [0] * len(depths)
         # (left-seeded state, right-seeded state or None) -> prefixes
         layer = {(self.source, self.sink if two_sided else None): 1}
+        lmoves: dict = {}  # state -> rung -> child, () when rejected
+        rmoves: dict = {}
 
-        def verdicts(state, ignited, mask=-1):
+        def verdicts(moves, state, ignited, mask=-1):
             # the accepted rungs of mask after state, as a bitmask over steps
-            moves, bits = self.moves.get(state, {}), 0
+            row, bits = moves.get(state, {}), 0
             for i, (c, tbl) in enumerate(steps):
-                if mask >> i & 1 and self._accepts(state, tbl, ignited, moves.get(c)):
+                child = row.get(c)
+                if mask >> i & 1 and (self._accepts(state, tbl, ignited) if child is None
+                                      else child and child[full] >> n):
                     bits |= 1 << i
             return bits
 
         for depth, rungs in enumerate(depths, start=1):
             steps = list(zip(rungs, self.rows(rungs)))
             if depth == len(depths):
-                lbits = {left: verdicts(left, ignite) for left, _ in layer}
+                lbits = {left: verdicts(lmoves, left, ignite) for left, _ in layer}
                 need: dict = {}  # right-seeded state -> rungs accepted on the left
                 for left, right in layer:
                     need[right] = need.get(right, 0) | lbits[left]
-                rbits = {right: verdicts(right, False, mask) if two_sided else -1
+                rbits = {right: verdicts(rmoves, right, False, mask) if two_sided else -1
                          for right, mask in need.items()}
                 counts[depth] = sum(mult * (lbits[left] & rbits[right]).bit_count()
                                     for (left, right), mult in layer.items())
                 break
             nxt: dict = {}
             for (left, right), mult in layer.items():
-                lmoves = self.moves.setdefault(left, {})
-                rmoves = self.moves.setdefault(right, {}) if two_sided else None
+                lrow, rrow = lmoves.setdefault(left, {}), rmoves.setdefault(right, {})
                 for c, tbl in steps:
-                    child = self.child(left, c, tbl, ignite, lmoves)
-                    if child is not None:
-                        key = child, self.step(right, c, tbl, rmoves) if two_sided else None
+                    if c not in lrow:
+                        lrow[c] = (self.right_step(left, tbl)
+                                   if self._accepts(left, tbl, ignite) else ())
+                    if lrow[c]:
+                        if two_sided and c not in rrow:
+                            rrow[c] = self.right_step(right, tbl)
+                        key = lrow[c], rrow[c] if two_sided else None
                         nxt[key] = nxt.get(key, 0) + mult
             layer = nxt
             counts[depth] = sum(mult for (_, right), mult in layer.items()

@@ -509,11 +509,9 @@ class BoundaryLayers:
 def boundary_layer(graph: Graph, config: LadderConfig) -> BoundaryLayers:
     """``sigma_left`` is the last maximal rung of a recurrent window that
     ends a left-burnable prefix, ``sigma_right`` the first that starts a
-    right-burnable suffix.  Recurrence and each side take one pass of
-    transfer-state steps on the census engine, the right side over the
-    mirror image (the one-rung burn table is symmetric in its two sides);
-    the engine keeps its steps, so a window whose prefixes it has stepped
-    through before takes no new step."""
+    right-burnable suffix.  Recurrence and each side take one pass of the
+    census engine, the right side over the mirror image (the one-rung
+    burn table is symmetric in its two sides)."""
     window = config.window
     heights = np.asarray(config.heights)
     _require_integers(heights)

@@ -1,13 +1,13 @@
 """Reference census engine for the equivalence tests.
 
-``_RowMaskEngine`` below is the engine the package used for its walks and
-single-window verdicts before every verdict ran on the transfer state: it
-keeps the left-seeded burning state of a prefix as burnt-row bitmasks and
-appends a rung by a closure over those rows, reading each row's burn from
-the one-rung burn table.  It is kept verbatim so that the tests can
-require the package's engine to give the same walks and verdicts, and
-the brute counts can be checked against an engine they share no code
-with.
+``_RowMaskEngine`` below is the engine the package used for its walks
+before they ran on transfer states: it keeps the left-seeded burning
+state of a prefix as burnt-row bitmasks and appends a rung by a closure
+over those rows, reading each row's burn from the one-rung burn table.
+The package still decides single windows by that closure.  It is kept
+verbatim so that the tests can require the package's engine to give the
+same walks and verdicts, and the brute counts can be checked against an
+engine they share no code with.
 """
 
 from __future__ import annotations

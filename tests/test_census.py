@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from laddersand.burning import (full_burnable, is_rung_symbol, left_burnable,
                                 leftmost_schedule, max_rung, right_burnable,
                                 window_heights)
-from laddersand.census import (_SequenceDFS, _engine, count_series,
+from laddersand.census import (VARIANTS, _Prefix, _SequenceDFS, _engine, count_series,
                                entropy_bounds, enum_rungs, iter_left_burnable,
                                iter_recurrent, renewal_identity_check,
                                single_rung_recurrent)
@@ -330,8 +330,9 @@ def _stable_rungs(graph):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_engine_matches_burning_oracles(data):
-    # the transfer-state engine decides recurrence like ordinary burning
-    # and left-burnability like the rung-at-a-time schedule
+    # the engine's closure decides recurrence like ordinary burning and
+    # left-burnability like the rung-at-a-time schedule, and so does its
+    # walk over transfer states
     graph = builtin_graph(data.draw(st.sampled_from(["path2", "path3", "cycle3",
                                                      "path4"])))
     dfs = _SequenceDFS(graph)
@@ -342,6 +343,10 @@ def test_engine_matches_burning_oracles(data):
     symbols = data.draw(st.lists(st.sampled_from(enum_rungs(graph).rungs),
                                  min_size=1, max_size=5))
     assert dfs.accepts(symbols) == leftmost_schedule(graph, symbols).success
+    for rungs, ignite, verdict in ((seq, False, dfs.accepts(seq, ignite=False)),
+                                   (symbols, True, dfs.accepts(symbols))):
+        walked = [tuple(p) for p in dfs.walk(rungs, len(rungs), ignite)]
+        assert (tuple(rungs) in walked) == verdict
 
 
 def _bareiss_det(matrix):
@@ -403,9 +408,7 @@ def test_recurrent_counts_match_the_determinant_oracle(name, n_max):
 def test_recurrent_counts_reach_hundreds_of_rungs(path2, monkeypatch):
     # merged by the rungs above their last full row, the prefixes of one
     # length fall into about 4 times more groups at each rung; by transfer
-    # state, into the 8 live states of path2's recurrent windows.  A cold
-    # engine, since a warm one has kept the steps of earlier tests
-    _engine.cache_clear()
+    # state, into the 8 live states of path2's recurrent windows
     steps = []
     right_step = _SequenceDFS.right_step
 
@@ -689,14 +692,17 @@ def _inline_right_step(dfs, state, tbl):
 @given(data=st.data())
 def test_right_step_is_its_entries(data):
     # every entry is one fixed point, and acceptance reads the entries
-    # it needs without taking the step
+    # it needs without taking the step; a state read entry by entry, in
+    # any order, over a chain of such states, is the whole step
     graph = builtin_graph(data.draw(st.sampled_from(
         ["point", "path2", "path3", "cycle3", "path4"])))
     dfs = _SequenceDFS(graph)
     n, full = dfs.n, dfs.full
     rungs = data.draw(st.lists(st.sampled_from(_stable_rungs(graph)),
                                min_size=1, max_size=5))
+    order = data.draw(st.permutations(range(1 << n)))
     for state in (tuple(full | 1 << n for _ in range(1 << n)), dfs.sink):
+        lazy = state
         for tbl in dfs.rows(rungs):
             child = dfs.right_step(state, tbl)
             assert child == _inline_right_step(dfs, state, tbl)
@@ -704,12 +710,12 @@ def test_right_step_is_its_entries(data):
             for ignite in (False, True):
                 assert dfs._accepts(state, tbl, ignite) == bool(
                     child[full] >> n and (not ignite or child[0] & full))
+            lazy = _Prefix(dfs, lazy, tbl)
+            assert [lazy[t] for t in order] == [child[t] for t in order]
             state = child
 
 
 def _check_against_reference(data, graph):
-    # one engine for every draw, so that the walks, verdicts and steps
-    # read and overwrite each other's kept steps
     dfs, ref = _SequenceDFS(graph), _RowMaskEngine(graph)
     symbols, recurrent = enum_rungs(graph).rungs, single_rung_recurrent(graph)
     n_max = data.draw(st.integers(0, {1: 6, 2: 4, 3: 3}.get(graph.n, 2)))
@@ -743,34 +749,44 @@ def test_engine_matches_the_reference_engine_on_random_graphs(graph, data):
     _check_against_reference(data, graph)
 
 
-def test_boundary_layers_of_walked_windows_take_no_step(path2, monkeypatch):
-    # the walk keeps the steps of every recurrent prefix, and a window's
-    # mirror image is recurrent too
-    _engine.cache_clear()
-    windows = list(iter_recurrent(path2, 4))
+def test_the_engine_keeps_only_table_rows_between_calls(path2):
+    # every call starts from the two seed states and takes its own steps
+    dfs = _engine(path2)
+    kept = dict(vars(dfs))
+    for variant in VARIANTS:
+        count_series(path2, variant, 5)
+    windows = list(iter_recurrent(path2, 3))
+    list(iter_left_burnable(path2, 3))
+    for w in windows[:50]:
+        boundary_layer(path2, LadderConfig.from_rungs(w, start=0))
+    assert _engine(path2) is dfs
+    assert vars(dfs).keys() == kept.keys()
+    assert all(vars(dfs)[k] is v for k, v in kept.items())
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a boundary layer took a step")
 
+@pytest.mark.parametrize("name, n_max", [("path3", 3), ("cycle4", 2), ("path5", 2)])
+def test_walks_read_a_few_entries_per_child(name, n_max, monkeypatch):
+    # read entry by entry, a walk takes no whole step and about one entry
+    # for each child it tries, where a whole state takes 2**n
+    graph = builtin_graph(name)
+    dfs = _SequenceDFS(graph)
+    rungs = single_rung_recurrent(graph)
+    dfs.rows(rungs)
+    entries = []
+    entry = _SequenceDFS._entry
+
+    def counted(self, state, tbl, t, z=0):
+        entries.append(t)
+        return entry(self, state, tbl, t, z)
+
+    def refuse(*args):
+        raise AssertionError("a walk took a whole step")
+
+    monkeypatch.setattr(_SequenceDFS, "_entry", counted)
     monkeypatch.setattr(_SequenceDFS, "right_step", refuse)
-    monkeypatch.setattr(_SequenceDFS, "_entry", refuse)
-    layers = [boundary_layer(path2, LadderConfig.from_rungs(w, start=-1))
-              for w in windows]
-    assert len(layers) == 1045
-
-
-def test_a_stepped_rejection_stays_rejected(path2):
-    # step overwrites a kept () with the real state; child reads that
-    # state's flag and still refuses it
-    dfs = _SequenceDFS(path2)
-    c = next(c for c in _stable_rungs(path2) if c not in single_rung_recurrent(path2))
-    tbl, = dfs.rows([c])
-    assert dfs.child(dfs.source, c, tbl, ignite=False) is None
-    assert dfs.moves[dfs.source][c] == ()
-    stepped = dfs.step(dfs.source, c, tbl)
-    assert stepped == dfs.right_step(dfs.source, tbl)
-    assert dfs.moves[dfs.source][c] == stepped
-    for ignite in (False, True):
-        assert dfs.child(dfs.source, c, tbl, ignite) is None
-        assert not dfs.accepts([c], ignite)
-    assert dfs.step(dfs.source, c, tbl) is stepped
+    parents = sum(1 for p in dfs.walk(rungs, n_max - 1, ignite=False))
+    children = parents * len(rungs)
+    entries.clear()
+    walked = [tuple(p) for p in dfs.walk(rungs, n_max, ignite=False)]
+    assert walked == [tuple(p) for p in _RowMaskEngine(graph).walk(rungs, n_max, False)]
+    assert len(entries) < 2 * children

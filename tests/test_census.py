@@ -790,3 +790,14 @@ def test_walks_read_a_few_entries_per_child(name, n_max, monkeypatch):
     walked = [tuple(p) for p in dfs.walk(rungs, n_max, ignite=False)]
     assert walked == [tuple(p) for p in _RowMaskEngine(graph).walk(rungs, n_max, False)]
     assert len(entries) < 2 * children
+
+
+@pytest.mark.parametrize("name", ["path3", "cycle4"])
+def test_a_walk_can_go_thousands_of_rungs_deep(name):
+    # a node reads the states below it only where their entries are
+    # missing, a few rungs down in a depth-first walk, so its reads do
+    # not nest as deep as the walk
+    graph = builtin_graph(name)
+    dfs = _SequenceDFS(graph)
+    assert dfs.accepts(next(iter_recurrent(graph, 1500)), ignite=False)
+    assert dfs.accepts(next(iter_left_burnable(graph, 1500)))

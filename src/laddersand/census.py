@@ -15,8 +15,8 @@ over the rung symbols with ignition (a prefix that cannot ignite its
 last rung is pruned) or over the single-rung recurrent rungs without
 it.  The verdicts on one window known in full, among them the boundary
 layers of :func:`laddersand.measures.boundary_layer` (one pass per
-side), extend its burnt-row masks by a closure instead, which touches
-fewer rows than a prefix has entries.
+side), extend its burnt-row masks by a closure instead, which reads
+about half as many table entries per rung as the states' entries take.
 
 Brute counts (:meth:`_SequenceDFS.count`) go one length at a time over
 whole transfer states, so the prefixes sharing a state are counted

@@ -28,8 +28,8 @@ from .coding import (DEFAULT_MAX_STATES, build_coding, check_transitive,
                      influence_maps_monotone, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, StepCapExceeded, ValidationError
 from .graphs import DEFAULT_VERTEX_CAP, Graph, Window, builtin_graph, parse_graph
-from .measures import (DEFAULT_RENEWAL_ORDER, CylinderEvent, cylinder_prob,
-                       mixture_experiment, right_cylinder_prob, sample_chain_windows,
+from .measures import (CylinderEvent, cylinder_prob, mixture_experiment,
+                       right_cylinder_prob, sample_chain_windows,
                        sample_finite_exact, sample_window_config)
 from .toppling import (CANONICAL, DEFAULT_STEP_CAP, PARALLEL, LadderConfig,
                        Schedule, demo_wave_config, random_schedule,
@@ -199,7 +199,6 @@ def cmd_measure(args, graph: Graph) -> Payload:
     for method in methods:
         fn = right_cylinder_prob if args.right else cylinder_prob
         res = fn(graph, event, method,
-                 renewal_order=args.renewal_order,
                  dp_halfwidth=args.dp_halfwidth, max_states=args.max_states)
         budget = res.detail.get("tail_bound", "")
         rows.append((f"[{event.lo},{event.hi}]", args.event, method,
@@ -383,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the right-sided measure")
     p.add_argument("--method", choices=("parry", "renewal", "finite_dp", "all"),
                    default="all")
-    p.add_argument("--renewal-order", type=int, default=DEFAULT_RENEWAL_ORDER)
     p.add_argument("--dp-halfwidth", type=int, default=32)
     p.set_defaults(func=cmd_measure)
 

@@ -530,16 +530,9 @@ def _levels(adj: Sequence[Sequence[int]], seeds: Sequence[int] = (0,)) -> list[i
     return level
 
 
-def check_transitive(automaton: CodingAutomaton
-                     ) -> tuple[bool, Optional[int]]:
-    """Strong connectivity plus the smallest power of the transition
-    matrix with all entries positive (None if reducible or periodic).
-
-    The period is the gcd of ``level[i] + 1 - level[j]`` over the edges
-    ``i -> j``, with breadth-first levels from state 0.  At period 1 the
-    powers run as bitset rows, row ``p`` of state ``i`` holding the
-    states that walks of length ``p`` from ``i`` reach, until every row
-    is full, which a primitive matrix reaches.
+def _irreducible_levels(automaton: CodingAutomaton) -> Optional[list[int]]:
+    """Breadth-first levels from state 0 if every state is reached from
+    state 0 and reaches it back (the automaton is irreducible), else None.
 
     The search back to state 0 runs over the row classes: a state other
     than 0 reaches it exactly when a state of its row does, which
@@ -550,6 +543,22 @@ def check_transitive(automaton: CodingAutomaton
     back = _levels(automaton.class_predecessors,
                    [k for k, row in enumerate(class_rows) if 0 in row])
     if min(level) < 0 or min((back[k] for k in of[1:]), default=0) < 0:
+        return None
+    return level
+
+
+def check_transitive(automaton: CodingAutomaton
+                     ) -> tuple[bool, Optional[int]]:
+    """Strong connectivity plus the smallest power of the transition
+    matrix with all entries positive (None if reducible or periodic).
+
+    The period is the gcd of ``level[i] + 1 - level[j]`` over the edges
+    ``i -> j``, with breadth-first levels from state 0.  At period 1 the
+    powers run as bitset rows, row ``p`` of state ``i`` holding the
+    states that walks of length ``p`` from ``i`` reach, until every row
+    is full, which a primitive matrix reaches."""
+    level = _irreducible_levels(automaton)
+    if level is None:
         return False, None
     rows, cols = automaton.edges
     level = np.array(level)
@@ -566,7 +575,12 @@ def check_transitive(automaton: CodingAutomaton
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Perron data of the transition matrix; ``iterations`` reads 0."""
+    """Perron data of the transition matrix; ``iterations`` reads 0.
+
+    ``strictly_positive`` says that the automaton is irreducible, which
+    makes both Perron vectors strictly positive.  It is not read off the
+    vectors: on wider graphs some of their entries are genuinely as small
+    as 1e-22."""
 
     rho: float
     right: np.ndarray
@@ -589,14 +603,20 @@ class SpectralData:
         return self
 
 
-def _perron(lump: Lumping) -> tuple[float, np.ndarray]:
-    """The largest eigenvalue of the lumping's quotient matrix and its
-    eigenvector, one entry per block."""
+def _quotient(lump: Lumping) -> np.ndarray:
+    """The lumping's quotient matrix: ``[b, c]`` counts the neighbours in
+    block ``c`` of each member of block ``b``."""
     q = np.zeros((len(lump.adj),) * 2)
     for b, row in enumerate(lump.adj):
         for c, count in row:
             q[b, c] = count
-    values, vectors = np.linalg.eig(q)
+    return q
+
+
+def _perron(lump: Lumping) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the lumping's quotient matrix and its
+    eigenvector, one entry per block."""
+    values, vectors = np.linalg.eig(_quotient(lump))
     top = int(np.argmax(values.real))
     return float(values[top].real), vectors[:, top].real
 
@@ -620,11 +640,10 @@ def spectral(automaton: CodingAutomaton) -> SpectralData:
     rows, cols = automaton.edges
     res_r = np.abs(np.bincount(rows, right[cols], len(right)) - rho * right).max()
     res_l = np.abs(np.bincount(cols, left[rows], len(left)) - rho * left).max()
-    # a zero entry of an eigenvector comes out of eig as rounding noise
-    positive = bool((right > 1e-12).all() and (left > 1e-12).all())
     return SpectralData(rho=rho, right=right, left=left,
                         residual_right=float(res_r), residual_left=float(res_l),
-                        iterations=0, strictly_positive=positive)
+                        iterations=0,
+                        strictly_positive=_irreducible_levels(automaton) is not None)
 
 
 def restrict(automaton: CodingAutomaton,

@@ -9,8 +9,10 @@ states of the walks through the event's rungs (the automaton is
 deterministic, so each state of the first rung starts at most one):
 
 * ``renewal``  - the renewal representation: sum over the nearest
-  renewal on each side of the event window, with geometric tails: a
-  walk weighs the left flank sum at its start times the right at its end;
+  renewal on each side of the event window.  A walk weighs the left
+  flank sum at its start times the right at its end, each flank a
+  geometric series summed in closed form, as a resolvent of a quotient
+  of the automaton restricted to non-maximal rungs;
 * ``parry``    - the stationary marginal of the maximal-entropy chain
   on the coding automaton, ``u[first] v[last] / (rho**(len - 1) u.v)``;
 * ``finite_dp`` - exact rational probability on a large finite window
@@ -29,13 +31,14 @@ same engine, never burning or listing a window.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -43,16 +46,12 @@ from .burning import RungConfig, max_rung
 from .census import (DEFAULT_MAX_ENUM, _engine, count_series, enum_rungs,
                      single_rung_recurrent)
 from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain, _perron,
-                     build_coding, parry_chain, restrict, spectral)
+                     _quotient, build_coding, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
 from .graphs import Graph, Window
 from .toppling import LadderConfig, _require_integers
 
-DEFAULT_RENEWAL_ORDER = 48
 DEFAULT_TAIL_TOL = 1e-9
-# a renewal flank sum stops at its first term summing below the cut
-_FLANK_CUT = 1e-14
-_MAX_FLANK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -61,24 +60,21 @@ _MAX_FLANK = 4096
 
 @dataclass(frozen=True)
 class RenewalData:
-    """Root of the counting generating function and the renewal-step
+    """Root of the renewal mass and the mean of the renewal-step
     distribution it induces.
 
-    ``p[k-1]`` is the probability that consecutive maximal rungs sit
-    ``k`` apart; ``alpha`` rescales the counts so that the number of
-    left-burnable windows of length ``n`` grows like ``alpha / lam**n``.
+    Consecutive maximal rungs sit ``k`` apart with probability
+    ``lam**k`` times the number of windows of ``k - 1`` rungs with no
+    maximal rung; ``tail_bound`` is the spread of the mass over the last
+    bracket of the root.  ``alpha`` rescales the counts so that the
+    number of left-burnable windows of length ``n`` grows like
+    ``alpha / lam**n``.
     """
 
     lam: float
-    order: int
-    p: tuple[float, ...]
     tail_bound: float
     mean_gap: float
     alpha: float
-
-    @property
-    def total_mass(self) -> float:
-        return sum(self.p)
 
     @property
     def renewal_density(self) -> float:
@@ -159,71 +155,55 @@ class _AutomatonBundle:
         return self._window_counts[length]
 
 
-def renewal_quantities(graph: Graph, order: int = DEFAULT_RENEWAL_ORDER
-                       ) -> RenewalData:
-    """Solve for the root of the truncated counting series and derive
-    the renewal-step distribution, with a certified geometric tail.
+def _resolvent(q: np.ndarray, z: float, vec) -> np.ndarray:
+    """``(I - z q)**-1 vec``: the ``z``-weighted sum of ``vec``'s sweeps."""
+    return np.linalg.solve(np.eye(len(q)) - z * q, vec)
 
-    The no-maximal-rung counts are taken from the restricted automaton;
-    their growth rate bounds the truncation tail.  If the bound cannot
-    be pushed below ``DEFAULT_TAIL_TOL`` at this order, a larger order is
-    requested via :class:`FeasibilityError`; an order whose counts or
-    growth-rate powers overflow floating point is refused the same way.
+
+def renewal_quantities(graph: Graph) -> RenewalData:
+    """Solve for the root of the renewal mass and derive the mean gap
+    between maximal rungs, in closed form.
+
+    The gaps are counted on the automaton restricted to non-maximal
+    rungs: with ``Q`` its suffix lumping's quotient and ``c`` its start
+    states per block, the mass is ``z (1 + z c.(I - zQ)**-1 1)``.  It is
+    bisected to 1 below ``1/rho0``, the restriction's growth rate read
+    from the bundle, until the bracket is two adjacent floats, and the
+    mean gap is ``1 + lam**2 c.(I - lam Q)**-2 1``.  A root whose bracket
+    spreads the mass by more than ``DEFAULT_TAIL_TOL`` is refused with
+    :class:`FeasibilityError`.
     """
-    if order < 4:
-        raise ValidationError("order must be >= 4")
     bundle = _AutomatonBundle.get(graph)
-    if bundle.nonmax is None:
+    nonmax = bundle.nonmax
+    if nonmax is None:
         # one admissible rung only: every window is a run of renewals
-        return RenewalData(lam=1.0, order=order, p=(1.0,), tail_bound=0.0,
-                           mean_gap=1.0, alpha=1.0)
-    rho0 = bundle.nonmax_rho
-    try:
-        scale = [rho0 ** n for n in range(order)]
-        # as floats, which is how each count enters the sums below
-        b = [1.0] + [float(bn) for bn in bundle.nonmax.word_counts(order - 1)]
-    except OverflowError:
-        raise FeasibilityError(
-            f"renewal order {order} overflows floating point; "
-            "use a smaller order") from None
-    growth_const = max(bn / sn for bn, sn in zip(b, scale))
+        return RenewalData(lam=1.0, tail_bound=0.0, mean_gap=1.0, alpha=1.0)
+    lump = nonmax.suffix_lumping
+    q = _quotient(lump)
+    c = np.bincount([lump.block[i] for i in nonmax.start_states()],
+                    minlength=len(q))
+    ones = np.ones(len(q))
 
-    def truncated(z: float) -> float:
-        acc = 0.0
-        zp = z
-        for bn in b:
-            acc += bn * zp
-            zp *= z
-        return acc
+    def mass(z: float) -> float:
+        return float(z * (1.0 + z * c @ _resolvent(q, z, ones)))
 
-    z_hi = 1.0 / rho0 - 1e-12
-    if truncated(z_hi) < 1.0:
-        raise FeasibilityError(
-            f"truncated series stays below 1 up to 1/{rho0:.6g}; "
-            f"increase order beyond {order}")
-    z_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (z_lo + z_hi)
-        if truncated(mid) < 1.0:
-            z_lo = mid
+    top = 1.0 / bundle.nonmax_rho
+    lo, hi, lam = 0.0, top, 0.5 * top
+    while lo < lam < hi:
+        if mass(lam) < 1.0:
+            lo = lam
         else:
-            z_hi = mid
-    lam = 0.5 * (z_lo + z_hi)
-
-    ratio = rho0 * lam
-    if ratio >= 1.0:  # pragma: no cover - root lies below 1/rho0
-        raise FeasibilityError("root estimate not below the tail radius")
-    tail = growth_const * lam * ratio ** order / (1.0 - ratio)
-    if tail > DEFAULT_TAIL_TOL:
+            hi = lam
+        lam = 0.5 * (lo + hi)
+    tail = mass(hi) - mass(lo) if hi < top else math.inf
+    if not tail <= DEFAULT_TAIL_TOL:
         raise FeasibilityError(
-            f"tail bound {tail:.3g} above {DEFAULT_TAIL_TOL:.3g}; "
-            f"increase order beyond {order}")
-
-    p = tuple(lam ** k * b[k - 1] for k in range(1, order + 1))
-    mean_gap = sum(k * pk for k, pk in enumerate(p, start=1))
-    alpha = 1.0 / (lam * mean_gap)
-    return RenewalData(lam=lam, order=order, p=p, tail_bound=tail,
-                       mean_gap=mean_gap, alpha=alpha)
+            f"renewal mass spreads by {tail:.3g} > {DEFAULT_TAIL_TOL:.3g} "
+            f"over the root's bracket below 1/{bundle.nonmax_rho:.6g}")
+    twice = _resolvent(q, lam, _resolvent(q, lam, ones))
+    mean_gap = float(1.0 + lam ** 2 * c @ twice)
+    return RenewalData(lam=lam, tail_bound=tail, mean_gap=mean_gap,
+                       alpha=1.0 / (lam * mean_gap))
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +278,6 @@ def _parry_prob(bundle: _AutomatonBundle, event: CylinderEvent) -> float:
             / chain.rho ** (len(event) - 1))
 
 
-def _flank(step: Callable[[np.ndarray], np.ndarray], cur: np.ndarray
-           ) -> np.ndarray:
-    """``cur + step(cur) + step(step(cur)) + ...`` to a term below the cut."""
-    acc = np.zeros_like(cur)
-    for _ in range(_MAX_FLANK):
-        acc += cur
-        cur = step(cur)
-        if cur.sum() < _FLANK_CUT:
-            return acc
-    raise FeasibilityError("renewal flank sum did not converge")  # pragma: no cover
-
-
 def _renewal_prob(bundle: _AutomatonBundle, event: CylinderEvent,
                   data: RenewalData) -> float:
     """Sum of the renewal representation over the positions of the
@@ -317,29 +285,38 @@ def _renewal_prob(bundle: _AutomatonBundle, event: CylinderEvent,
 
     Counting configurations between those renewals factorizes into a
     left flank with no maximal rung, the fixed event block, and a right
-    flank with no maximal rung; the two flank sums are geometric in the
-    root and run over the transitions between non-maximal states.
+    flank with no maximal rung.  The two flank sums are geometric in the
+    root; they are summed as resolvents of the restricted automaton's
+    quotients and joined to the event block over the transitions.
     """
-    auto = bundle.automaton
-    lam = data.lam
+    if bundle.nonmax is None:
+        return 1.0  # one admissible rung only: every admissible event is sure
+    auto, nonmax, lam = bundle.automaton, bundle.nonmax, data.lam
     size = len(auto)
     rows, cols = auto.edges
-    nonmax = np.array([s.rung != bundle.cmax for s in auto.states])
-    inner = nonmax[rows] & nonmax[cols]
-    rows0, cols0 = rows[inner], cols[inner]
+    # the restriction keeps the non-maximal states in order
+    inner = np.flatnonzero([s.rung != bundle.cmax for s in auto.states])
     start = np.zeros(size)
     start[list(auto.start_states())] = 1.0
 
-    # forward: lam-weighted flank prefixes ending at a non-maximal state
-    acc_f = _flank(lambda x: lam * np.bincount(cols0, x[rows0], size),
-                   lam * (start * nonmax))
+    # forward: lam-weighted flank prefixes ending at a non-maximal state,
+    # through the prefix groups of the restriction
+    pairs = nonmax.prefix_pairs
+    seed = nonmax.prefix_counts(1)[0]
+    longer = pairs.step(_resolvent(_quotient(nonmax.prefix_lumping), lam, seed))
+    flank = lam * np.array(pairs.start) + lam ** 2 * np.array(longer)
+    acc_f = np.zeros(size)
+    acc_f[inner] = flank[list(pairs.group)]
     # entering the event block: either no left flank (the block starts
     # the window) or one transition out of the flank
     enter = start + np.bincount(cols, acc_f[rows], size)
-    # backward: lam-weighted flank suffixes, including the empty one
-    acc_b = _flank(lambda x: lam * np.bincount(rows0, x[cols0], size),
-                   np.ones(size))
-    tail = 1.0 + lam * np.bincount(rows, (acc_b * nonmax)[cols], size)
+    # backward: lam-weighted flank suffixes, including the empty one,
+    # through the suffix blocks of the restriction
+    lump = nonmax.suffix_lumping
+    suffixes = _resolvent(_quotient(lump), lam, np.ones(len(lump.adj)))
+    acc_b = np.zeros(size)
+    acc_b[inner] = suffixes[list(lump.block)]
+    tail = 1.0 + lam * np.bincount(rows, acc_b[cols], size)
     first, last = _event_walks(bundle, event)
     # with ell_s = ell_t = 0 the nearest renewals hug the event block,
     # sitting len(event)+2 rungs apart
@@ -371,7 +348,6 @@ def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
 
 
 def cylinder_prob(graph: Graph, event: CylinderEvent, method: str = "parry", *,
-                  renewal_order: int = DEFAULT_RENEWAL_ORDER,
                   dp_halfwidth: int = 32, exact: bool = False,
                   max_states: int = DEFAULT_MAX_STATES) -> CylinderProbability:
     """Probability of a fixed rung assignment under the left-sided limit
@@ -390,7 +366,7 @@ def cylinder_prob(graph: Graph, event: CylinderEvent, method: str = "parry", *,
     if method == "parry":
         return CylinderProbability(_parry_prob(bundle, event), method, True, {})
     if method == "renewal":
-        data = renewal_quantities(graph, renewal_order)
+        data = renewal_quantities(graph)
         value = _renewal_prob(bundle, event, data)
         return CylinderProbability(value, method, True,
                                    {"tail_bound": data.tail_bound})
@@ -604,5 +580,4 @@ __all__ = [
     "RenewalData", "boundary_layer", "cylinder_prob", "mixture_experiment",
     "renewal_quantities", "right_cylinder_prob", "sample_chain_windows",
     "sample_finite_exact", "sample_window_config",
-    "DEFAULT_RENEWAL_ORDER",
 ]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -227,10 +229,12 @@ def test_exit_code_validation(capsys):
     assert code == 2
 
 
-def test_renewal_order_overflow_is_a_feasibility_error(capsys):
-    code, _, err = run(capsys, "measure", "--graph", "cycle3", "--event",
-                       "4,4,4", "--method", "renewal", "--renewal-order", "384")
-    assert code == 3 and "order 384" in err
+def test_renewal_measures_cycle3(capsys):
+    code, out, _ = run(capsys, "measure", "--graph", "cycle3", "--event",
+                       "4,4,4", "--method", "renewal")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert float(row["value"]) > 0 and float(row["error_budget"]) <= 1e-9
 
 
 def _topple_with(tmp_path, capsys, cfg, *add):
@@ -357,6 +361,7 @@ IGNORED_FLAGS = [
     (["blast"], "--format --max-enum"),
     (["mixture", "--event", "3,3"], "--seed --step-cap"),
     (["experiment", "cycle-topple"], "--format --max-enum --graph"),
+    (["measure", "--event", "3,3"], "--renewal-order"),  # a removed flag
 ]
 
 

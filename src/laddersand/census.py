@@ -33,13 +33,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
-from operator import index
 from typing import Callable, Iterator, Optional, Sequence
 
 from .burning import (RungConfig, _require_table_vertices, _rung_symbols,
                       burn_table, full_burnable, max_rung, window_heights)
 from .errors import FeasibilityError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, _integer
 
 VARIANTS = ("L", "L0", "S", "S0", "REC")
 
@@ -359,10 +358,7 @@ def _engine(graph: Graph) -> _SequenceDFS:
 def _length(value, name: str, least: int) -> int:
     """A window length as an ``int`` of at least ``least``, refused if
     it is not an integer."""
-    try:
-        value = index(value)
-    except TypeError:
-        raise ValidationError(f"{name}={value!r} is not an integer") from None
+    value = _integer(value, name)
     if value < least:
         raise ValidationError(f"{name} must be >= {least}")
     return value

@@ -28,9 +28,10 @@ from .coding import (DEFAULT_MAX_STATES, build_coding, check_transitive,
                      influence_maps_monotone, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, StepCapExceeded, ValidationError
 from .graphs import DEFAULT_VERTEX_CAP, Graph, Window, builtin_graph, parse_graph
-from .measures import (CylinderEvent, cylinder_prob, mixture_experiment,
-                       right_cylinder_prob, sample_chain_windows,
-                       sample_finite_exact, sample_window_config)
+from .measures import (METHODS, CylinderEvent, cylinder_prob,
+                       mixture_experiment, right_cylinder_prob,
+                       sample_chain_windows, sample_finite_exact,
+                       sample_window_config)
 from .toppling import (CANONICAL, DEFAULT_STEP_CAP, PARALLEL, LadderConfig,
                        Schedule, demo_wave_config, random_schedule,
                        rung_zero_blast, stabilize)
@@ -193,8 +194,7 @@ def cmd_spectral(args, graph: Graph) -> Payload:
 
 def cmd_measure(args, graph: Graph) -> Payload:
     event = _parse_event(args.event, args.at, args.centered)
-    methods = (("parry", "renewal", "finite_dp")
-               if args.method == "all" else (args.method,))
+    methods = METHODS if args.method == "all" else (args.method,)
     rows = []
     for method in methods:
         fn = right_cylinder_prob if args.right else cylinder_prob
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centered", action="store_true")
     p.add_argument("--right", action="store_true",
                    help="use the right-sided measure")
-    p.add_argument("--method", choices=("parry", "renewal", "finite_dp", "all"),
+    p.add_argument("--method", choices=(*METHODS, "all"),
                    default="all")
     p.add_argument("--dp-halfwidth", type=int, default=32)
     p.set_defaults(func=cmd_measure)

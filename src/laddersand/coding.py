@@ -613,10 +613,10 @@ def _quotient(lump: Lumping) -> np.ndarray:
     return q
 
 
-def _perron(lump: Lumping) -> tuple[float, np.ndarray]:
-    """The largest eigenvalue of the lumping's quotient matrix and its
-    eigenvector, one entry per block."""
-    values, vectors = np.linalg.eig(_quotient(lump))
+def _perron(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the non-negative matrix ``a`` and its
+    eigenvector."""
+    values, vectors = np.linalg.eig(a)
     top = int(np.argmax(values.real))
     return float(values[top].real), vectors[:, top].real
 
@@ -630,10 +630,10 @@ def spectral(automaton: CodingAutomaton) -> SpectralData:
     of the left vector over its states, and a state's left entry is, up
     to the factor ``rho``, the sum of those weights over the classes
     whose row holds it: one step of its prefix group's pairs."""
-    rho, vec = _perron(automaton.suffix_lumping)
+    rho, vec = _perron(_quotient(automaton.suffix_lumping))
     right = vec[list(automaton.suffix_lumping.block)]
     right = right / right.sum()
-    _, vec = _perron(automaton.prefix_lumping)
+    _, vec = _perron(_quotient(automaton.prefix_lumping))
     pairs = automaton.prefix_pairs
     left = np.array(pairs.step(vec.tolist()))[list(pairs.group)]
     left /= left.sum()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable
 
 from .errors import ValidationError
@@ -170,6 +171,14 @@ def builtin_graph(name: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
                           "cycles >= 3")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``, refused if it is not an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{name}={value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Window:
     """A rung interval ``n..m`` (inclusive, signed)."""
@@ -178,6 +187,8 @@ class Window:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.n > self.m:
             raise ValidationError(f"window needs n <= m, got [{self.n}, {self.m}]")
 

@@ -11,8 +11,10 @@ deterministic, so each state of the first rung starts at most one):
 * ``renewal``  - the renewal representation: sum over the nearest
   renewal on each side of the event window.  A walk weighs the left
   flank sum at its start times the right at its end, each flank a
-  geometric series summed in closed form, as a resolvent of a quotient
-  of the automaton restricted to non-maximal rungs;
+  geometric series summed in closed form on a quotient of the automaton
+  restricted to non-maximal rungs.  The root, the mean gap and both
+  flank sums depend only on the graph; they are computed once, from the
+  Perron data of the renewal quotient, and kept with the automaton;
 * ``parry``    - the stationary marginal of the maximal-entropy chain
   on the coding automaton, ``u[first] v[last] / (rho**(len - 1) u.v)``;
 * ``finite_dp`` - exact rational probability on a large finite window
@@ -31,7 +33,6 @@ same engine, never burning or listing a window.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -48,10 +49,11 @@ from .census import (DEFAULT_MAX_ENUM, _engine, count_series, enum_rungs,
 from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain, _perron,
                      _quotient, build_coding, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
-from .graphs import Graph, Window
+from .graphs import Graph, Window, _integer
 from .toppling import LadderConfig, _require_integers
 
 DEFAULT_TAIL_TOL = 1e-9
+METHODS = ("parry", "renewal", "finite_dp")
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +67,10 @@ class RenewalData:
 
     Consecutive maximal rungs sit ``k`` apart with probability
     ``lam**k`` times the number of windows of ``k - 1`` rungs with no
-    maximal rung; ``tail_bound`` is the spread of the mass over the last
-    bracket of the root.  ``alpha`` rescales the counts so that the
-    number of left-burnable windows of length ``n`` grows like
+    maximal rung; ``tail_bound`` is ``|mass(lam) - 1|``, the residual of
+    the renewal mass at the root, taken by a solve independent of the
+    eigenvector the root came with.  ``alpha`` rescales the counts so
+    that the number of left-burnable windows of length ``n`` grows like
     ``alpha / lam**n``.
     """
 
@@ -84,10 +87,12 @@ class RenewalData:
 class _AutomatonBundle:
     """Per-graph cache of the automaton, the states reading each rung
     and, computed on first use, the maximal-entropy chain, the
-    automaton's restriction to non-maximal rungs and the restriction's
-    Perron value, and the finite_dp window counts.  ``max_states`` caps
-    the automaton whether it is built or found in the cache, which keeps
-    the ``CACHE_SIZE`` most recently read graphs."""
+    automaton's restriction to non-maximal rungs, the renewal data with
+    their flank weights, and the finite_dp window counts.  A parry or a
+    renewal query is one event walk and one dot product against these.
+    ``max_states`` caps the automaton whether it is built or found in
+    the cache, which keeps the ``CACHE_SIZE`` most recently read
+    graphs."""
 
     CACHE_SIZE = 8
     _cache: dict[Graph, "_AutomatonBundle"] = {}  # least recent first
@@ -132,10 +137,54 @@ class _AutomatonBundle:
         return restrict(self.automaton, lambda c: c != self.cmax)
 
     @cached_property
-    def nonmax_rho(self) -> float:
-        """Growth rate of the windows with no maximal rung; only renewal
-        needs it, so it is computed on first use."""
-        return _perron(self.nonmax.suffix_lumping)[0]
+    def renewal(self) -> tuple[RenewalData, np.ndarray, np.ndarray]:
+        """The renewal data (see :func:`renewal_quantities`) and, per
+        state, the ``lam``-weighted sums over the flanks, runs of
+        non-maximal rungs, that enter it (``enter``) and that leave it
+        (``tail``).  A refused root is not kept."""
+        auto, nonmax = self.automaton, self.nonmax
+        size = len(auto)
+        start = np.zeros(size)
+        start[list(auto.start_states())] = 1.0
+        if nonmax is None:  # one admissible rung only: every flank is empty
+            return RenewalData(1.0, 0.0, 1.0, 1.0), start, np.ones(size)
+        lump = nonmax.suffix_lumping
+        q = _quotient(lump)
+        c = np.bincount([lump.block[i] for i in nonmax.start_states()],
+                        minlength=len(q))
+        # a maximal rung, then a run of non-maximal rungs
+        rho, v = _perron(np.block([[1.0, c], [np.ones((len(q), 1)), q]]))
+        lam = 1.0 / rho
+        suffixes = v[1:] / (lam * v[0])  # (I - lam Q)**-1 1
+        mass = lam * (1.0 + lam * c @ _resolvent(q, lam, np.ones(len(q))))
+        tail_bound = float(abs(mass - 1.0))
+        if not tail_bound <= DEFAULT_TAIL_TOL:
+            raise FeasibilityError(
+                f"renewal mass misses 1 by {tail_bound:.3g} > "
+                f"{DEFAULT_TAIL_TOL:.3g} at the root {lam:.17g}")
+        mean_gap = float(1.0 + lam ** 2 * c @ _resolvent(q, lam, suffixes))
+        data = RenewalData(lam=lam, tail_bound=tail_bound, mean_gap=mean_gap,
+                           alpha=1.0 / (lam * mean_gap))
+        rows, cols = auto.edges
+        # the restriction keeps the non-maximal states in order
+        inner = np.flatnonzero([s.rung != self.cmax for s in auto.states])
+        # forward: lam-weighted flank prefixes ending at a non-maximal
+        # state, through the prefix groups of the restriction
+        pairs = nonmax.prefix_pairs
+        seed = nonmax.prefix_counts(1)[0]
+        longer = pairs.step(_resolvent(_quotient(nonmax.prefix_lumping), lam, seed))
+        flank = lam * np.array(pairs.start) + lam ** 2 * np.array(longer)
+        acc_f = np.zeros(size)
+        acc_f[inner] = flank[list(pairs.group)]
+        # entering the event block: either no left flank (the block starts
+        # the window) or one transition out of the flank
+        enter = start + np.bincount(cols, acc_f[rows], size)
+        # backward: lam-weighted flank suffixes, including the empty one,
+        # through the suffix blocks of the restriction
+        acc_b = np.zeros(size)
+        acc_b[inner] = suffixes[list(lump.block)]
+        tail = 1.0 + lam * np.bincount(rows, acc_b[cols], size)
+        return data, enter, tail
 
     def window_counts(self, length: int
                       ) -> tuple[list[list[int]], list[list[int]], int]:
@@ -161,49 +210,23 @@ def _resolvent(q: np.ndarray, z: float, vec) -> np.ndarray:
 
 
 def renewal_quantities(graph: Graph) -> RenewalData:
-    """Solve for the root of the renewal mass and derive the mean gap
-    between maximal rungs, in closed form.
+    """The root of the renewal mass and the mean gap between maximal
+    rungs, in closed form; computed once per graph and kept with its
+    automaton.
 
     The gaps are counted on the automaton restricted to non-maximal
     rungs: with ``Q`` its suffix lumping's quotient and ``c`` its start
-    states per block, the mass is ``z (1 + z c.(I - zQ)**-1 1)``.  It is
-    bisected to 1 below ``1/rho0``, the restriction's growth rate read
-    from the bundle, until the bracket is two adjacent floats, and the
-    mean gap is ``1 + lam**2 c.(I - lam Q)**-2 1``.  A root whose bracket
-    spreads the mass by more than ``DEFAULT_TAIL_TOL`` is refused with
+    states per block, the mass is ``F(z) = z (1 + z c.(I - zQ)**-1 1)``.
+    The renewal quotient ``A = [[1, c], [1, Q]]`` (a maximal rung, then
+    a run of non-maximal ones) has ``det(I - zA) = det(I - zQ) (1 -
+    F(z))``, so the root of ``F = 1`` is ``lam = 1/rho(A)``, and the
+    Perron vector ``v`` of ``A`` gives ``(I - lam Q)**-1 1 = v[1:] /
+    (lam v[0])``.  The mean gap is ``lam F'(lam) = 1 + lam**2 c.(I - lam
+    Q)**-2 1``.  A root whose mass, from a solve of its own, misses 1 by
+    more than ``DEFAULT_TAIL_TOL`` is refused with
     :class:`FeasibilityError`.
     """
-    bundle = _AutomatonBundle.get(graph)
-    nonmax = bundle.nonmax
-    if nonmax is None:
-        # one admissible rung only: every window is a run of renewals
-        return RenewalData(lam=1.0, tail_bound=0.0, mean_gap=1.0, alpha=1.0)
-    lump = nonmax.suffix_lumping
-    q = _quotient(lump)
-    c = np.bincount([lump.block[i] for i in nonmax.start_states()],
-                    minlength=len(q))
-    ones = np.ones(len(q))
-
-    def mass(z: float) -> float:
-        return float(z * (1.0 + z * c @ _resolvent(q, z, ones)))
-
-    top = 1.0 / bundle.nonmax_rho
-    lo, hi, lam = 0.0, top, 0.5 * top
-    while lo < lam < hi:
-        if mass(lam) < 1.0:
-            lo = lam
-        else:
-            hi = lam
-        lam = 0.5 * (lo + hi)
-    tail = mass(hi) - mass(lo) if hi < top else math.inf
-    if not tail <= DEFAULT_TAIL_TOL:
-        raise FeasibilityError(
-            f"renewal mass spreads by {tail:.3g} > {DEFAULT_TAIL_TOL:.3g} "
-            f"over the root's bracket below 1/{bundle.nonmax_rho:.6g}")
-    twice = _resolvent(q, lam, _resolvent(q, lam, ones))
-    mean_gap = float(1.0 + lam ** 2 * c @ twice)
-    return RenewalData(lam=lam, tail_bound=tail, mean_gap=mean_gap,
-                       alpha=1.0 / (lam * mean_gap))
+    return _AutomatonBundle.get(graph).renewal[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +254,7 @@ class CylinderEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "rungs", tuple(tuple(r) for r in self.rungs))
+        object.__setattr__(self, "lo", _integer(self.lo, "lo"))
 
     def __len__(self) -> int:
         return len(self.rungs)
@@ -278,49 +302,20 @@ def _parry_prob(bundle: _AutomatonBundle, event: CylinderEvent) -> float:
             / chain.rho ** (len(event) - 1))
 
 
-def _renewal_prob(bundle: _AutomatonBundle, event: CylinderEvent,
-                  data: RenewalData) -> float:
+def _renewal_prob(bundle: _AutomatonBundle, event: CylinderEvent) -> float:
     """Sum of the renewal representation over the positions of the
     nearest maximal rung strictly left and right of the event window.
 
     Counting configurations between those renewals factorizes into a
     left flank with no maximal rung, the fixed event block, and a right
-    flank with no maximal rung.  The two flank sums are geometric in the
-    root; they are summed as resolvents of the restricted automaton's
-    quotients and joined to the event block over the transitions.
+    flank with no maximal rung.  The flank sums are the bundle's
+    ``enter`` and ``tail`` weights, joined here over the event's walks.
     """
-    if bundle.nonmax is None:
-        return 1.0  # one admissible rung only: every admissible event is sure
-    auto, nonmax, lam = bundle.automaton, bundle.nonmax, data.lam
-    size = len(auto)
-    rows, cols = auto.edges
-    # the restriction keeps the non-maximal states in order
-    inner = np.flatnonzero([s.rung != bundle.cmax for s in auto.states])
-    start = np.zeros(size)
-    start[list(auto.start_states())] = 1.0
-
-    # forward: lam-weighted flank prefixes ending at a non-maximal state,
-    # through the prefix groups of the restriction
-    pairs = nonmax.prefix_pairs
-    seed = nonmax.prefix_counts(1)[0]
-    longer = pairs.step(_resolvent(_quotient(nonmax.prefix_lumping), lam, seed))
-    flank = lam * np.array(pairs.start) + lam ** 2 * np.array(longer)
-    acc_f = np.zeros(size)
-    acc_f[inner] = flank[list(pairs.group)]
-    # entering the event block: either no left flank (the block starts
-    # the window) or one transition out of the flank
-    enter = start + np.bincount(cols, acc_f[rows], size)
-    # backward: lam-weighted flank suffixes, including the empty one,
-    # through the suffix blocks of the restriction
-    lump = nonmax.suffix_lumping
-    suffixes = _resolvent(_quotient(lump), lam, np.ones(len(lump.adj)))
-    acc_b = np.zeros(size)
-    acc_b[inner] = suffixes[list(lump.block)]
-    tail = 1.0 + lam * np.bincount(rows, acc_b[cols], size)
+    data, enter, tail = bundle.renewal
     first, last = _event_walks(bundle, event)
     # with ell_s = ell_t = 0 the nearest renewals hug the event block,
     # sitting len(event)+2 rungs apart
-    base = lam ** (len(event.rungs) + 2)
+    base = data.lam ** (len(event.rungs) + 2)
     return float(data.alpha * base * (enter[first] @ tail[last]))
 
 
@@ -354,6 +349,8 @@ def cylinder_prob(graph: Graph, event: CylinderEvent, method: str = "parry", *,
     measure, by the chosen method.  Events containing an inadmissible
     rung have probability zero (flagged, not an error); an empty event
     is the full space."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}")
     if not event.rungs:
         return CylinderProbability(1.0, method, True, {})
     for r in event.rungs:
@@ -367,16 +364,13 @@ def cylinder_prob(graph: Graph, event: CylinderEvent, method: str = "parry", *,
         return CylinderProbability(_parry_prob(bundle, event), method, True, {})
     if method == "renewal":
         data = renewal_quantities(graph)
-        value = _renewal_prob(bundle, event, data)
-        return CylinderProbability(value, method, True,
+        return CylinderProbability(_renewal_prob(bundle, event), method, True,
                                    {"tail_bound": data.tail_bound})
-    if method == "finite_dp":
-        value, frac = _finite_dp_prob(bundle, event, dp_halfwidth, exact)
-        detail = {"halfwidth": dp_halfwidth}
-        if frac is not None:
-            detail["exact"] = frac
-        return CylinderProbability(value, method, True, detail)
-    raise ValidationError(f"unknown method {method!r}")
+    value, frac = _finite_dp_prob(bundle, event, dp_halfwidth, exact)
+    detail = {"halfwidth": dp_halfwidth}
+    if frac is not None:
+        detail["exact"] = frac
+    return CylinderProbability(value, method, True, detail)
 
 
 def right_cylinder_prob(graph: Graph, event: CylinderEvent,
@@ -395,6 +389,8 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
                          ) -> list[tuple[RungConfig, ...]]:
     """Draw rung windows from the stationary maximal-entropy chain and
     project states onto their rungs; deterministic per seed."""
+    width, count = _integer(width, "width"), _integer(count, "count")
+    seed = _integer(seed, "seed")
     if width < 1 or count < 1:
         raise ValidationError("width and count must be >= 1")
     bundle = _AutomatonBundle.get(graph, max_states)
@@ -416,6 +412,7 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
 def sample_window_config(graph: Graph, halfwidth: int, seed: int, *,
                          max_states: int = DEFAULT_MAX_STATES) -> LadderConfig:
     """One stationary-chain sample laid out on ``[-halfwidth, halfwidth]``."""
+    halfwidth = _integer(halfwidth, "halfwidth")
     rows = sample_chain_windows(graph, 2 * halfwidth + 1, 1, seed,
                                 max_states=max_states)[0]
     return LadderConfig.from_rungs(rows, start=-halfwidth)
@@ -427,6 +424,7 @@ def sample_finite_exact(graph: Graph, n: int, m: int, seed: int,
     """Exactly uniform samples of the left-burnable configurations on
     the window ``[n, m]``, by sequential draws proportional to integer
     suffix path counts in the automaton."""
+    count, seed = _integer(count, "count"), _integer(seed, "seed")
     if count < 1:
         raise ValidationError("count must be >= 1")
     length = len(Window(n, m))

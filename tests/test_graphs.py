@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from laddersand.errors import ValidationError
@@ -129,6 +130,10 @@ def test_window_row_sums_equal_sink_multiplicity(path3):
 def test_window_validation():
     with pytest.raises(ValidationError):
         Window(3, 2)
+    with pytest.raises(ValidationError, match="m=2.5 is not an integer"):
+        Window(0, 2.5)
+    w = Window(np.int64(-1), np.int64(1))
+    assert w == Window(-1, 1) and type(w.n) is type(w.m) is int
     assert len(Window(-2, 2)) == 5
     assert list(Window(0, 1).rungs) == [0, 1]
 

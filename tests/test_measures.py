@@ -117,20 +117,43 @@ def test_renewal_agrees_with_parry_on_five_vertices():
     _assert_renewal_agrees_with_parry(graph, events=3)
 
 
-def test_renewal_reuses_the_bundles_perron_value(path3, monkeypatch):
+def test_a_warm_renewal_query_does_no_linear_algebra(path3, monkeypatch):
     import laddersand.measures as measures
-    calls = []
-
-    def counted(auto, *args, **kwargs):
-        calls.append(len(auto))
-        return spectral(auto, *args, **kwargs)
-
     first = renewal_quantities(path3)
-    rho0 = spectral(_AutomatonBundle.get(path3).nonmax).rho
-    assert _AutomatonBundle.get(path3).nonmax_rho == rho0
-    monkeypatch.setattr(measures, "spectral", counted)
-    assert renewal_quantities(path3) == first
-    assert calls == []
+    assert cylinder_prob(path3, CylinderEvent.single((3, 4, 3)), "renewal").value > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm renewal query did linear algebra")
+
+    for name in ("_perron", "_quotient", "_resolvent"):
+        monkeypatch.setattr(measures, name, refuse)
+    for name in ("eig", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    ev = CylinderEvent.centered([(3, 4, 3), (2, 4, 3), (3, 4, 3)])
+    res = cylinder_prob(path3, ev, "renewal")
+    assert res.value > 0 and res.detail["tail_bound"] == first.tail_bound
+    assert renewal_quantities(path3) is first
+
+
+def test_renewal_refuses_a_root_off_its_certificate(capsys, monkeypatch):
+    import laddersand.measures as measures
+    from laddersand.cli import main
+    perron = measures._perron
+
+    def off(a):
+        rho, vec = perron(a)
+        return rho * (1 + 1e-6), vec
+
+    monkeypatch.setattr(measures, "_perron", off)
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    cycle3 = builtin_graph("cycle3")
+    with pytest.raises(FeasibilityError, match="renewal mass"):
+        renewal_quantities(cycle3)
+    with pytest.raises(FeasibilityError, match="renewal mass"):
+        cylinder_prob(cycle3, CylinderEvent.single((4, 4, 4)), "renewal")
+    assert main(["measure", "--graph", "cycle3", "--event", "4,4,4",
+                 "--method", "renewal"]) == 3
+    assert "renewal mass" in capsys.readouterr().err
 
 
 def test_renewal_point_degenerate(point):
@@ -173,6 +196,48 @@ def test_cylinder_edge_cases(path2):
         cylinder_prob(path2, CylinderEvent(rungs=((1, 2, 3),)), "parry")
     with pytest.raises(ValidationError):
         cylinder_prob(path2, CylinderEvent.single((3, 3)), "sorcery")
+
+
+@pytest.mark.parametrize("rungs", [(), ((2, 2),), ((3, 3),)],
+                         ids=["empty", "outside-alphabet", "admissible"])
+def test_cylinder_prob_refuses_an_unknown_method_first(path2, rungs, monkeypatch):
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    with pytest.raises(ValidationError, match="unknown method 'bogus'"):
+        cylinder_prob(path2, CylinderEvent(rungs), "bogus")
+    assert _AutomatonBundle._cache == {}  # refused before any automaton
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: cylinder_prob(g, CylinderEvent.single((3, 3)), "finite_dp",
+                            dp_halfwidth=2.5),
+    lambda g: cylinder_prob(g, CylinderEvent(((3, 3),), lo=0.5), "finite_dp"),
+    lambda g: sample_chain_windows(g, 2, 1.5, 0),
+    lambda g: sample_chain_windows(g, 2.0, 1, 0),
+    lambda g: sample_chain_windows(g, 2, 1, 1.5),
+    lambda g: sample_finite_exact(g, 0, 2, 0, count=1.5),
+    lambda g: sample_finite_exact(g, 0, 2.5, 0),
+    lambda g: sample_finite_exact(g, 0, 2, 1.5),
+    lambda g: sample_window_config(g, 1.5, 0),
+], ids=["cylinder_prob-dp_halfwidth", "CylinderEvent-lo",
+        "sample_chain_windows-count", "sample_chain_windows-width",
+        "sample_chain_windows-seed", "sample_finite_exact-count",
+        "sample_finite_exact-window", "sample_finite_exact-seed",
+        "sample_window_config-halfwidth"])
+def test_measures_refuse_non_integer_positions_and_sizes(path2, call):
+    with pytest.raises(ValidationError, match="is not an integer"):
+        call(path2)
+
+
+def test_measures_take_numpy_integers(path2):
+    two, one, zero = np.int64(2), np.int64(1), np.int64(0)
+    assert (sample_chain_windows(path2, two, one, zero)
+            == sample_chain_windows(path2, 2, 1, 0))
+    assert (sample_finite_exact(path2, zero, two, zero, count=one)[0].heights
+            == sample_finite_exact(path2, 0, 2, 0)[0].heights).all()
+    assert (cylinder_prob(path2, CylinderEvent(((3, 3),), lo=one), "finite_dp",
+                          dp_halfwidth=two).value
+            == cylinder_prob(path2, CylinderEvent(((3, 3),), lo=1), "finite_dp",
+                             dp_halfwidth=2).value)
 
 
 def test_cylinder_exact_dp(path2):

@@ -12,6 +12,7 @@ from .burning import (BurnTrace, full_burnable, left_burnable,
                       leftmost_schedule, max_rung, path2_characterization,
                       right_burnable, window_heights)
 from .census import (CountSeries, count_series, entropy_bounds, enum_rungs,
+                     recurrent_counts, recurrent_growth_rate,
                      renewal_identity_check)
 from .coding import (CodingAutomaton, build_coding, check_transitive, decode,
                      encode, parry_chain, restrict, spectral)
@@ -36,7 +37,8 @@ __all__ = [
     "entropy_bounds", "enum_rungs", "full_burnable", "laplacian_entry",
     "left_burnable", "leftmost_schedule", "make_graph", "max_rung",
     "mixture_experiment", "parry_chain", "parse_graph",
-    "path2_characterization", "random_schedule", "renewal_identity_check",
+    "path2_characterization", "random_schedule", "recurrent_counts",
+    "recurrent_growth_rate", "renewal_identity_check",
     "renewal_quantities", "restrict", "right_burnable",
     "right_cylinder_prob", "rung_zero_blast", "sample_chain_windows",
     "sample_finite_exact", "sample_window_config", "sink_multiplicity",

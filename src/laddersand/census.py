@@ -4,19 +4,20 @@ Counts are exact integers.  One engine per graph (:class:`_SequenceDFS`)
 decides every window verdict the library computes for itself, reading
 each row's burn off the one-rung burn table
 (:func:`~laddersand.burning.burn_table`, whose rows it burns the first
-time a rung is read).  Walks and brute counts run on *transfer states*:
-for each vertex set held burnt right of a prefix, its last row's burn
-and whether every row burns.  Taking the burn's least fixed point one
+time a stable rung is read).  Walks and brute counts run on *transfer
+states*: for each vertex set held burnt right of a prefix, its last
+row's burn and whether every row burns.  Taking the burn's least fixed point one
 row at a time (Bekić's lemma), later rungs meet a prefix only through
 that state, and a rejected prefix has no accepted extension.  The
 depth-first walk reads each prefix's state entry by entry, taking only
 the entries it reads, and yields every accepted prefix in rung order,
 over the rung symbols with ignition (a prefix that cannot ignite its
 last rung is pruned) or over the single-rung recurrent rungs without
-it.  The verdicts on one window known in full, among them the boundary
-layers of :func:`laddersand.measures.boundary_layer` (one pass per
-side), extend its burnt-row masks by a closure instead, which reads
-about half as many table entries per rung as the states' entries take.
+it.  The verdicts on one window known in full push its rows on burnt-row
+masks in place by a closure instead, which reads about half as many
+table entries per rung as the states' entries take: one pass decides
+recurrence and the left boundary layer of
+:func:`laddersand.measures.boundary_layer`, one over the mirror the right.
 
 Brute counts (:meth:`_SequenceDFS.count`) go one length at a time over
 whole transfer states, so the prefixes sharing a state are counted
@@ -33,12 +34,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
+from operator import contains
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .burning import (RungConfig, _require_table_vertices, _rung_symbols,
                       burn_table, full_burnable, max_rung, window_heights)
 from .errors import FeasibilityError, ValidationError
-from .graphs import Graph, _integer
+from .graphs import Graph, _integer, laplacian_entry
 
 VARIANTS = ("L", "L0", "S", "S0", "REC")
 
@@ -157,7 +161,7 @@ class _SequenceDFS:
     it entry by entry (:class:`_Prefix`), a count takes it whole and
     merges the prefixes that share one.  The verdicts on a single window
     extend its resting left-seeded burnt-row masks by a closure instead
-    (:meth:`push`).  It keeps nothing but table rows from one call to
+    (:meth:`_pass`).  It keeps nothing but table rows from one call to
     the next."""
 
     def __init__(self, graph: Graph):
@@ -171,48 +175,57 @@ class _SequenceDFS:
 
     def rows(self, rungs: Sequence[RungConfig]) -> list[list[int]]:
         """The table row of each rung; the missing rows are burnt in one
-        :func:`~laddersand.burning.burn_table` call, under its limit."""
+        :func:`~laddersand.burning.burn_table` call, under its limit,
+        once each missing rung is known to be stable: ``n`` heights, each
+        an integer in ``1..max`` (compared by value, as
+        :func:`~laddersand.burning.is_rung_symbol` compares them)."""
         try:
             return [self.tables[c] for c in rungs]
         except KeyError:
             missing = [c for c in dict.fromkeys(rungs) if c not in self.tables]
+        top = self.graph.max_height
+        stable = [range(1, m + 1) for m in top]
+        for c in missing:
+            if len(c) != self.n or not all(map(contains, stable, c)):
+                raise ValidationError(f"rung {c!r} is not a stable rung of {self.n} "
+                                      f"integer heights up to {top}")
         self.tables.update(zip(missing, burn_table(self.graph, missing).tolist()))
         return [self.tables[c] for c in rungs]
 
-    def push(self, burnt: list[int], tbls: list, ignite: bool = True
-             ) -> Optional[list[int]]:
-        """Resting state after appending a rung as row ``len(burnt)``;
-        ``tbls[j]`` must be the table row of row ``j``, the new rung's
-        included.  With ``ignite`` None when the new rung cannot ignite,
-        in which case no extension is left-burnable either; its burn
-        grows from nothing, so one round decides that."""
-        k = len(burnt)
-        if ignite and k and not tbls[k][burnt[-1] << self.n]:
-            return None
-        child = burnt + [0]
-        _close(child, tbls, 1 << k, self.full, self.n)
-        if ignite and child[k] == 0:
-            return None
-        return child
-
-    def is_burnable(self, burnt: list[int], tbls: list) -> bool:
-        """Whether the closure finishes once a fully burnt row above the
-        prefix switches the right sink on: left-burnability after ignited
-        pushes, recurrence after any (burning is order-free)."""
-        probe = burnt + [self.full]  # a full row is never reprocessed
-        _close(probe, tbls, 1 << (len(burnt) - 1), self.full, self.n)
-        return probe.count(self.full) == len(probe)
+    def _pass(self, rungs: Sequence[RungConfig], tbls: Sequence[list[int]],
+              ignite: bool, sink: bool = True) -> tuple[int, bool]:
+        """Push a window's rows one at a time on its resting burnt-row
+        masks, in place.  Returns the index of the last maximal rung among
+        the leading rows that ignite in turn, or -1 (a row's burn grows
+        from nothing, so its first round decides; with ``ignite`` the pass
+        stops at the first that does not, as no extension is then
+        left-burnable), and, with ``sink``, whether every row burns under a
+        fully burnt row above: left-burnability after an ignited pass,
+        recurrence after any (burning is order-free)."""
+        n, full, cmax = self.n, self.full, self.cmax
+        burnt: list[int] = []
+        last, lit = -1, True
+        for k, (c, tbl) in enumerate(zip(rungs, tbls)):
+            row = tbl[(burnt[-1] if k else full) << n]  # the first round
+            if not row:
+                if ignite:
+                    return last, False
+                lit = False
+            elif lit and c == cmax:
+                last = k
+            burnt.append(row)
+            if row and k:
+                _close(burnt, tbls, 1 << k - 1, full, n)
+        if not sink:
+            return last, False
+        burnt.append(full)  # a full row is never reprocessed
+        _close(burnt, tbls, 1 << len(tbls) - 1, full, n)
+        return last, burnt.count(full) == len(burnt)
 
     def accepts(self, rungs: Sequence[RungConfig], ignite: bool = True) -> bool:
         """Left-burnability (with ``ignite``) or recurrence of a nonempty
         rung sequence, in one pass."""
-        tbls = self.rows(rungs)
-        burnt: list[int] = []
-        for _ in rungs:
-            burnt = self.push(burnt, tbls, ignite)
-            if burnt is None:
-                return False
-        return self.is_burnable(burnt, tbls)
+        return self._pass(rungs, self.rows(rungs), ignite)[1]
 
     def last_max_prefix(self, rungs: Sequence[RungConfig]) -> int:
         """The index of the last maximal rung of a recurrent window that
@@ -221,16 +234,15 @@ class _SequenceDFS:
         maximal rung burns whole, and the window's ordinary burn reaches
         the rows below it only through it and the left sink, so in that
         burn's order they all burn here too."""
+        return self._pass(rungs, self.rows(rungs), True, sink=False)[0]
+
+    def layers(self, rungs: Sequence[RungConfig]) -> tuple[bool, int, int]:
+        """Recurrence of a nonempty rung sequence and :meth:`last_max_prefix`
+        of it and of its mirror image, its table rows read once; an
+        unignited pass pushes what an ignited one does."""
         tbls = self.rows(rungs)
-        burnt: list[int] = []
-        last = -1
-        for k, c in enumerate(rungs):
-            burnt = self.push(burnt, tbls)
-            if burnt is None:
-                break
-            if c == self.cmax:
-                last = k
-        return last
+        left, recurrent = self._pass(rungs, tbls, False)
+        return recurrent, left, self._pass(rungs[::-1], tbls[::-1], True, sink=False)[0]
 
     def _entry(self, state, tbl: list[int], t: int, z: int = 0) -> int:
         """Entry ``t`` of :meth:`right_step`: the new row's burn is the least
@@ -439,6 +451,59 @@ def count_series(graph: Graph, variant: str, n_max: int,
                        graph_name=graph.name)
 
 
+def _bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in matrix]
+    size, sign, pivot = len(a), 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // pivot
+        pivot = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
+def recurrent_counts(graph: Graph, n_max: int) -> tuple[int, ...]:
+    """The number of recurrent windows of ``n = 1..n_max`` rungs, without
+    listing any.  By the matrix-tree theorem it is the determinant of the
+    reduced Laplacian of ``G x [1,n]`` (Dhar 1990), which is block
+    tridiagonal with the commuting blocks ``A = L_G + 2I`` and ``-I``, so
+    it is ``det P_n`` for ``P_0 = I``, ``P_1 = A`` and ``P_{n+1} = A P_n -
+    P_{n-1}``."""
+    n_max = _length(n_max, "n_max", 1)
+    a = [[laplacian_entry(graph, (x, 1), (y, 1)) for y in graph.vertices]
+         for x in graph.vertices]
+    prev = [[int(x == y) for y in graph.vertices] for x in graph.vertices]
+    cur, counts = a, []
+    for _ in range(n_max):
+        counts.append(_bareiss_det(cur))
+        prev, cur = cur, [[sum(a[x][z] * cur[z][y] for z in graph.vertices) - prev[x][y]
+                           for y in graph.vertices] for x in graph.vertices]
+    return tuple(counts)
+
+
+def recurrent_growth_rate(graph: Graph) -> float:
+    """``Theta(G)``, the growth rate of :func:`recurrent_counts`.  The
+    determinant factors over the Laplacian eigenvalues ``l`` of the base
+    graph into a product of ``U_n(1 + l/2)`` (Chebyshev polynomials of
+    the second kind), each growing like
+    ``(2 + l + sqrt(l**2 + 4 l)) / 2``.  The zero eigenvalue of a
+    connected graph contributes only the factor ``n + 1``, so it is
+    dropped rather than read off the float spectrum, where ``sqrt`` would
+    blow a rounding error of 1e-17 up to 1e-8."""
+    lap = np.diag(np.array(graph.degree, dtype=float))
+    for u, v in graph.edges:
+        lap[u, v] = lap[v, u] = -1.0
+    lam = np.linalg.eigvalsh(lap)[1:]
+    return float(np.prod((2 + lam + np.sqrt(lam * lam + 4 * lam)) / 2))
+
+
 def renewal_identity_check(a: CountSeries, b: CountSeries, n_max: int) -> bool:
     """Exact check that the full counts decompose over the position of
     the first maximal rung: a_n = b_n + sum_{k=1..n} b_{k-1} a_{n-k}."""
@@ -483,5 +548,6 @@ def entropy_bounds(series: CountSeries, exact_rate: Optional[float] = None
 __all__ = [
     "CountSeries", "EntropyBounds", "RungAlphabet", "count_series",
     "entropy_bounds", "enum_rungs", "iter_left_burnable", "iter_recurrent",
-    "renewal_identity_check", "single_rung_recurrent", "DEFAULT_MAX_ENUM",
+    "recurrent_counts", "recurrent_growth_rate", "renewal_identity_check",
+    "single_rung_recurrent", "DEFAULT_MAX_ENUM",
 ]

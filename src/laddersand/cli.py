@@ -27,7 +27,8 @@ from .census import DEFAULT_MAX_ENUM, count_series, entropy_bounds
 from .coding import (DEFAULT_MAX_STATES, build_coding, check_transitive,
                      influence_maps_monotone, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, StepCapExceeded, ValidationError
-from .graphs import DEFAULT_VERTEX_CAP, Graph, Window, builtin_graph, parse_graph
+from .graphs import (DEFAULT_VERTEX_CAP, Graph, Window, _seed, builtin_graph,
+                     parse_graph)
 from .measures import (METHODS, CylinderEvent, cylinder_prob,
                        mixture_experiment, right_cylinder_prob,
                        sample_chain_windows, sample_finite_exact,
@@ -292,6 +293,7 @@ def cmd_experiment(args, graph: Graph) -> Payload:
         raise ValidationError(f"unknown experiment {args.name!r}")
     if args.count < 1:
         raise ValidationError("count must be >= 1")
+    seed = _seed(args.seed or 0)
     results = []
     for n_cyc in args.cycles:
         cyc = builtin_graph(f"cycle{n_cyc}", args.vertex_cap)
@@ -299,7 +301,7 @@ def cmd_experiment(args, graph: Graph) -> Payload:
         odometer_origin = 0
         for i in range(args.count):
             config = sample_window_config(cyc, args.halfwidth,
-                                          (args.seed or 0) * 1000 + i,
+                                          seed * 1000 + i,
                                           max_states=args.max_states)
             final, odo = stabilize(cyc, config, [(0, 0)],
                                    CANONICAL, args.step_cap)

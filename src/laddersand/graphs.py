@@ -179,6 +179,18 @@ def _integer(value, name: str) -> int:
         raise ValidationError(f"{name}={value!r} is not an integer") from None
 
 
+def _seed(value) -> int:
+    """A random seed as a non-negative ``int``.  ``random.Random`` takes a
+    negative seed as its absolute value and numpy refuses it untyped, so
+    negative seeds are refused, and so are booleans."""
+    if isinstance(value, bool):
+        raise ValidationError(f"seed={value!r} is not an integer")
+    value = _integer(value, "seed")
+    if value < 0:
+        raise ValidationError(f"seed must be >= 0, not {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Window:
     """A rung interval ``n..m`` (inclusive, signed)."""

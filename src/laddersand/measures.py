@@ -49,7 +49,7 @@ from .census import (DEFAULT_MAX_ENUM, _engine, count_series, enum_rungs,
 from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain, _perron,
                      _quotient, build_coding, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
-from .graphs import Graph, Window, _integer
+from .graphs import Graph, Window, _integer, _seed
 from .toppling import LadderConfig, _require_integers
 
 DEFAULT_TAIL_TOL = 1e-9
@@ -390,7 +390,7 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
     """Draw rung windows from the stationary maximal-entropy chain and
     project states onto their rungs; deterministic per seed."""
     width, count = _integer(width, "width"), _integer(count, "count")
-    seed = _integer(seed, "seed")
+    seed = _seed(seed)
     if width < 1 or count < 1:
         raise ValidationError("width and count must be >= 1")
     bundle = _AutomatonBundle.get(graph, max_states)
@@ -424,7 +424,7 @@ def sample_finite_exact(graph: Graph, n: int, m: int, seed: int,
     """Exactly uniform samples of the left-burnable configurations on
     the window ``[n, m]``, by sequential draws proportional to integer
     suffix path counts in the automaton."""
-    count, seed = _integer(count, "count"), _integer(seed, "seed")
+    count, seed = _integer(count, "count"), _seed(seed)
     if count < 1:
         raise ValidationError("count must be >= 1")
     length = len(Window(n, m))
@@ -483,27 +483,30 @@ class BoundaryLayers:
 def boundary_layer(graph: Graph, config: LadderConfig) -> BoundaryLayers:
     """``sigma_left`` is the last maximal rung of a recurrent window that
     ends a left-burnable prefix, ``sigma_right`` the first that starts a
-    right-burnable suffix.  Recurrence and each side take one pass of the
-    census engine, the right side over the mirror image (the one-rung
-    burn table is symmetric in its two sides)."""
+    right-burnable suffix.  Recurrence and the left side take one pass of
+    the census engine, the right side one over the mirror image (the
+    one-rung burn table is symmetric in its two sides).  The engine checks
+    each rung's stable range before it first burns the rung's row."""
     window = config.window
     heights = np.asarray(config.heights)
     _require_integers(heights)
     if heights.shape != (len(window), graph.n):
         raise ValidationError(f"heights of shape {heights.shape} do not fit "
                               f"{len(window)} rungs of {graph.n} vertices")
-    bad = np.argwhere((heights < 1) | (heights > np.array(graph.max_height)))
-    if len(bad):
-        r, x = bad[0].tolist()
-        raise ValidationError(f"height {heights[r, x]} at site ({x},{window.n + r}) "
-                              f"outside stable range 1..{graph.max_height[x]}")
     rungs = [tuple(row) for row in heights.tolist()]
     engine = _engine(graph)
-    if not engine.accepts(rungs, ignite=False):
+    try:
+        recurrent, left, right = engine.layers(rungs)
+    except ValidationError:  # an unstable rung, refused before its row burnt
+        top = graph.max_height
+        h, x, r = next((h, x, r) for r, row in enumerate(rungs)
+                       for x, h in enumerate(row) if not 1 <= h <= top[x])
+        raise ValidationError(f"height {h} at site ({x},{window.n + r}) "
+                              f"outside stable range 1..{top[x]}") from None
+    if not recurrent:
         raise ValidationError("configuration is not recurrent")
     # an index of -1 (no such rung) gives the sentinel
-    sigma_left = window.n + engine.last_max_prefix(rungs)
-    sigma_right = window.m - engine.last_max_prefix(rungs[::-1])
+    sigma_left, sigma_right = window.n + left, window.m - right
     maxes = [k for k, c in zip(window.rungs, rungs) if c == engine.cmax]
     hat_right = next((k for k in reversed(maxes) if k < sigma_right), window.n - 1)
     hat_left = next((k for k in maxes if k > sigma_left), window.m + 1)

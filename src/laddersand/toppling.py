@@ -35,7 +35,7 @@ import numpy as np
 
 from .burning import left_burnable
 from .errors import StepCapExceeded, ValidationError
-from .graphs import Graph, Site, Window, ladder_neighbors
+from .graphs import Graph, Site, Window, _seed, ladder_neighbors
 
 DEFAULT_STEP_CAP = 10 ** 7
 
@@ -51,7 +51,9 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("parallel", "canonical", "random"):
             raise ValidationError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "random" and self.seed is None:
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _seed(self.seed))
+        elif self.kind == "random":
             raise ValidationError("random schedule needs a seed")
 
 

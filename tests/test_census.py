@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from laddersand.burning import (full_burnable, is_rung_symbol, left_burnable,
                                 leftmost_schedule, max_rung, right_burnable,
                                 window_heights)
-from laddersand.census import (VARIANTS, _Prefix, _SequenceDFS, _engine, count_series,
-                               entropy_bounds, enum_rungs, iter_left_burnable,
-                               iter_recurrent, renewal_identity_check,
-                               single_rung_recurrent)
+from laddersand.census import (VARIANTS, _bareiss_det, _Prefix, _SequenceDFS, _engine,
+                               count_series, entropy_bounds, enum_rungs,
+                               iter_left_burnable, iter_recurrent, recurrent_counts,
+                               renewal_identity_check, single_rung_recurrent)
 from laddersand.coding import build_coding, restrict
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import builtin_graph, laplacian_entry
@@ -349,51 +349,16 @@ def test_engine_matches_burning_oracles(data):
         assert (tuple(rungs) in walked) == verdict
 
 
-def _bareiss_det(matrix):
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in matrix]
-    size, sign, pivot = len(a), 1, 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // pivot
-        pivot = a[k][k]
-    return sign * a[-1][-1] if size else 1
-
-
 def _reduced_laplacian_det(graph, n):
     sites = [(x, k) for k in range(1, n + 1) for x in range(graph.n)]
     return _bareiss_det([[laplacian_entry(graph, u, v) for v in sites] for u in sites])
-
-
-def _recurrent_counts(graph, n_max):
-    """``|REC_n| = det P_n`` for ``n = 1..n_max``: the reduced Laplacian of
-    ``G x [1,n]`` is block tridiagonal with commuting blocks, so its
-    determinant is that of ``P_n``, where ``P_0 = I``, ``P_1 = L_G + 2I``
-    and ``P_{n+1} = P_1 P_n - P_{n-1}`` (matrix-tree theorem)."""
-    size = graph.n
-    a = [[laplacian_entry(graph, (x, 1), (y, 1)) for y in range(size)]
-         for x in range(size)]
-    prev = [[int(x == y) for y in range(size)] for x in range(size)]
-    cur, counts = a, []
-    for _ in range(n_max):
-        counts.append(_bareiss_det(cur))
-        prev, cur = cur, [[sum(a[x][z] * cur[z][y] for z in range(size)) - prev[x][y]
-                           for y in range(size)] for x in range(size)]
-    return tuple(counts)
 
 
 @pytest.mark.parametrize("name, n_max", [("point", 5), ("path2", 5), ("path3", 4),
                                          ("cycle3", 4), ("path4", 3), ("cycle4", 3)])
 def test_matrix_polynomial_is_the_reduced_laplacian_det(name, n_max):
     graph = builtin_graph(name)
-    assert _recurrent_counts(graph, n_max) == tuple(
+    assert recurrent_counts(graph, n_max) == tuple(
         _reduced_laplacian_det(graph, n) for n in range(1, n_max + 1))
 
 
@@ -402,7 +367,7 @@ def test_matrix_polynomial_is_the_reduced_laplacian_det(name, n_max):
 def test_recurrent_counts_match_the_determinant_oracle(name, n_max):
     graph = builtin_graph(name)
     assert (count_series(graph, "REC", n_max, max_enum=10 ** 80).values
-            == _recurrent_counts(graph, n_max))
+            == recurrent_counts(graph, n_max))
 
 
 def test_recurrent_counts_reach_hundreds_of_rungs(path2, monkeypatch):
@@ -418,7 +383,7 @@ def test_recurrent_counts_reach_hundreds_of_rungs(path2, monkeypatch):
 
     monkeypatch.setattr(_SequenceDFS, "right_step", counted)
     assert (count_series(path2, "REC", 200, max_enum=10 ** 400).values
-            == _recurrent_counts(path2, 200))
+            == recurrent_counts(path2, 200))
     assert len(set(steps)) == len(steps)  # one step per state and rung
     assert len({state for state, _ in steps}) <= 8
 
@@ -440,6 +405,22 @@ def test_recurrent_counts_are_matrix_tree_counts(name, expected):
     assert rec.values == expected
     assert expected == tuple(_reduced_laplacian_det(graph, n)
                              for n in range(1, len(expected) + 1))
+
+
+def test_left_burnable_counts_are_renewals_of_recurrent_counts(path2):
+    # on path2, |L_n| = q_n + q_{n-1} with q_n = |REC_n| / (n + 1), the
+    # factor n + 1 being the zero Laplacian mode's
+    rec = (1,) + recurrent_counts(path2, 8)
+    q = [count // (n + 1) for n, count in enumerate(rec)]
+    assert all(count % (n + 1) == 0 for n, count in enumerate(rec))
+    assert count_series(path2, "L", 8).values == tuple(q[n] + q[n - 1]
+                                                       for n in range(1, 9))
+
+
+def test_recurrent_counts_refuse_lengths_below_one(path2):
+    for n_max in (0, -1, 1.5):
+        with pytest.raises(ValidationError):
+            recurrent_counts(path2, n_max)
 
 
 @pytest.mark.parametrize("name, n", [("path2", 3), ("path3", 2), ("cycle3", 2),
@@ -747,6 +728,46 @@ def test_engine_matches_the_reference_engine(data):
 @given(graph=connected_graphs(), data=st.data())
 def test_engine_matches_the_reference_engine_on_random_graphs(graph, data):
     _check_against_reference(data, graph)
+
+
+def _check_layers_against_reference(data, graph):
+    # recurrence and both last-maximal indices, on windows drawn from each
+    # alphabet, their mirror images and joins across a maximal rung; about
+    # half of them are not recurrent
+    dfs, ref = _SequenceDFS(graph), _RowMaskEngine(graph)
+    for alphabet in (_stable_rungs(graph), enum_rungs(graph).rungs,
+                     single_rung_recurrent(graph)):
+        rungs = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
+        for window in (rungs, rungs[::-1], rungs + [ref.cmax] + rungs[::-1]):
+            assert dfs.layers(window) == (ref.accepts(window, False),
+                                          ref.last_max_prefix(window),
+                                          ref.last_max_prefix(window[::-1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_layers_match_the_reference_engine(data):
+    graph = builtin_graph(data.draw(st.sampled_from(
+        ["point", "path2", "path3", "cycle3", "path4", "cycle4"])))
+    _check_layers_against_reference(data, graph)
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=connected_graphs(), data=st.data())
+def test_layers_match_the_reference_engine_on_random_graphs(graph, data):
+    _check_layers_against_reference(data, graph)
+
+
+@pytest.mark.parametrize("bad", [(4, 1), (3,), (3, 3, 3), (0, 3), (2.5, 3), (3, "3")])
+def test_the_engine_refuses_unstable_rungs_before_burning(path2, bad):
+    # the refused rung, and the good one read beside it, leave no table row
+    dfs = _SequenceDFS(path2)
+    for call in (lambda w: dfs.accepts(w), lambda w: dfs.accepts(w, ignite=False),
+                 dfs.last_max_prefix, dfs.layers, lambda w: list(dfs.walk(w, 2, True))):
+        with pytest.raises(ValidationError, match="is not a stable rung"):
+            call([(3, 3), bad])
+        assert dfs.tables == {}
+    assert dfs.accepts([(3, 3), (2.0, 3)])  # a height is compared by value
 
 
 def test_the_engine_keeps_only_table_rows_between_calls(path2):

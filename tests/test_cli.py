@@ -213,6 +213,20 @@ def test_experiment_refuses_count_below_one(capsys, count):
     assert code == 2 and out == "" and "count must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--graph", "path2", "--width", "3", "--count", "1", "--seed", "-1"],
+    ["sample", "--graph", "path2", "--exact-window", "0", "2", "--seed", "-1"],
+    ["experiment", "cycle-topple", "--cycles", "3", "--halfwidth", "3",
+     "--count", "2", "--seed", "-1"],
+    ["topple", "--graph", "path2", "--demo", "rightward-wave",
+     "--schedule", "random", "--schedule-seed", "-1"],
+], ids=["sample", "sample-exact", "experiment", "topple"])
+def test_negative_seeds_are_invalid_input(capsys, argv):
+    # sample and experiment once ended in numpy's untyped ValueError
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "seed must be >= 0" in err
+
+
 def test_graph_subcommand_file(tmp_path, capsys):
     src = tmp_path / "g.txt"
     src.write_text("0 1\n1 2\n")

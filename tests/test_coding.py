@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from laddersand.burning import (advance_rung_state, first_rung_state, max_rung,
                                 rung_burn)
-from laddersand.census import count_series, enum_rungs, iter_left_burnable
+from laddersand.census import (count_series, enum_rungs, iter_left_burnable,
+                               recurrent_growth_rate)
 from laddersand.coding import (CodeSymbol, CodingAutomaton, _lump, build_coding,
                                check_transitive, decode, encode,
                                influence_maps_monotone, parry_chain, restrict,
@@ -549,29 +550,13 @@ def test_perron_data_match_dense_eigenvalues(name):
             assert vec == pytest.approx(ref / ref.sum(), rel=1e-12)
 
 
-def _recurrent_growth_rate(graph):
-    """Growth rate of the recurrent windows on ``graph x [1, n]``: their
-    number is the reduced Laplacian's determinant (matrix-tree theorem),
-    which factors over the Laplacian eigenvalues ``l`` of the base graph
-    into a product of ``(2 + l + sqrt(l**2 + 4 l)) / 2``.  The zero
-    eigenvalue of a connected graph contributes the factor 1 exactly (its
-    part of the determinant grows only like ``n + 1``), so the smallest
-    eigenvalue is dropped rather than read off the float spectrum, where
-    ``sqrt`` would blow a rounding error of 1e-17 up to 1e-8."""
-    lap = np.diag(np.array(graph.degree, dtype=float))
-    for u, v in graph.edges:
-        lap[u, v] = lap[v, u] = -1.0
-    lam = np.linalg.eigvalsh(lap)[1:]
-    return float(np.prod((2 + lam + np.sqrt(lam * lam + 4 * lam)) / 2))
-
-
 @pytest.mark.parametrize("name", BUILTINS)
 def test_growth_rate_at_most_recurrent_growth_rate(name):
     # every left-burnable window is recurrent, and the left-burnable ones
     # already grow at the recurrent rate: the limit has maximal entropy
     graph = builtin_graph(name)
     rho = spectral(build_coding(graph)).rho
-    assert rho == pytest.approx(_recurrent_growth_rate(graph), rel=1e-13)
+    assert rho == pytest.approx(recurrent_growth_rate(graph), rel=1e-13)
 
 
 @settings(max_examples=10, deadline=None)
@@ -597,4 +582,4 @@ def test_encode_decode_on_random_graphs(graph):
 @given(graph=connected_graphs())
 def test_growth_rate_at_most_recurrent_growth_rate_on_random_graphs(graph):
     rho = spectral(build_coding(graph)).rho
-    assert rho == pytest.approx(_recurrent_growth_rate(graph), rel=1e-13)
+    assert rho == pytest.approx(recurrent_growth_rate(graph), rel=1e-13)

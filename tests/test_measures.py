@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from laddersand.burning import (full_burnable, left_burnable, max_rung,
                                 right_burnable, window_heights)
-from laddersand.census import (count_series, enum_rungs, iter_left_burnable,
+from laddersand.census import (_engine, count_series, enum_rungs, iter_left_burnable,
                                iter_recurrent, single_rung_recurrent)
 from laddersand.coding import CodingAutomaton, build_coding, parry_chain, spectral
 from laddersand.errors import FeasibilityError, ValidationError
@@ -225,6 +225,19 @@ def test_cylinder_prob_refuses_an_unknown_method_first(path2, rungs, monkeypatch
         "sample_window_config-halfwidth"])
 def test_measures_refuse_non_integer_positions_and_sizes(path2, call):
     with pytest.raises(ValidationError, match="is not an integer"):
+        call(path2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: sample_chain_windows(g, 2, 1, -1),
+    lambda g: sample_finite_exact(g, 0, 2, -1),
+    lambda g: sample_window_config(g, 1, -1),
+    lambda g: sample_chain_windows(g, 2, 1, True),
+], ids=["sample_chain_windows", "sample_finite_exact", "sample_window_config",
+        "sample_chain_windows-bool"])
+def test_samplers_refuse_seeds_that_are_not_non_negative_integers(path2, call):
+    # numpy refused -1 untyped, and random.Random took it as 1
+    with pytest.raises(ValidationError, match="seed"):
         call(path2)
 
 
@@ -513,6 +526,35 @@ def test_boundary_layer_rejects_heights_outside_the_stable_range(path2):
         cfg = LadderConfig.from_rungs([(3, 3), (bad, 3), (3, 3)], start=0)
         with pytest.raises(ValidationError, match="outside stable range"):
             boundary_layer(path2, cfg)
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_boundary_layer_names_the_first_site_outside_the_stable_range(path2, row, bad):
+    # a second unstable height after the first one is not the one named
+    rungs = [[3, 3] for _ in range(5)]
+    rungs[row][1] = bad
+    if row < 4:
+        rungs[4][0] = 0
+    cfg = LadderConfig.from_rungs(rungs, start=-2)
+    with pytest.raises(ValidationError) as refusal:
+        boundary_layer(path2, cfg)
+    assert str(refusal.value) == (f"height {bad} at site (1,{row - 2}) "
+                                  "outside stable range 1..3")
+
+
+def test_boundary_layer_refuses_unstable_rungs_on_a_cold_engine(path2):
+    # the refusal reads as before, whether or not the engine has read the
+    # window's stable rungs, and leaves the unstable rung out of its table
+    rungs = [(3, 3), (2, 3), (3, 4), (3, 3)]
+    message = "height 4 at site (1,2) outside stable range 1..3"
+    _engine.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValidationError) as refusal:
+            boundary_layer(path2, LadderConfig.from_rungs(rungs, start=0))
+        assert str(refusal.value) == message
+        assert list(_engine(path2).tables) in ([], [(3, 3), (2, 3)])
+        boundary_layer(path2, LadderConfig.from_rungs([(3, 3), (2, 3)]))
 
 
 def test_boundary_layer_rejects_heights_that_are_not_integers(path2):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from laddersand.errors import StepCapExceeded, ValidationError
 from laddersand.graphs import Window, builtin_graph
 from laddersand.toppling import (CANONICAL, PARALLEL, LadderConfig, Odometer,
-                                 check_abelian, demo_wave_config,
+                                 Schedule, check_abelian, demo_wave_config,
                                  laplacian_apply, random_schedule,
                                  rung_zero_blast, stabilize)
 from reference_toppling import stabilize as reference_stabilize
@@ -195,6 +195,21 @@ def test_step_cap_carries_partial_state():
                 assert err.odometer.grains_to_sink == sum(
                     counts[k, x] * sink_multiplicity(graph, cfg.window, (x, k))
                     for k in range(4) for x in range(graph.n)), case
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "abc", True, None])
+def test_random_schedules_refuse_seeds_that_are_not_non_negative_integers(seed):
+    # random.Random once took the seed -1 as 1, and True as 1
+    with pytest.raises(ValidationError):
+        random_schedule(seed)
+    if seed is not None:
+        with pytest.raises(ValidationError):
+            Schedule("canonical", seed)
+
+
+def test_schedules_keep_integer_seeds():
+    assert random_schedule(np.int64(3)) == random_schedule(3)
+    assert random_schedule(0).seed == 0
 
 
 def test_random_schedule_partial_odometer_pinned():

@@ -23,7 +23,9 @@ Brute counts (:meth:`_SequenceDFS.count`) go one length at a time over
 whole transfer states, so the prefixes sharing a state are counted
 together, and the states stay bounded as the windows grow.  Each length
 may draw its own rungs (the mixture pins an event's).  ``S``/``S0`` pair
-the left-seeded state with the right-seeded one.  The engine keeps its
+the left-seeded state with the right-seeded one.  A count is refused as
+soon as one length holds more than ``max_states`` states, the cap that
+bounds the coding automaton's states too.  The engine keeps its
 table rows between calls and nothing else.  The counts read nothing of
 the coding automaton, so they stay its independent check.
 """
@@ -42,11 +44,9 @@ import numpy as np
 from .burning import (RungConfig, _require_table_vertices, _rung_symbols,
                       burn_table, full_burnable, max_rung, window_heights)
 from .errors import FeasibilityError, ValidationError
-from .graphs import Graph, _integer, laplacian_entry
+from .graphs import DEFAULT_MAX_STATES, Graph, _length, laplacian_entry
 
 VARIANTS = ("L", "L0", "S", "S0", "REC")
-
-DEFAULT_MAX_ENUM = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,8 @@ class _SequenceDFS:
                     path.pop()
 
     def count(self, depths: Sequence[Sequence[RungConfig]], ignite: bool,
-              two_sided: bool = False) -> list[int]:
+              two_sided: bool = False, max_states: int = DEFAULT_MAX_STATES
+              ) -> list[int]:
         """The number of burnable sequences of each length ``0..len(depths)``
         whose ``k``-th rung is one of ``depths[k - 1]``, counted one length
         at a time by transfer state (:meth:`right_step`), all that later
@@ -312,7 +313,10 @@ class _SequenceDFS:
         and rung, only for an accepted child, and the last layer reads only
         the entries acceptance needs (:meth:`_accepts`).  A rejected prefix
         has no accepted extension.  With ``two_sided`` the state adds the
-        right-seeded one from :attr:`sink`, which is never dropped."""
+        right-seeded one from :attr:`sink`, which is never dropped.  A
+        layer of more than ``max_states`` states (pairs, two-sided) is
+        refused as soon as it holds them; the layers of lengths below
+        ``len(depths)`` are the ones kept."""
         n, full = self.n, self.full
         counts = [1] + [0] * len(depths)
         # (left-seeded state, right-seeded state or None) -> prefixes
@@ -354,6 +358,9 @@ class _SequenceDFS:
                             rrow[c] = self.right_step(right, tbl)
                         key = lrow[c], rrow[c] if two_sided else None
                         nxt[key] = nxt.get(key, 0) + mult
+                if len(nxt) > max_states:
+                    raise FeasibilityError(f"brute count exceeded max_states={max_states} "
+                                           f"transfer states at {depth} rungs")
             layer = nxt
             counts[depth] = sum(mult for (_, right), mult in layer.items()
                                 if right is None or right[full] >> n)
@@ -365,15 +372,6 @@ def _engine(graph: Graph) -> _SequenceDFS:
     """The engine of ``graph`` with the table rows read so far, for the
     8 most recently read graphs."""
     return _SequenceDFS(graph)
-
-
-def _length(value, name: str, least: int) -> int:
-    """A window length as an ``int`` of at least ``least``, refused if
-    it is not an integer."""
-    value = _integer(value, name)
-    if value < least:
-        raise ValidationError(f"{name} must be >= {least}")
-    return value
 
 
 def _windows(graph: Graph, alphabet: Callable[[Graph], Sequence[RungConfig]],
@@ -399,33 +397,33 @@ def iter_recurrent(graph: Graph, n: int) -> Iterator[tuple[RungConfig, ...]]:
 
 def count_series(graph: Graph, variant: str, n_max: int,
                  method: str = "brute", *,
-                 max_enum: int = DEFAULT_MAX_ENUM,
-                 max_states: Optional[int] = None) -> CountSeries:
+                 max_states: int = DEFAULT_MAX_STATES) -> CountSeries:
     """Exact counts of the window classes: ``L`` left-burnable, ``L0``
     left-burnable without maximal rungs, ``S`` two-sided burnable, ``S0``
-    two-sided without maximal rungs, ``REC`` all recurrent.
+    two-sided without maximal rungs, ``REC`` all recurrent.  Either
+    method holds at most ``max_states`` states.
 
     ``method="brute"`` counts on the census engine by transfer state (the
-    module docstring says why).
+    module docstring says why), refused as soon as the states of one
+    length, (left, right) pairs for ``S``/``S0``, outnumber the cap.
 
     ``method="automaton"`` counts accepted words of the rung-coding
     automaton instead of enumerating; it exists for ``L`` and ``L0``
     only (no automaton is built for the symmetric or recurrent classes).
     It reads the automaton, or its restriction to non-maximal rungs, from
-    the per-graph cache the measures share, under ``max_states``
-    (default: the coding module's cap).
+    the per-graph cache the measures share, refused if the automaton has
+    more states than the cap.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; pick from {VARIANTS}")
     n_max = _length(n_max, "n_max", 1)
+    max_states = _length(max_states, "max_states", 1)
     if method == "automaton":
         if variant not in ("L", "L0"):
             raise ValidationError(
                 f"variant {variant!r} has no automaton; use method='brute'")
-        from .coding import DEFAULT_MAX_STATES
         from .measures import _AutomatonBundle
-        bundle = _AutomatonBundle.get(graph, DEFAULT_MAX_STATES
-                                      if max_states is None else max_states)
+        bundle = _AutomatonBundle.get(graph, max_states)
         auto = bundle.automaton if variant == "L" else bundle.nonmax
         # with the maximal rung alone in the alphabet no L0 window exists
         values = (tuple(auto.word_counts(n_max)) if auto is not None
@@ -437,17 +435,11 @@ def count_series(graph: Graph, variant: str, n_max: int,
 
     dfs = _engine(graph)
     rec = variant == "REC"
-    base = len(single_rung_recurrent(graph) if rec else enum_rungs(graph))
-    if base ** n_max > max_enum:
-        raise FeasibilityError(
-            f"brute enumeration needs {base}**{n_max} > max_enum={max_enum}; raise "
-            "max_enum" + (" or use method='automaton'" if variant in ("L", "L0") else ""))
     rungs = (single_rung_recurrent(graph) if rec else
              [c for c in enum_rungs(graph) if variant in ("L", "S") or c != dfs.cmax])
     counts = dfs.count([rungs] * n_max, ignite=not rec,
-                       two_sided=variant in ("S", "S0"))
-    values = tuple(counts[1:])
-    return CountSeries(variant=variant, values=values, provenance="brute",
+                       two_sided=variant in ("S", "S0"), max_states=max_states)
+    return CountSeries(variant=variant, values=tuple(counts[1:]), provenance="brute",
                        graph_name=graph.name)
 
 
@@ -509,6 +501,7 @@ def renewal_identity_check(a: CountSeries, b: CountSeries, n_max: int) -> bool:
     the first maximal rung: a_n = b_n + sum_{k=1..n} b_{k-1} a_{n-k}."""
     if a.variant != "L" or b.variant != "L0":
         raise ValidationError("needs the L series and the L0 series")
+    n_max = _length(n_max, "n_max", 1)
     av, bv = a.with_zero(), b.with_zero()
     if n_max >= min(len(av), len(bv)):
         raise ValidationError(f"series too short for n_max={n_max}")
@@ -549,5 +542,5 @@ __all__ = [
     "CountSeries", "EntropyBounds", "RungAlphabet", "count_series",
     "entropy_bounds", "enum_rungs", "iter_left_burnable", "iter_recurrent",
     "recurrent_counts", "recurrent_growth_rate", "renewal_identity_check",
-    "single_rung_recurrent", "DEFAULT_MAX_ENUM",
+    "single_rung_recurrent",
 ]

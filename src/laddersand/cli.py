@@ -23,12 +23,12 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import __version__
 from .burning import max_rung
-from .census import DEFAULT_MAX_ENUM, count_series, entropy_bounds
-from .coding import (DEFAULT_MAX_STATES, build_coding, check_transitive,
-                     influence_maps_monotone, parry_chain, restrict, spectral)
+from .census import count_series, entropy_bounds
+from .coding import (build_coding, check_transitive, influence_maps_monotone,
+                     parry_chain, restrict, spectral)
 from .errors import FeasibilityError, StepCapExceeded, ValidationError
-from .graphs import (DEFAULT_VERTEX_CAP, Graph, Window, _seed, builtin_graph,
-                     parse_graph)
+from .graphs import (DEFAULT_MAX_STATES, DEFAULT_VERTEX_CAP, Graph, Window,
+                     _length, _seed, builtin_graph, parse_graph)
 from .measures import (METHODS, CylinderEvent, cylinder_prob,
                        mixture_experiment, right_cylinder_prob,
                        sample_chain_windows, sample_finite_exact,
@@ -139,7 +139,7 @@ def cmd_graph(args, graph: Graph) -> Payload:
 
 def cmd_census(args, graph: Graph) -> Payload:
     series = count_series(graph, args.variant, args.n, method=args.method,
-                          max_enum=args.max_enum, max_states=args.max_states)
+                          max_states=args.max_states)
     if args.format == "csv":
         rows = [(series.variant, n, v)
                 for n, v in enumerate(series.values, start=1)]
@@ -274,8 +274,7 @@ def cmd_blast(args, graph: Graph) -> Payload:
 def cmd_mixture(args, graph: Graph) -> Payload:
     event = _parse_event(args.event, args.at, args.centered)
     windows = [Window(-m, m) for m in args.halfwidths]
-    rows = mixture_experiment(graph, windows, event, max_enum=args.max_enum,
-                              max_states=args.max_states)
+    rows = mixture_experiment(graph, windows, event, max_states=args.max_states)
     table = [((f"[{r.window.n},{r.window.m}]"), args.event,
               repr(r.measured), repr(r.predicted), repr(r.gap),
               r.total_configs) for r in rows]
@@ -291,8 +290,7 @@ def cmd_mixture(args, graph: Graph) -> Payload:
 def cmd_experiment(args, graph: Graph) -> Payload:
     if args.name != "cycle-topple":
         raise ValidationError(f"unknown experiment {args.name!r}")
-    if args.count < 1:
-        raise ValidationError("count must be >= 1")
+    _length(args.count, "count", 1)
     seed = _seed(args.seed or 0)
     results = []
     for n_cyc in args.cycles:
@@ -327,9 +325,15 @@ _SHARED_FLAGS = {
     "seed": dict(type=int, default=None),
     "format": dict(choices=("csv", "json"), default="csv"),
     "max-states": dict(type=int, default=DEFAULT_MAX_STATES),
-    "max-enum": dict(type=int, default=DEFAULT_MAX_ENUM),
     "step-cap": dict(type=int, default=DEFAULT_STEP_CAP),
 }
+
+
+def _event_position(p: argparse.ArgumentParser) -> None:
+    """``--at`` or ``--centered``, which place the event two ways."""
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--at", type=int, default=None, help="leftmost event rung")
+    where.add_argument("--centered", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("census", "exact counts of burnable or recurrent window "
                 "classes, with entropy bounds",
-                "graph", "format", "max-states", "max-enum")
+                "graph", "format", "max-states")
     p.add_argument("--variant", choices=("L", "L0", "S", "S0", "REC"),
                    default="L")
     p.add_argument("--n", type=int, required=True)
@@ -378,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "measure", "graph", "format", "max-states")
     p.add_argument("--event", required=True,
                    help="rungs as 'h1,h2;h1,h2;...' left to right")
-    p.add_argument("--at", type=int, default=None, help="leftmost event rung")
-    p.add_argument("--centered", action="store_true")
+    _event_position(p)
     p.add_argument("--right", action="store_true",
                    help="use the right-sided measure")
     p.add_argument("--method", choices=(*METHODS, "all"),
@@ -418,10 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("mixture", "finite-window event probabilities against the "
                 "mixture of one-sided limits",
-                "graph", "format", "max-states", "max-enum")
+                "graph", "format", "max-states")
     p.add_argument("--event", required=True)
-    p.add_argument("--at", type=int, default=None)
-    p.add_argument("--centered", action="store_true")
+    _event_position(p)
     p.add_argument("--halfwidths", type=lambda s: [int(x) for x in s.split(",")],
                    default=[2, 3])
     p.set_defaults(func=cmd_mixture)

@@ -69,9 +69,7 @@ from .burning import _CHUNK_ENTRIES, InfluenceMap, RungConfig, burn_table
 from .census import enum_rungs
 from .errors import (FeasibilityError, InternalInvariantError,
                      ValidationError)
-from .graphs import Graph, mask_to_vertices
-
-DEFAULT_MAX_STATES = 10 ** 6
+from .graphs import DEFAULT_MAX_STATES, Graph, _length, mask_to_vertices
 
 
 @dataclass(frozen=True)
@@ -444,6 +442,7 @@ def build_coding(graph: Graph, *, max_states: int = DEFAULT_MAX_STATES
     refuses exactly the automata with more states, as soon as the rung
     count or the states found so far exceed it.
     """
+    max_states = _length(max_states, "max_states", 1)
     alphabet = enum_rungs(graph).rungs
     nrungs = len(alphabet)
     if nrungs > max_states:  # each rung starts a state of its own

@@ -29,6 +29,7 @@ Site = tuple[int, int]  # (vertex index, rung coordinate)
 # hence the soft cap; above HARD_VERTEX_CAP the tables are hopeless.
 DEFAULT_VERTEX_CAP = 12
 HARD_VERTEX_CAP = 16
+DEFAULT_MAX_STATES = 10 ** 6  # an automaton's, or a brute count's of one length
 
 
 @dataclass(frozen=True)
@@ -179,16 +180,21 @@ def _integer(value, name: str) -> int:
         raise ValidationError(f"{name}={value!r} is not an integer") from None
 
 
+def _length(value, name: str, least: int) -> int:
+    """A length or a cap as an ``int`` of at least ``least``."""
+    value = _integer(value, name)
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
+    return value
+
+
 def _seed(value) -> int:
     """A random seed as a non-negative ``int``.  ``random.Random`` takes a
     negative seed as its absolute value and numpy refuses it untyped, so
     negative seeds are refused, and so are booleans."""
     if isinstance(value, bool):
         raise ValidationError(f"seed={value!r} is not an integer")
-    value = _integer(value, "seed")
-    if value < 0:
-        raise ValidationError(f"seed must be >= 0, not {value}")
-    return value
+    return _length(value, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .burning import RungConfig, max_rung
-from .census import (DEFAULT_MAX_ENUM, _engine, count_series, enum_rungs,
-                     single_rung_recurrent)
-from .coding import (DEFAULT_MAX_STATES, CodingAutomaton, ParryChain, _perron,
-                     _quotient, build_coding, parry_chain, restrict, spectral)
+from .census import _engine, count_series, enum_rungs, single_rung_recurrent
+from .coding import (CodingAutomaton, ParryChain, _perron, _quotient,
+                     build_coding, parry_chain, restrict, spectral)
 from .errors import FeasibilityError, ValidationError
-from .graphs import Graph, Window, _integer, _seed
+from .graphs import DEFAULT_MAX_STATES, Graph, Window, _integer, _length, _seed
 from .toppling import LadderConfig, _require_integers
 
 DEFAULT_TAIL_TOL = 1e-9
@@ -110,6 +109,7 @@ class _AutomatonBundle:
 
     @classmethod
     def get(cls, graph: Graph, max_states: int = DEFAULT_MAX_STATES) -> "_AutomatonBundle":
+        max_states = _length(max_states, "max_states", 1)
         bundle = cls._cache.get(graph)
         if bundle is None:
             bundle = cls(graph, max_states)
@@ -389,10 +389,8 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
                          ) -> list[tuple[RungConfig, ...]]:
     """Draw rung windows from the stationary maximal-entropy chain and
     project states onto their rungs; deterministic per seed."""
-    width, count = _integer(width, "width"), _integer(count, "count")
+    width, count = _length(width, "width", 1), _length(count, "count", 1)
     seed = _seed(seed)
-    if width < 1 or count < 1:
-        raise ValidationError("width and count must be >= 1")
     bundle = _AutomatonBundle.get(graph, max_states)
     auto, chain = bundle.automaton, bundle.chain
     cum = chain.cumulative
@@ -424,9 +422,7 @@ def sample_finite_exact(graph: Graph, n: int, m: int, seed: int,
     """Exactly uniform samples of the left-burnable configurations on
     the window ``[n, m]``, by sequential draws proportional to integer
     suffix path counts in the automaton."""
-    count, seed = _integer(count, "count"), _seed(seed)
-    if count < 1:
-        raise ValidationError("count must be >= 1")
+    count, seed = _length(count, "count", 1), _seed(seed)
     length = len(Window(n, m))
     bundle = _AutomatonBundle.get(graph, max_states)
     auto = bundle.automaton
@@ -526,7 +522,7 @@ class MixtureRow:
 
 
 def mixture_experiment(graph: Graph, windows: Iterable[Window],
-                       event: CylinderEvent, *, max_enum: int = DEFAULT_MAX_ENUM,
+                       event: CylinderEvent, *,
                        max_states: int = DEFAULT_MAX_STATES) -> list[MixtureRow]:
     """Compare the uniform-recurrent probability of an event on finite
     windows against the convex mixture of the two one-sided limits.
@@ -540,8 +536,9 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
     here were checked against exact enumeration.)  The finite-window
     probability is exact: the recurrent windows, and those with the
     event's rungs pinned, are counted by transfer state on the census
-    engine.  One brute ``REC`` series up to the longest window, under
-    its ``max_enum`` cap, gives every window's total.
+    engine.  One brute ``REC`` series up to the longest window gives
+    every window's total.  ``max_states`` caps the automaton behind the
+    limits and the transfer states of every count.
     """
     mu_l = cylinder_prob(graph, event, "parry", max_states=max_states).value
     mu_r = right_cylinder_prob(graph, event, "parry", max_states=max_states).value
@@ -550,7 +547,7 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
     for window in windows:
         if event.lo < window.n or event.hi > window.m:
             raise ValidationError(f"event does not fit window {window}")
-    totals = (count_series(graph, "REC", max(map(len, windows)), max_enum=max_enum)
+    totals = (count_series(graph, "REC", max(map(len, windows)), max_states=max_states)
               if windows else None)
     rows = []
     for window in windows:
@@ -560,7 +557,8 @@ def mixture_experiment(graph: Graph, windows: Iterable[Window],
         for k, c in enumerate(event.rungs, start=event.lo - window.n):
             # a rung that is not recurrent alone is in no recurrent window
             depths[k] = [c] if c in single else []
-        matches = _engine(graph).count(depths, ignite=False)[length]
+        matches = _engine(graph).count(depths, ignite=False,
+                                       max_states=max_states)[length]
         measured = matches / total
         if window.m == window.n:
             weight = 0.5

@@ -84,8 +84,10 @@ def test_count_series_validation(path2):
 
 
 def test_brute_cap(path2):
-    with pytest.raises(FeasibilityError, match="max_enum"):
-        count_series(path2, "L", 12)  # 5**12 over the default cap
+    # every length from 1 on holds path2's 3 left-burnable transfer states
+    with pytest.raises(FeasibilityError, match="max_states=2"):
+        count_series(path2, "L", 12, max_states=2)
+    assert count_series(path2, "L", 12, max_states=3) == count_series(path2, "L", 12)
 
 
 def test_renewal_identity_small(path2, point):
@@ -105,6 +107,15 @@ def test_renewal_identity_guards(path2):
         renewal_identity_check(b, a, 4)
     with pytest.raises(ValidationError):
         renewal_identity_check(a, b, 9)
+
+
+@pytest.mark.parametrize("n_max", [0, -5, 1.5, "3"])
+def test_renewal_identity_refuses_a_length_it_cannot_check(path2, n_max):
+    # a length below 1 checked nothing and passed
+    a = count_series(path2, "L", 4)
+    b = count_series(path2, "L0", 4)
+    with pytest.raises(ValidationError, match="n_max"):
+        renewal_identity_check(a, b, n_max)
 
 
 def test_submultiplicative(path2):
@@ -168,10 +179,10 @@ def test_single_rung_recurrent_point(point):
 
 def test_brute_matches_automaton(path2, path3):
     for graph, nmax in ((path2, 6), (path3, 4)):
-        brute = count_series(graph, "L", nmax, max_enum=10 ** 8)
+        brute = count_series(graph, "L", nmax)
         auto = count_series(graph, "L", nmax, method="automaton")
         assert brute.values == auto.values
-        brute0 = count_series(graph, "L0", nmax, max_enum=10 ** 8)
+        brute0 = count_series(graph, "L0", nmax)
         auto0 = count_series(graph, "L0", nmax, method="automaton")
         assert brute0.values == auto0.values
 
@@ -180,7 +191,7 @@ def test_brute_matches_automaton_wider_graphs():
     from laddersand.graphs import builtin_graph
     for name, nmax in (("path4", 3), ("cycle4", 2)):
         graph = builtin_graph(name)
-        brute = count_series(graph, "L", nmax, max_enum=10 ** 8)
+        brute = count_series(graph, "L", nmax)
         auto = count_series(graph, "L", nmax, method="automaton")
         assert brute.values == auto.values
 
@@ -366,7 +377,7 @@ def test_matrix_polynomial_is_the_reduced_laplacian_det(name, n_max):
                                          ("cycle3", 40), ("path4", 8)])
 def test_recurrent_counts_match_the_determinant_oracle(name, n_max):
     graph = builtin_graph(name)
-    assert (count_series(graph, "REC", n_max, max_enum=10 ** 80).values
+    assert (count_series(graph, "REC", n_max).values
             == recurrent_counts(graph, n_max))
 
 
@@ -382,7 +393,7 @@ def test_recurrent_counts_reach_hundreds_of_rungs(path2, monkeypatch):
         return right_step(self, state, tbl)
 
     monkeypatch.setattr(_SequenceDFS, "right_step", counted)
-    assert (count_series(path2, "REC", 200, max_enum=10 ** 400).values
+    assert (count_series(path2, "REC", 200).values
             == recurrent_counts(path2, 200))
     assert len(set(steps)) == len(steps)  # one step per state and rung
     assert len({state for state, _ in steps}) <= 8
@@ -489,8 +500,8 @@ def _mirror_walked_counts(graph, n_max):
 def test_two_sided_counts_match_the_mirror_walk(name, n_max):
     graph = builtin_graph(name)
     s, s0 = _mirror_walked_counts(graph, n_max)
-    assert count_series(graph, "S", n_max, max_enum=10 ** 30).values == s
-    assert count_series(graph, "S0", n_max, max_enum=10 ** 30).values == s0
+    assert count_series(graph, "S", n_max).values == s
+    assert count_series(graph, "S0", n_max).values == s0
 
 
 @settings(max_examples=10, deadline=None)
@@ -578,7 +589,7 @@ def test_suffix_counts_match_the_plain_walk_on_random_graphs(graph):
 
 
 def test_suffix_count_on_the_point_is_not_recursive(point):
-    # 1**n never trips max_enum, so the length is unbounded
+    # every length holds the point's one transfer state, so the length is unbounded
     assert count_series(point, "L", 5000).values == (1,) * 5000
 
 
@@ -603,24 +614,44 @@ def test_brute_counts_build_no_automaton(path3, monkeypatch):
 ])
 def test_brute_matches_automaton_at_longer_lengths(name, variant, n_max):
     graph = builtin_graph(name)
-    brute = count_series(graph, variant, n_max, max_enum=10 ** 30)
+    brute = count_series(graph, variant, n_max)
     auto = count_series(graph, variant, n_max, method="automaton")
     assert brute.values == auto.values
 
 
-def test_brute_refusals_are_worded_as_before(path2, cycle3):
+# the most transfer states one length holds below n_max: path3 REC holds
+# 1, 19, 48 and 54 at lengths 0..3, path2 S (left, right) pairs 1, 5, 9,
+# 12, 14 and 16 at lengths 0..5, and path2 S0 pairs 1, 4, 8 and 10
+@pytest.mark.parametrize("name, variant, n_max, held", [
+    ("path3", "REC", 4, 54), ("path3", "REC", 3, 48), ("path2", "S", 6, 16),
+    ("path2", "S0", 4, 10),
+])
+def test_brute_refusals_name_the_state_cap(name, variant, n_max, held):
+    graph = builtin_graph(name)
+    assert (count_series(graph, variant, n_max, max_states=held)
+            == count_series(graph, variant, n_max))
     with pytest.raises(FeasibilityError) as exc:
-        count_series(path2, "L", 15)
-    assert str(exc.value) == ("brute enumeration needs 5**15 > max_enum=10000000; "
-                              "raise max_enum or use method='automaton'")
-    with pytest.raises(FeasibilityError) as exc:
-        count_series(cycle3, "S", 3, max_enum=10 ** 4)
-    assert str(exc.value) == ("brute enumeration needs 34**3 > max_enum=10000; "
-                              "raise max_enum")
-    with pytest.raises(FeasibilityError) as exc:
-        count_series(path2, "REC", 9)
-    assert str(exc.value) == ("brute enumeration needs 8**9 > max_enum=10000000; "
-                              "raise max_enum")
+        count_series(graph, variant, n_max, max_states=held - 1)
+    assert str(exc.value) == (f"brute count exceeded max_states={held - 1} "
+                              f"transfer states at {n_max - 1} rungs")
+
+
+def test_counts_the_enumeration_cap_refused(path2):
+    # refused while brute counts were capped at 10**7 windows (base**n_max)
+    assert (count_series(path2, "L", 15).values
+            == count_series(path2, "L", 15, method="automaton").values)
+    assert count_series(path2, "REC", 9).values == recurrent_counts(path2, 9)
+    assert count_series(path2, "S", 11).values == (
+        5, 17, 59, 205, 713, 2481, 8635, 30057, 104629, 364225, 1267923)
+    # the brute count is pinned in test_counts_pinned_on_larger_graphs
+    assert recurrent_counts(builtin_graph("path5"), 3)[-1] == 16560324
+
+
+@pytest.mark.parametrize("cap", [0, -1, 1.5, "10", None])
+@pytest.mark.parametrize("method", ["brute", "automaton"])
+def test_count_series_refuses_a_cap_that_is_not_a_count(path2, cap, method):
+    with pytest.raises(ValidationError, match="max_states"):
+        count_series(path2, "L", 3, method=method, max_states=cap)
 
 
 @pytest.mark.parametrize("name, variant, n, expected", [
@@ -635,14 +666,14 @@ def test_counts_pinned_on_larger_graphs(name, variant, n, expected):
     # pinned from the count by unresolved suffix, which shares no code with
     # the transfer states
     graph = builtin_graph(name)
-    assert count_series(graph, variant, n, max_enum=10 ** 30)[n] == expected
+    assert count_series(graph, variant, n)[n] == expected
 
 
 @pytest.mark.parametrize("name", ["path4", "cycle4"])
 @pytest.mark.parametrize("variant", ["L", "L0"])
 def test_brute_matches_automaton_at_ten_rungs(name, variant):
     graph = builtin_graph(name)
-    assert (count_series(graph, variant, 10, max_enum=10 ** 30).values
+    assert (count_series(graph, variant, 10).values
             == count_series(graph, variant, 10, method="automaton").values)
 
 

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from laddersand.cli import main
+from laddersand.cli import _SHARED_FLAGS, build_parser, main
 from laddersand.coding import CodingAutomaton, ParryChain
 from laddersand.graphs import builtin_graph
 from laddersand.measures import _AutomatonBundle, sample_chain_windows
@@ -287,9 +288,42 @@ def test_topple_rejects_a_config_without_heights(tmp_path, capsys):
 
 
 def test_exit_code_feasibility(capsys):
+    # path2's left-burnable windows have 3 transfer states per length
     code, _, err = run(capsys, "census", "--graph", "path2", "--variant", "L",
-                       "--n", "15")
+                       "--n", "15", "--max-states", "2")
     assert code == 3 and "feasibility" in err
+
+
+@pytest.mark.parametrize("variant, n, held", [("REC", "4", 54), ("S", "3", 85)])
+def test_max_states_caps_the_brute_census(capsys, variant, n, held):
+    # path3 REC holds 54 transfer states at 3 rungs, cycle3 S 85 pairs at 2
+    graph = "path3" if variant == "REC" else "cycle3"
+    argv = ["census", "--graph", graph, "--variant", variant, "--n", n]
+    code, out, _ = run(capsys, *argv, "--max-states", str(held))
+    assert code == 0 and out == run(capsys, *argv)[1]
+    code, out, err = run(capsys, *argv, "--max-states", str(held - 1))
+    assert code == 3 and out == ""
+    assert f"brute count exceeded max_states={held - 1}" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "3"], ["census", "--n", "3", "--method", "automaton"],
+    ["coding"], ["measure", "--event", "3,3"], ["mixture", "--event", "3,3"],
+])
+def test_a_cap_below_one_is_invalid_input(capsys, argv, cap):
+    # a cap no count can meet used to exit 3, or with brute counts 0
+    code, out, err = run(capsys, *argv, "--graph", "path2", "--max-states", cap)
+    assert code == 2 and out == "" and "max_states must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["measure", "mixture"])
+def test_at_and_centered_are_exclusive(capsys, command):
+    # --centered used to win silently: measure reported window [0,0]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--event", "3,3", "--centered", "--at", "5"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_census_beyond_the_burn_table_exits_3(capsys):
@@ -376,6 +410,8 @@ IGNORED_FLAGS = [
     (["mixture", "--event", "3,3"], "--seed --step-cap"),
     (["experiment", "cycle-topple"], "--format --max-enum --graph"),
     (["measure", "--event", "3,3"], "--renewal-order"),  # a removed flag
+    (["census", "--n", "2"], "--max-enum"),  # removed: --max-states caps brute counts
+    (["mixture", "--event", "3,3"], "--max-enum"),
 ]
 
 
@@ -388,3 +424,31 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, argv, flag):
         main(argv + [flag, value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_flag_table():
+    """The README's CLI table as {subcommand: the shared flags ticked}."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| subcommand"))
+    table = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        table.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    header = [cell.split()[0] for cell in table[0][1:]]  # "--format {csv,json}"
+    return {cells[0]: {flag for flag, cell in zip(header, cells[1:]) if cell == "✓"}
+            for cells in table[2:]}
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions if a.dest == "command")
+    return action.choices
+
+
+def test_readme_flag_table_matches_the_parser():
+    table = _readme_flag_table()
+    assert set(table) == set(_subparsers())
+    for name, parser in _subparsers().items():
+        accepted = {f"--{flag}" for flag in _SHARED_FLAGS
+                    if f"--{flag}" in parser._option_string_actions}
+        assert table[name] == accepted, name

@@ -225,6 +225,13 @@ def test_max_states_cap(path3):
         build_coding(path3, max_states=3)
 
 
+@pytest.mark.parametrize("cap", [0, -1, 1.5, "10"])
+def test_max_states_that_is_not_a_count_is_invalid(point, cap):
+    # the point's automaton has one state, so no cap below 1 can be met
+    with pytest.raises(ValidationError, match="max_states"):
+        build_coding(point, max_states=cap)
+
+
 @pytest.mark.parametrize("name", ["path4", "cycle4"])
 def test_max_states_cap_is_exact(name):
     # the cap refuses exactly the automata with more states than it allows,
@@ -273,7 +280,7 @@ def test_json_stable_across_builds(path2):
 
 def test_path3_automaton_counts(path3):
     auto = build_coding(path3)
-    a = count_series(path3, "L", 4, max_enum=10 ** 8)
+    a = count_series(path3, "L", 4)
     assert tuple(auto.count_words(n) for n in range(1, 5)) == a.values
 
 
@@ -550,7 +557,7 @@ def test_perron_data_match_dense_eigenvalues(name):
             assert vec == pytest.approx(ref / ref.sum(), rel=1e-12)
 
 
-@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("name", BUILTINS + ["path5", "cycle5"])
 def test_growth_rate_at_most_recurrent_growth_rate(name):
     # every left-burnable window is recurrent, and the left-burnable ones
     # already grow at the recurrent rate: the limit has maximal entropy

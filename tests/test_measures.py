@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from laddersand.burning import (full_burnable, left_burnable, max_rung,
                                 right_burnable, window_heights)
-from laddersand.census import (_engine, count_series, enum_rungs, iter_left_burnable,
-                               iter_recurrent, single_rung_recurrent)
+from laddersand.census import (_SequenceDFS, _engine, count_series, enum_rungs,
+                               iter_left_burnable, iter_recurrent, single_rung_recurrent)
 from laddersand.coding import CodingAutomaton, build_coding, parry_chain, spectral
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import Window, builtin_graph, make_graph
@@ -646,13 +646,33 @@ def test_mixture_guards(path2):
         mixture_experiment(path2, [Window(-2, 2)], ev)
     with pytest.raises(FeasibilityError):
         mixture_experiment(path2, [Window(-8, 8)],
-                           CylinderEvent.single((3, 3)), max_enum=100)
-    # the cap is the brute REC count's: 8**5 windows of 5 rungs
-    with pytest.raises(FeasibilityError, match="max_enum=32767"):
+                           CylinderEvent.single((3, 3)), max_states=7)
+    # path2's automaton has 7 states, and its recurrent windows 8 transfer
+    # states from 2 rungs on, which the brute REC count holds
+    with pytest.raises(FeasibilityError,
+                       match="brute count exceeded max_states=7 transfer states at 2"):
         mixture_experiment(path2, [Window(-2, 2)],
-                           CylinderEvent.single((3, 3)), max_enum=8 ** 5 - 1)
+                           CylinderEvent.single((3, 3)), max_states=7)
     assert mixture_experiment(path2, [Window(-2, 2)], CylinderEvent.single((3, 3)),
-                              max_enum=8 ** 5)[0].total_configs == 4680
+                              max_states=8)[0].total_configs == 4680
+    with pytest.raises(ValidationError, match="max_states"):
+        mixture_experiment(path2, [Window(-2, 2)], CylinderEvent.single((3, 3)),
+                           max_states=0)
+
+
+def test_mixture_pins_its_events_under_the_same_cap(path2, monkeypatch):
+    caps = []
+    count = _SequenceDFS.count
+
+    def counted(self, depths, ignite, two_sided=False, **kwargs):
+        caps.append(kwargs.get("max_states"))
+        return count(self, depths, ignite, two_sided, **kwargs)
+
+    monkeypatch.setattr(_SequenceDFS, "count", counted)
+    rows = mixture_experiment(path2, [Window(-1, 1), Window(-2, 2)],
+                              CylinderEvent.single((3, 3)), max_states=8)
+    assert [row.total_configs for row in rows] == [224, 4680]
+    assert caps == [8, 8, 8]  # the totals, then each window's pinned count
 
 
 def test_mixture_counts_the_totals_once(path2, monkeypatch):
@@ -674,9 +694,9 @@ def test_mixture_counts_the_totals_once(path2, monkeypatch):
     assert [row.total_configs for row in rows] == [224, 4680, 8, 1045, 224]
     with pytest.raises(ValidationError, match="does not fit"):
         mixture_experiment(path2, [Window(-2, 2), Window(1, 3)], event)
-    with pytest.raises(FeasibilityError, match="max_enum=32767"):
+    with pytest.raises(FeasibilityError, match="max_states=7"):
         mixture_experiment(path2, [Window(-1, 1), Window(-2, 2)], event,
-                           max_enum=8 ** 5 - 1)
+                           max_states=7)
     assert calls == [("REC", 5), ("REC", 5)]
     assert mixture_experiment(path2, [], event) == []
     assert calls == [("REC", 5), ("REC", 5)]
@@ -749,6 +769,15 @@ def test_max_states_caps_cold_and_cached_bundles(path2, monkeypatch):
         cylinder_prob(path2, event, "parry", max_states=6)  # cached bundle
     with pytest.raises(FeasibilityError, match="max_states"):
         sample_chain_windows(path2, 3, 1, 0, max_states=6)
+
+
+@pytest.mark.parametrize("cap", [0, -1, 1.5, "10"])
+def test_bundles_refuse_a_cap_that_is_not_a_count(path2, monkeypatch, cap):
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    for _ in ("cold", "cached"):
+        with pytest.raises(ValidationError, match="max_states"):
+            _AutomatonBundle.get(path2, cap)
+        _AutomatonBundle.get(path2)
 
 
 def test_bundle_cache_evicts_the_least_recent_and_rebuilds(monkeypatch):

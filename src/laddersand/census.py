@@ -310,19 +310,21 @@ class _SequenceDFS:
         at a time by transfer state (:meth:`right_step`), all that later
         rungs see of a prefix: a layer maps each state to its number of
         accepted prefixes.  Within the call a step is taken once per state
-        and rung, only for an accepted child, and the last layer reads only
-        the entries acceptance needs (:meth:`_accepts`).  A rejected prefix
-        has no accepted extension.  With ``two_sided`` the state adds the
-        right-seeded one from :attr:`sink`, which is never dropped.  A
-        layer of more than ``max_states`` states (pairs, two-sided) is
-        refused as soon as it holds them; the layers of lengths below
-        ``len(depths)`` are the ones kept."""
+        and rung, only for an accepted child, equal children are stored as
+        one tuple, and the last layer reads only the entries acceptance
+        needs (:meth:`_accepts`).  A rejected prefix has no accepted
+        extension.  With ``two_sided`` the state adds the right-seeded one
+        from :attr:`sink`, which is never dropped.  A layer of more than
+        ``max_states`` states (pairs, two-sided) is refused as soon as it
+        holds them; the layers of lengths below ``len(depths)`` are the ones
+        kept."""
         n, full = self.n, self.full
         counts = [1] + [0] * len(depths)
         # (left-seeded state, right-seeded state or None) -> prefixes
         layer = {(self.source, self.sink if two_sided else None): 1}
         lmoves: dict = {}  # state -> rung -> child, () when rejected
         rmoves: dict = {}
+        seen: dict = {}  # each distinct child once, however many steps reach it
 
         def verdicts(moves, state, ignited, mask=-1):
             # the accepted rungs of mask after state, as a bitmask over steps
@@ -351,11 +353,15 @@ class _SequenceDFS:
                 lrow, rrow = lmoves.setdefault(left, {}), rmoves.setdefault(right, {})
                 for c, tbl in steps:
                     if c not in lrow:
-                        lrow[c] = (self.right_step(left, tbl)
-                                   if self._accepts(left, tbl, ignite) else ())
+                        if self._accepts(left, tbl, ignite):
+                            child = self.right_step(left, tbl)
+                            lrow[c] = seen.setdefault(child, child)
+                        else:
+                            lrow[c] = ()
                     if lrow[c]:
                         if two_sided and c not in rrow:
-                            rrow[c] = self.right_step(right, tbl)
+                            child = self.right_step(right, tbl)
+                            rrow[c] = seen.setdefault(child, child)
                         key = lrow[c], rrow[c] if two_sided else None
                         nxt[key] = nxt.get(key, 0) + mult
                 if len(nxt) > max_states:

@@ -22,20 +22,30 @@ takes the room from 0 to -1 is the one that makes the cell unstable, and
 the list of cells to fire needs no flag per cell.  The heights and
 odometer are written back to numpy arrays when the avalanche ends or
 overruns its step cap.
+
+The canonical schedule keeps its unstable cells on a heap.  A toppling
+pushes all but the last of the cells it makes unstable (itself among
+them, when it stays unstable), and one ``heappushpop`` trades that last
+cell for the next to fire: the least of the heap and the new cells,
+which a push and then a pop would also take.  The heap holds each cell
+at most once, so the order cells go in is never seen: the least
+unstable ``(rung, vertex)`` always fires next.  When the step cap is
+spent, the cell taken to fire next has not fired.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .burning import left_burnable
 from .errors import StepCapExceeded, ValidationError
-from .graphs import Graph, Site, Window, _seed, ladder_neighbors
+from .graphs import (Graph, Site, Window, _integer, _length, _seed,
+                     ladder_neighbors)
 
 DEFAULT_STEP_CAP = 10 ** 7
 
@@ -172,8 +182,9 @@ def stabilize(graph: Graph, config: LadderConfig,
     heights) when the avalanche runs past ``step_cap`` site-topplings.
     """
     _validate_config(graph, config)
-    if step_cap <= 0:
-        raise ValidationError("step_cap must be positive")
+    if not isinstance(schedule, Schedule):
+        raise ValidationError(f"schedule must be a Schedule, not {schedule!r}")
+    step_cap = _length(step_cap, "step_cap", 1)
     window = config.window
     rows = len(window)
     n = graph.n
@@ -181,21 +192,25 @@ def stabilize(graph: Graph, config: LadderConfig,
     cap = list(graph.max_height) * rows
     room = [m - hc for m, hc in zip(cap, config.heights.ravel().tolist())]
     for x, k in additions:
+        x, k = _integer(x, "addition vertex"), _integer(k, "addition rung")
         if not (0 <= x < n) or not window.contains((x, k)):
             raise ValidationError(f"addition site ({x},{k}) outside window")
         room[(k - window.n) * n + x] -= 1
 
     nbrs = ladder_neighbors(graph, rows)
     ol = [0] * cells
-    # todo holds exactly the cells with negative room
+    # todo holds exactly the cells with negative room, but the one the
+    # canonical loop has taken to fire next; sorted, it is already a heap
     todo = [c for c in range(cells) if room[c] < 0]
-    steps = 0
+    exceeded = False
     if schedule.kind == "parallel":
         # a round fires every listed cell; firing them one after another
         # lists each cell whose room is negative once the round is done
+        steps = 0
         while todo:
             steps += len(todo)
             if steps > step_cap:
+                exceeded = True
                 break
             nxt = []
             for c in todo:
@@ -208,38 +223,62 @@ def stabilize(graph: Graph, config: LadderConfig,
                     if room[d] == -1:
                         nxt.append(d)
             todo = nxt
-    else:
-        # randrange(len(todo)) inlined: the same draws from the same seed
-        bits = (random.Random(schedule.seed).getrandbits
-                if schedule.kind == "random" else None)
-        push = heappush if bits is None else list.append
-        while todo:
-            if bits is None:
-                c = heappop(todo)
-            else:  # the drawn cell swaps with the last, so pop() shifts nothing
-                size = len(todo)
-                k = bits(size.bit_length())
-                while k >= size:
-                    k = bits(size.bit_length())
-                c, todo[k] = todo[k], todo[-1]
-                todo.pop()
-            steps += 1
-            if steps > step_cap:
-                break
+    elif schedule.kind == "canonical" and todo:
+        # the last cell a toppling makes unstable and the next to fire
+        # share one heappushpop
+        c = heappop(todo)
+        for _ in range(step_cap):
             ol[c] += 1
-            room[c] += cap[c]
+            rc = room[c] + cap[c]
+            room[c] = rc
+            last = c if rc < 0 else -1
             for d in nbrs[c]:
-                room[d] -= 1
-                if room[d] == -1:
-                    push(todo, d)
-            if room[c] < 0:
-                push(todo, c)
+                r = room[d] - 1
+                room[d] = r
+                if r == -1:
+                    if last >= 0:
+                        heappush(todo, last)
+                    last = d
+            if last >= 0:
+                c = heappushpop(todo, last)
+            elif todo:
+                c = heappop(todo)
+            else:
+                break
+        else:  # the cap is spent and c is still to fire
+            exceeded = True
+    elif schedule.kind == "random":
+        # randrange(len(todo)) inlined: the same draws from the same seed
+        bits = random.Random(schedule.seed).getrandbits
+        append, pop = todo.append, todo.pop
+        for _ in range(step_cap):
+            size = len(todo)
+            if not size:
+                break
+            k = bits(size.bit_length())
+            while k >= size:
+                k = bits(size.bit_length())
+            # the drawn cell swaps with the last, so pop() shifts nothing
+            c, todo[k] = todo[k], todo[-1]
+            pop()
+            ol[c] += 1
+            rc = room[c] + cap[c]
+            room[c] = rc
+            for d in nbrs[c]:
+                r = room[d] - 1
+                room[d] = r
+                if r == -1:
+                    append(d)
+            if rc < 0:
+                append(c)
+        else:
+            exceeded = bool(todo)
     h = np.array([m - r for m, r in zip(cap, room)], dtype=np.int64).reshape(rows, n)
     odo = np.array(ol, dtype=np.int64).reshape(rows, n)
 
     # the end rungs drain to the sink; a single-rung window drains twice
     odometer = Odometer(window, odo, int(odo[0].sum() + odo[-1].sum()))
-    if steps > step_cap:
+    if exceeded:
         raise StepCapExceeded(
             f"avalanche exceeded step cap of {step_cap} site-topplings",
             odometer=odometer, heights=LadderConfig(window, h))
@@ -252,7 +291,9 @@ def check_abelian(graph: Graph, config: LadderConfig,
                   step_cap: int = DEFAULT_STEP_CAP) -> bool:
     """Whether all schedules produce the identical final configuration
     and odometer on the given instance."""
-    additions = list(additions)
+    additions, schedules = list(additions), list(schedules)
+    if not schedules:
+        raise ValidationError("check_abelian needs at least one schedule")
     results = []
     for sched in schedules:
         final, odo = stabilize(graph, config, additions, sched, step_cap)

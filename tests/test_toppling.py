@@ -285,6 +285,72 @@ def test_schedules_match_the_reference_engine_on_long_blasts(path2, seed):
                     == _outcome(reference_stabilize, path2, cfg, adds, sched, cap))
 
 
+@pytest.mark.parametrize("name, halfwidth, seed", [("path2", 24, 5),
+                                                     ("cycle3", 8, 6),
+                                                     ("cycle4", 8, 7)])
+def test_caps_match_the_reference_engine_at_blast_scale(name, halfwidth, seed):
+    # the canonical heap holds many cells here, so the loop that stops
+    # with the next cell taken but not fired runs at every cap
+    from laddersand.measures import sample_window_config
+    graph = builtin_graph(name)
+    cfg = sample_window_config(graph, halfwidth, seed)
+    adds = [(x, 0) for x in range(graph.n)]
+    total = int(reference_stabilize(graph, cfg, adds)[1].counts.sum())
+    assert total > 100
+    for sched in (CANONICAL, PARALLEL, random_schedule(seed),
+                  random_schedule(seed + 10)):
+        for cap in (1, 2, total // 3, total - 1, total, total + 1):
+            case = (name, sched, cap)
+            got = _outcome(stabilize, graph, cfg, adds, sched, cap)
+            assert got == _outcome(reference_stabilize, graph, cfg, adds,
+                                   sched, cap), case
+            assert (got[0] == "stable") == (cap >= total), case
+
+
+@pytest.mark.parametrize("step_cap", [2.5, "5", None, 0, -3])
+def test_step_caps_that_are_not_counts_are_refused(path2, step_cap):
+    cfg = LadderConfig.from_rungs([(3, 3)] * 3, start=-1)
+    with pytest.raises(ValidationError, match="step_cap"):
+        stabilize(path2, cfg, [(0, 0)], step_cap=step_cap)
+    with pytest.raises(ValidationError, match="step_cap"):
+        rung_zero_blast(path2, cfg, step_cap=step_cap)
+    with pytest.raises(ValidationError, match="step_cap"):
+        check_abelian(path2, cfg, [(0, 0)], [CANONICAL], step_cap=step_cap)
+
+
+@pytest.mark.parametrize("site", [(1.5, 0), (0, 0.5), ("0", 0), (0, None)])
+def test_addition_sites_that_are_not_integers_are_refused(path2, site):
+    cfg = LadderConfig.from_rungs([(3, 3)] * 3, start=-1)
+    for sched in (CANONICAL, PARALLEL, random_schedule(1)):
+        with pytest.raises(ValidationError, match="not an integer"):
+            stabilize(path2, cfg, [site], sched)
+
+
+def test_caps_and_sites_read_numpy_integers(path2):
+    cfg = LadderConfig.from_rungs([(3, 3)] * 3, start=-1)
+    site = (np.int64(1), np.int32(0))
+    assert (stabilize(path2, cfg, [site], step_cap=np.int64(100))[1].counts
+            == stabilize(path2, cfg, [(1, 0)])[1].counts).all()
+
+
+def test_check_abelian_needs_a_schedule(path2):
+    cfg = LadderConfig.from_rungs([(3, 3)] * 3, start=-1)
+    with pytest.raises(ValidationError, match="schedule"):
+        check_abelian(path2, cfg, [(0, 0)], [])
+    assert check_abelian(path2, cfg, [(0, 0)], iter([CANONICAL]))
+
+
+@pytest.mark.parametrize("schedule", ["canonical", None, ("random", 1)])
+def test_schedules_that_are_not_schedules_are_refused(path2, schedule):
+    cfg = LadderConfig.from_rungs([(3, 3)] * 3, start=-1)
+    with pytest.raises(ValidationError, match="Schedule"):
+        stabilize(path2, cfg, [(0, 0)], schedule)
+    with pytest.raises(ValidationError, match="Schedule"):
+        rung_zero_blast(path2, cfg, schedule)
+    with pytest.raises(ValidationError, match="Schedule"):
+        check_abelian(path2, cfg, [(0, 0)], [CANONICAL, schedule])
+
+
 @pytest.mark.parametrize("heights", [[[3.5, 3.0]], [[3.0, 3.0]], [[True, True]]])
 def test_refuses_heights_that_are_not_integers(path2, heights):
     # float heights made the schedules disagree: 3.5 + 1 toppled to 2 one

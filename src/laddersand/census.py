@@ -51,10 +51,15 @@ VARIANTS = ("L", "L0", "S", "S0", "REC")
 
 @dataclass(frozen=True)
 class RungAlphabet:
-    """All admissible single-rung height vectors, sorted."""
+    """All admissible single-rung height vectors, sorted.  Membership and
+    :meth:`index` read a dict of the rungs, built once, so heights are
+    compared by value: ``2.0`` is the height 2, ``2.5`` no height."""
 
     graph: Graph
     rungs: tuple[RungConfig, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.rungs)})
 
     def __len__(self) -> int:
         return len(self.rungs)
@@ -63,10 +68,18 @@ class RungAlphabet:
         return iter(self.rungs)
 
     def index(self, rung: RungConfig) -> int:
-        return self.rungs.index(tuple(rung))
+        rung = tuple(rung)
+        if rung not in self:
+            raise ValidationError(f"rung {rung!r} is not in the alphabet "
+                                  f"of {self.graph.name}")
+        return self._index[rung]
 
     def __contains__(self, rung) -> bool:
-        return tuple(rung) in self.rungs
+        rung = tuple(rung)
+        try:
+            return rung in self._index
+        except TypeError:  # an unhashable height equals no height
+            return False
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,9 @@ class Graph:
     """A finite connected simple graph with sandpile height bounds.
 
     ``max_height[x] == degree[x] + 2`` is the largest stable height at
-    any ladder site over ``x``.
+    any ladder site over ``x``.  Graphs key the per-graph caches, so the
+    hash is taken once, of the integer fields (equal graphs agree on
+    them, and neighbours and degrees follow from the edges).
     """
 
     n: int
@@ -46,6 +48,12 @@ class Graph:
     degree: tuple[int, ...]
     max_height: tuple[int, ...]
     name: str = "custom"
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.n, self.edges, self.max_height)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def full_mask(self) -> int:

@@ -110,17 +110,18 @@ class _AutomatonBundle:
     @classmethod
     def get(cls, graph: Graph, max_states: int = DEFAULT_MAX_STATES) -> "_AutomatonBundle":
         max_states = _length(max_states, "max_states", 1)
-        bundle = cls._cache.get(graph)
+        cache = cls._cache
+        bundle = cache.get(graph)
         if bundle is None:
-            bundle = cls(graph, max_states)
-        elif len(bundle.automaton) > max_states:
+            bundle = cache[graph] = cls(graph, max_states)
+            if len(cache) > cls.CACHE_SIZE:
+                del cache[next(iter(cache))]
+            return bundle
+        if len(bundle.automaton) > max_states:
             raise FeasibilityError(f"automaton has {len(bundle.automaton)} "
                                    f"states > max_states={max_states}")
-        else:
-            del cls._cache[graph]  # re-entered below as the most recent
-        cls._cache[graph] = bundle
-        if len(cls._cache) > cls.CACHE_SIZE:
-            del cls._cache[next(iter(cls._cache))]
+        if next(reversed(cache.values())) is not bundle:
+            cache[graph] = cache.pop(graph)  # now the most recent
         return bundle
 
     @cached_property
@@ -325,12 +326,12 @@ def _finite_dp_prob(bundle: _AutomatonBundle, event: CylinderEvent,
     """Exact probability of the event under the uniform measure on
     left-burnable windows ``[-halfwidth, halfwidth]``."""
     auto = bundle.automaton
-    window = Window(-halfwidth, halfwidth)
-    if event.lo < window.n or event.hi > window.m:
+    halfwidth = _length(halfwidth, "dp_halfwidth", 0)
+    if event.lo < -halfwidth or event.hi > halfwidth:
         raise ValidationError("event window larger than the DP window")
-    before = event.lo - window.n + 1  # word length up to the event's first rung
-    after = window.m - event.hi + 1  # word length from the event's last rung
-    prefixes, suffixes, denominator = bundle.window_counts(len(window))
+    before = event.lo + halfwidth + 1  # word length up to the event's first rung
+    after = halfwidth - event.hi + 1  # word length from the event's last rung
+    prefixes, suffixes, denominator = bundle.window_counts(2 * halfwidth + 1)
     prefix = prefixes[before - 1]
     suffix = suffixes[after - 1]
     group = auto.prefix_pairs.group
@@ -363,9 +364,8 @@ def cylinder_prob(graph: Graph, event: CylinderEvent, method: str = "parry", *,
     if method == "parry":
         return CylinderProbability(_parry_prob(bundle, event), method, True, {})
     if method == "renewal":
-        data = renewal_quantities(graph)
         return CylinderProbability(_renewal_prob(bundle, event), method, True,
-                                   {"tail_bound": data.tail_bound})
+                                   {"tail_bound": bundle.renewal[0].tail_bound})
     value, frac = _finite_dp_prob(bundle, event, dp_halfwidth, exact)
     detail = {"halfwidth": dp_halfwidth}
     if frac is not None:

@@ -191,7 +191,12 @@ def stabilize(graph: Graph, config: LadderConfig,
     cells = rows * n
     cap = list(graph.max_height) * rows
     room = [m - hc for m, hc in zip(cap, config.heights.ravel().tolist())]
-    for x, k in additions:
+    for site in additions:
+        try:
+            x, k = site
+        except (TypeError, ValueError):
+            raise ValidationError(f"addition site {site!r} is not a "
+                                  "(vertex, rung) pair") from None
         x, k = _integer(x, "addition vertex"), _integer(k, "addition rung")
         if not (0 <= x < n) or not window.contains((x, k)):
             raise ValidationError(f"addition site ({x},{k}) outside window")

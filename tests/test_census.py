@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -853,3 +854,25 @@ def test_a_walk_can_go_thousands_of_rungs_deep(name):
     dfs = _SequenceDFS(graph)
     assert dfs.accepts(next(iter_recurrent(graph, 1500)), ignite=False)
     assert dfs.accepts(next(iter_left_burnable(graph, 1500)))
+
+
+@pytest.mark.parametrize("name", ["point", "path2", "path3", "cycle3", "path4", "cycle4"])
+def test_rung_alphabet_lookup_agrees_with_a_scan_of_its_rungs(name):
+    # membership and index read a dict; a scan of the tuple is the oracle,
+    # comparing heights by value as the dict does
+    graph = builtin_graph(name)
+    alphabet = enum_rungs(graph)
+    stable = itertools.product(*[range(1, m + 1) for m in graph.max_height])
+    for rung in stable:
+        for probe in (rung, tuple(map(float, rung)), tuple(map(np.int64, rung)),
+                      (rung[0] + 0.5,) + rung[1:], rung + (1,), rung[:-1],
+                      list(rung)):
+            inside = any(tuple(probe) == c for c in alphabet.rungs)
+            assert (probe in alphabet) == inside, probe
+            if inside:
+                assert alphabet.index(probe) == alphabet.rungs.index(tuple(probe))
+            else:
+                with pytest.raises(ValidationError, match="not in the alphabet"):
+                    alphabet.index(probe)
+    assert [alphabet.index(c) for c in alphabet] == list(range(len(alphabet)))
+    assert [[1]] + [0] * (graph.n - 1) not in alphabet  # an unhashable height

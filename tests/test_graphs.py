@@ -10,6 +10,16 @@ from laddersand.graphs import (Window, builtin_graph, laplacian_entry,
                                vertices_to_mask)
 
 
+def test_equal_graphs_built_apart_hash_equal():
+    built = builtin_graph("cycle4")
+    made = make_graph(4, [(3, 0), (1, 2), (0, 1), (2, 3)], name="cycle4")
+    parsed = parse_graph("0 1\n1 2\n2 3\n3 0", name="cycle4")
+    assert built is not made and built == made == parsed
+    assert hash(built) == hash(made) == hash(parsed)
+    assert len({built, made, parsed}) == 1
+    assert make_graph(4, [(0, 1), (1, 2), (2, 3)]) != make_graph(4, [(0, 1), (1, 2), (0, 3)])
+
+
 def test_parse_two_path():
     g = parse_graph("0 1")
     assert g.n == 2

@@ -13,9 +13,9 @@ from laddersand.census import (_SequenceDFS, _engine, count_series, enum_rungs,
 from laddersand.coding import CodingAutomaton, build_coding, parry_chain, spectral
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import Window, builtin_graph, make_graph
-from laddersand.measures import (DEFAULT_TAIL_TOL, BoundaryLayers, CylinderEvent,
-                                 _AutomatonBundle, boundary_layer, cylinder_prob,
-                                 mixture_experiment, renewal_quantities,
+from laddersand.measures import (DEFAULT_TAIL_TOL, METHODS, BoundaryLayers,
+                                 CylinderEvent, _AutomatonBundle, boundary_layer,
+                                 cylinder_prob, mixture_experiment, renewal_quantities,
                                  right_cylinder_prob, sample_chain_windows,
                                  sample_finite_exact, sample_window_config)
 from laddersand.toppling import LadderConfig
@@ -869,3 +869,53 @@ def test_chain_draws_pinned(key):
     windows = sample_chain_windows(graph, width, count, seed)
     assert (["".join(digits[alphabet.index(r)] for r in w) for w in windows]
             == PINNED_CHAIN_DRAWS[key])
+
+
+def test_equal_graphs_share_one_bundle_and_one_engine(monkeypatch):
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    built = builtin_graph("cycle3")
+    made = make_graph(3, [(0, 1), (1, 2), (2, 0)], name="cycle3")
+    assert built is not made and hash(built) == hash(made)
+    assert _AutomatonBundle.get(made) is _AutomatonBundle.get(built)
+    assert len(_AutomatonBundle._cache) == 1
+    assert _engine(made) is _engine(built)
+    assert enum_rungs(made) is enum_rungs(built)
+
+
+def test_a_warm_bundle_keeps_its_refusals(path2, monkeypatch):
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    _AutomatonBundle.get(builtin_graph("path3"))
+    bundle = _AutomatonBundle.get(path2)
+    assert list(_AutomatonBundle._cache.values())[-1] is bundle  # the most recent
+    assert _AutomatonBundle.get(path2, 7) is bundle
+    with pytest.raises(FeasibilityError, match="7 states > max_states=6"):
+        _AutomatonBundle.get(path2, 6)
+    for cap in (6.5, "7", None, 0):
+        with pytest.raises(ValidationError, match="max_states"):
+            _AutomatonBundle.get(path2, cap)
+    assert list(_AutomatonBundle._cache) == [builtin_graph("path3"), path2]
+
+
+def test_a_warm_query_builds_nothing(cycle3, monkeypatch):
+    import laddersand.coding as coding
+    import laddersand.measures as measures
+    monkeypatch.setattr(_AutomatonBundle, "_cache", {})
+    alphabet = enum_rungs(cycle3).rungs
+    for method in METHODS:
+        cylinder_prob(cycle3, CylinderEvent.single(alphabet[0]), method)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm query built a per-graph fact")
+
+    monkeypatch.setattr(_AutomatonBundle, "__init__", refuse)
+    for module in (coding, measures):
+        monkeypatch.setattr(module, "spectral", refuse)
+        monkeypatch.setattr(module, "parry_chain", refuse)
+    monkeypatch.setattr(measures, "_perron", refuse)
+    rng = random.Random(3)
+    for method in METHODS:
+        for _ in range(50):
+            rungs = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+            result = cylinder_prob(cycle3, CylinderEvent(rungs, lo=rng.randint(-3, 3)),
+                                   method)
+            assert result.valid and 0.0 <= result.value <= 1.0

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,17 @@ def test_addition_sites_that_are_not_integers_are_refused(path2, site):
             stabilize(path2, cfg, [site], sched)
 
 
+@pytest.mark.parametrize("site", [(0,), (0, 0, 0), 0])
+def test_addition_sites_of_the_wrong_shape_are_refused(path2, site):
+    cfg = LadderConfig.from_rungs([(3, 3)] * 3, start=-1)
+    message = re.escape(f"addition site {site!r} is not a (vertex, rung) pair")
+    for sched in (CANONICAL, PARALLEL, random_schedule(1)):
+        with pytest.raises(ValidationError, match=message):
+            stabilize(path2, cfg, [(1, 0), site], sched)
+    with pytest.raises(ValidationError, match=message):
+        check_abelian(path2, cfg, [site], [CANONICAL, PARALLEL])
+
+
 def test_caps_and_sites_read_numpy_integers(path2):
     cfg = LadderConfig.from_rungs([(3, 3)] * 3, start=-1)
     site = (np.int64(1), np.int32(0))
@@ -390,6 +402,19 @@ def test_blast_requires_rung_zero_and_burnable(path2):
     bad = LadderConfig.from_rungs([(1, 3), (1, 3), (1, 3)], start=-1)
     with pytest.raises(ValidationError):
         rung_zero_blast(path2, bad)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([(3, 3), (3, 3), (3, 3), (3, 4)], "height 4 at site (1,2) outside stable range 1..3"),
+    ([(3, 3), (0, 3), (3, 3)], "height 0 at site (0,0) outside stable range 1..3"),
+    ([(3, 4), (4, 3), (3, 3)], "height 4 at site (1,-1) outside stable range 1..3"),
+    ([(1, 3), (1, 3), (1, 3)], "configuration is not left-burnable"),
+    ([(3, 3), (3, 3), (1, 1)], "configuration is not left-burnable"),
+])
+def test_blast_refusals_are_worded_as_before(path2, rows, message):
+    cfg = LadderConfig.from_rungs(rows, start=-1)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        rung_zero_blast(path2, cfg)
 
 
 def test_config_helpers(path2):

@@ -6,17 +6,17 @@ each row's burn off the one-rung burn table
 (:func:`~laddersand.burning.burn_table`, whose rows it burns the first
 time a stable rung is read).  Walks and brute counts run on *transfer
 states*: for each vertex set held burnt right of a prefix, its last
-row's burn and whether every row burns.  Taking the burn's least fixed point one
-row at a time (Bekić's lemma), later rungs meet a prefix only through
-that state, and a rejected prefix has no accepted extension.  The
-depth-first walk reads each prefix's state entry by entry, taking only
-the entries it reads, and yields every accepted prefix in rung order,
-over the rung symbols with ignition (a prefix that cannot ignite its
-last rung is pruned) or over the single-rung recurrent rungs without
-it.  The verdicts on one window known in full push its rows on burnt-row
-masks in place by a closure instead, which reads about half as many
-table entries per rung as the states' entries take: one pass decides
-recurrence and the left boundary layer of
+row's burn and whether every row burns.  Taking the burn's least fixed
+point one row at a time (Bekić's lemma), later rungs meet a prefix only
+through that state, and a rejected prefix has no accepted extension.
+A call takes each state's child after a rung once, whole, and keeps
+equal children as one.  The depth-first walk yields every accepted
+prefix in rung order, over the rung symbols with ignition (a prefix
+that cannot ignite its last rung is pruned) or over the single-rung
+recurrent rungs without it.  The verdicts on one window known in full
+push its rows on burnt-row masks in place by a closure instead, which
+reads far fewer table entries per rung than a whole state takes: one
+pass decides recurrence and the left boundary layer of
 :func:`laddersand.measures.boundary_layer`, one over the mirror the right.
 
 Brute counts (:meth:`_SequenceDFS.count`) go one length at a time over
@@ -150,32 +150,15 @@ def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> N
                 dirty |= jbit << 1
 
 
-class _Prefix(dict):
-    """A prefix's transfer state (:meth:`_SequenceDFS.right_step`) read
-    entry by entry: entry ``t`` is taken when it is first read, from the
-    state before the last rung and that rung's table row, and takes in
-    turn only the entries of that state that it reads.  A walk takes
-    about one entry for each child it tries, of the ``2**n``."""
-
-    __slots__ = ("engine", "prev", "tbl")
-
-    def __init__(self, engine: "_SequenceDFS", prev, tbl: list[int]):
-        self.engine, self.prev, self.tbl = engine, prev, tbl
-
-    def __missing__(self, t: int) -> int:
-        entry = self[t] = self.engine._entry(self.prev, self.tbl, t)
-        return entry
-
-
 class _SequenceDFS:
     """The census engine of one graph.  Walks and counts follow each
     prefix's transfer state (:meth:`right_step`), from the burnt left
-    sink :attr:`source` or, right-seeded, from :attr:`sink`: a walk reads
-    it entry by entry (:class:`_Prefix`), a count takes it whole and
-    merges the prefixes that share one.  The verdicts on a single window
-    extend its resting left-seeded burnt-row masks by a closure instead
-    (:meth:`_pass`).  It keeps nothing but table rows from one call to
-    the next."""
+    sink :attr:`source` or, right-seeded, from :attr:`sink`, taking each
+    state's children whole through one memo per call (:meth:`_child`); a
+    count merges the prefixes that share a state.  The verdicts on a
+    single window extend its resting left-seeded burnt-row masks by a
+    closure instead (:meth:`_pass`).  It keeps nothing but table rows
+    from one call to the next."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -184,11 +167,11 @@ class _SequenceDFS:
         self.cmax = max_rung(graph)
         self.source = tuple(self.full | 1 << self.n for _ in range(1 << self.n))
         self.sink = tuple((self.full if y else 0) | 1 << self.n for y in range(1 << self.n))
-        self.tables: dict[RungConfig, list[int]] = {}
+        self.tables: dict[RungConfig, bytes] = {}
 
-    def rows(self, rungs: Sequence[RungConfig]) -> list[list[int]]:
-        """The table row of each rung; the missing rows are burnt in one
-        :func:`~laddersand.burning.burn_table` call, under its limit,
+    def rows(self, rungs: Sequence[RungConfig]) -> list[bytes]:
+        """The table row of each rung, as bytes; the missing rows are burnt
+        in one :func:`~laddersand.burning.burn_table` call, under its limit,
         once each missing rung is known to be stable: ``n`` heights, each
         an integer in ``1..max`` (compared by value, as
         :func:`~laddersand.burning.is_rung_symbol` compares them)."""
@@ -202,10 +185,10 @@ class _SequenceDFS:
             if len(c) != self.n or not all(map(contains, stable, c)):
                 raise ValidationError(f"rung {c!r} is not a stable rung of {self.n} "
                                       f"integer heights up to {top}")
-        self.tables.update(zip(missing, burn_table(self.graph, missing).tolist()))
+        self.tables.update(zip(missing, map(bytes, burn_table(self.graph, missing))))
         return [self.tables[c] for c in rungs]
 
-    def _pass(self, rungs: Sequence[RungConfig], tbls: Sequence[list[int]],
+    def _pass(self, rungs: Sequence[RungConfig], tbls: Sequence[bytes],
               ignite: bool, sink: bool = True) -> tuple[int, bool]:
         """Push a window's rows one at a time on its resting burnt-row
         masks, in place.  Returns the index of the last maximal rung among
@@ -257,7 +240,7 @@ class _SequenceDFS:
         left, recurrent = self._pass(rungs, tbls, False)
         return recurrent, left, self._pass(rungs[::-1], tbls[::-1], True, sink=False)[0]
 
-    def _entry(self, state, tbl: list[int], t: int, z: int = 0) -> int:
+    def _entry(self, state, tbl: bytes, t: int, z: int = 0) -> int:
         """Entry ``t`` of :meth:`right_step`: the new row's burn is the least
         fixed point under the old last row's, at most ``n + 1`` rounds from
         ``z``, any burn inside it."""
@@ -267,7 +250,7 @@ class _SequenceDFS:
             y, z = z, tbl[(state[z] & full) << n | t]
         return y | (y == full and state[y] >> n) << n
 
-    def right_step(self, state, tbl: list[int]) -> tuple[int, ...]:
+    def right_step(self, state, tbl: bytes) -> tuple[int, ...]:
         """The transfer state after appending a rung of table row ``tbl``:
         entry ``t`` is ``last | flag << n``, the last row's burn and whether
         every row burns while the set ``t`` is burnt to the right.  An
@@ -278,38 +261,74 @@ class _SequenceDFS:
             out.append(self._entry(state, tbl, t, out[t & t - 1] & full))
         return tuple(out)
 
-    def _accepts(self, state, tbl: list[int], ignite: bool) -> bool:
-        """Whether every row burns after a rung of table row ``tbl`` under
-        a burnt right end (entry ``full``) and, with ``ignite``, the rung
-        burns with nothing there (entry 0 grows from nothing, so it is
-        nonzero exactly when its first round is)."""
+    def _accepted(self, state, row: dict, steps, ignite: bool) -> list[int]:
+        """The positions in ``steps`` of the rungs whose child of ``state``
+        burns every row under a burnt right end (entry ``full``) and, with
+        ``ignite``, burns with nothing there (entry 0, nonzero iff its
+        first round is): read off the child where ``row`` (:meth:`_child`)
+        has it, otherwise in :meth:`_entry`'s rounds."""
+        n, full = self.n, self.full
+        first, out = (state[0] & full) << n, []
+        for i, (c, tbl) in enumerate(steps):
+            child = row.get(c)
+            if child is not None:
+                if child and child[full] >> n:
+                    out.append(i)
+            elif not ignite or tbl[first]:
+                y, z = -1, 0
+                while z != y:
+                    y, z = z, tbl[(state[z] & full) << n | full]
+                if y == full and state[y] >> n:
+                    out.append(i)
+        return out
+
+    def _accepts(self, state, tbl: bytes, ignite: bool) -> bool:
+        """:meth:`_accepted` of one table row, by :meth:`_entry`."""
         n, full = self.n, self.full
         return bool((not ignite or tbl[(state[0] & full) << n])
                     and self._entry(state, tbl, full) >> n)
+
+    def _child(self, row: dict, seen: dict, state, c: RungConfig, tbl: bytes,
+               ignite: Optional[bool] = None) -> tuple[int, ...]:
+        """The child of ``state`` after rung ``c`` (table row ``tbl``), kept
+        in ``row``, the call's memo of the state's children, which callers
+        read first: whole (:meth:`right_step`), as the copy in ``seen`` if
+        there is one, or ``()`` if ``ignite`` is given and it rejects."""
+        child = (self.right_step(state, tbl) if ignite is None
+                 or self._accepts(state, tbl, ignite) else None)
+        row[c] = child = seen.setdefault(child, child) if child else ()
+        return child
 
     def walk(self, rungs: Sequence[RungConfig], n_max: int, ignite: bool
              ) -> Iterator[list[RungConfig]]:
         """Every burnable sequence of at most ``n_max`` of the given
         rungs, the empty one first, depth first in their order, as the
-        walk's own path (copy what you keep): a node's state is read
-        entry by entry from its parent's (:class:`_Prefix`).  With
-        ``ignite`` the sequences are left-burnable, otherwise recurrent;
-        either way a prefix that is not burnable has no burnable
-        extension."""
+        walk's own path (copy what you keep).  A node's children are taken
+        by state (:meth:`_child`), but those of ``n_max`` rungs are only
+        tested, all at once (:meth:`_accepted`).  With ``ignite`` the
+        sequences are left-burnable, otherwise recurrent; either way a
+        prefix that is not burnable has no burnable extension."""
         steps = list(zip(rungs, self.rows(rungs)))
+        moves: dict = {}  # state -> rung -> child, () when rejected
+        seen: dict = {}  # each distinct child once
         path: list[RungConfig] = []
         yield path
-        stack = [(self.source, iter(steps))] if n_max else []
+        stack = [(self.source, moves.setdefault(self.source, {}), iter(steps))] if n_max else []
         while stack:
-            state, children = stack[-1]
+            state, row, children = stack[-1]
+            if len(path) + 1 == n_max:  # its children have no children
+                row, children = None, [steps[i] for i in self._accepted(state, row, steps, ignite)]
             for c, tbl in children:
-                if self._accepts(state, tbl, ignite):
+                if row is None:
                     path.append(c)
                     yield path
-                    if len(path) < n_max:
-                        stack.append((_Prefix(self, state, tbl), iter(steps)))
-                        break
                     path.pop()
+                elif child := (row[c] if c in row
+                               else self._child(row, seen, state, c, tbl, ignite)):
+                    path.append(c)
+                    yield path
+                    stack.append((child, moves.setdefault(child, {}), iter(steps)))
+                    break
             else:
                 stack.pop()
                 if path:
@@ -322,11 +341,10 @@ class _SequenceDFS:
         whose ``k``-th rung is one of ``depths[k - 1]``, counted one length
         at a time by transfer state (:meth:`right_step`), all that later
         rungs see of a prefix: a layer maps each state to its number of
-        accepted prefixes.  Within the call a step is taken once per state
-        and rung, only for an accepted child, equal children are stored as
-        one tuple, and the last layer reads only the entries acceptance
-        needs (:meth:`_accepts`).  A rejected prefix has no accepted
-        extension.  With ``two_sided`` the state adds the right-seeded one
+        accepted prefixes.  Children are taken by state (:meth:`_child`);
+        the last layer's are only tested, on the children taken already or
+        the entries acceptance needs (:meth:`_accepted`).  A rejected
+        prefix has no accepted extension.  With ``two_sided`` the state adds the right-seeded one
         from :attr:`sink`, which is never dropped.  A layer of more than
         ``max_states`` states (pairs, two-sided) is refused as soon as it
         holds them; the layers of lengths below ``len(depths)`` are the ones
@@ -337,45 +355,28 @@ class _SequenceDFS:
         layer = {(self.source, self.sink if two_sided else None): 1}
         lmoves: dict = {}  # state -> rung -> child, () when rejected
         rmoves: dict = {}
-        seen: dict = {}  # each distinct child once, however many steps reach it
-
-        def verdicts(moves, state, ignited, mask=-1):
-            # the accepted rungs of mask after state, as a bitmask over steps
-            row, bits = moves.get(state, {}), 0
-            for i, (c, tbl) in enumerate(steps):
-                child = row.get(c)
-                if mask >> i & 1 and (self._accepts(state, tbl, ignited) if child is None
-                                      else child and child[full] >> n):
-                    bits |= 1 << i
-            return bits
+        seen: dict = {}  # each distinct child once
 
         for depth, rungs in enumerate(depths, start=1):
             steps = list(zip(rungs, self.rows(rungs)))
             if depth == len(depths):
-                lbits = {left: verdicts(lmoves, left, ignite) for left, _ in layer}
-                need: dict = {}  # right-seeded state -> rungs accepted on the left
-                for left, right in layer:
-                    need[right] = need.get(right, 0) | lbits[left]
-                rbits = {right: verdicts(rmoves, right, False, mask) if two_sided else -1
-                         for right, mask in need.items()}
-                counts[depth] = sum(mult * (lbits[left] & rbits[right]).bit_count()
+                # the accepted rungs' positions, one set per state and side
+                lsets = {left: set(self._accepted(left, lmoves.get(left, {}), steps, ignite))
+                         for left in {left for left, _ in layer}}
+                rsets = ({right: set(self._accepted(right, rmoves.get(right, {}), steps, False))
+                          for right in {right for _, right in layer}} if two_sided
+                         else {None: set(range(len(steps)))})
+                counts[depth] = sum(mult * len(lsets[left] & rsets[right])
                                     for (left, right), mult in layer.items())
                 break
             nxt: dict = {}
             for (left, right), mult in layer.items():
                 lrow, rrow = lmoves.setdefault(left, {}), rmoves.setdefault(right, {})
                 for c, tbl in steps:
-                    if c not in lrow:
-                        if self._accepts(left, tbl, ignite):
-                            child = self.right_step(left, tbl)
-                            lrow[c] = seen.setdefault(child, child)
-                        else:
-                            lrow[c] = ()
-                    if lrow[c]:
-                        if two_sided and c not in rrow:
-                            child = self.right_step(right, tbl)
-                            rrow[c] = seen.setdefault(child, child)
-                        key = lrow[c], rrow[c] if two_sided else None
+                    child = lrow[c] if c in lrow else self._child(lrow, seen, left, c, tbl, ignite)
+                    if child:
+                        key = child, (None if not two_sided else rrow[c] if c in rrow
+                                      else self._child(rrow, seen, right, c, tbl))
                         nxt[key] = nxt.get(key, 0) + mult
                 if len(nxt) > max_states:
                     raise FeasibilityError(f"brute count exceeded max_states={max_states} "

@@ -273,7 +273,7 @@ def cmd_blast(args, graph: Graph) -> Payload:
 
 def cmd_mixture(args, graph: Graph) -> Payload:
     event = _parse_event(args.event, args.at, args.centered)
-    windows = [Window(-m, m) for m in args.halfwidths]
+    windows = [Window(-m, m) for m in [_length(h, "halfwidth", 0) for h in args.halfwidths]]
     rows = mixture_experiment(graph, windows, event, max_states=args.max_states)
     table = [((f"[{r.window.n},{r.window.m}]"), args.event,
               repr(r.measured), repr(r.predicted), repr(r.gap),

@@ -449,30 +449,23 @@ def build_coding(graph: Graph, *, max_states: int = DEFAULT_MAX_STATES
         raise FeasibilityError(f"automaton exceeded max_states={max_states}")
     found = _discover(graph, alphabet, rung_burn_table(graph, alphabet), max_states)
 
-    # a state is the key map * nrungs + rung
-    starts = found.first * nrungs + np.arange(nrungs)
-    targets = found.dst * nrungs + found.rung
-    bounds = np.searchsorted(found.src, np.arange(len(found.maps) + 1))
-
-    # breadth first, one generation at a time: a generation's new states
-    # are numbered in order of first appearance among its successors
-    number = dict(zip(starts.tolist(), range(nrungs)))
-    frontier = starts
-    while len(frontier):
-        maps = frontier // nrungs
-        lo, count = bounds[maps], bounds[maps + 1] - bounds[maps]
-        ends = np.cumsum(count)
-        succ = targets[np.arange(ends[-1]) + np.repeat(lo - ends + count, count)]
-        new = [k for k in dict.fromkeys(succ.tolist()) if k not in number]
-        number.update(zip(new, range(len(number), len(number) + len(new))))
-        frontier = np.array(new, dtype=np.int64)
-
+    # a state is the key map * nrungs + rung, numbered breadth first from
+    # the start states in order of first sight among the successors
+    queue = (found.first * nrungs + np.arange(nrungs)).tolist()
+    number = dict(zip(queue, range(nrungs)))
+    targets = (found.dst * nrungs + found.rung).tolist()
+    bounds = np.searchsorted(found.src, np.arange(len(found.maps) + 1)).tolist()
+    for key in queue:
+        q = key // nrungs
+        for k in targets[bounds[q]:bounds[q + 1]]:
+            if k not in number:
+                number[k] = len(queue)
+                queue.append(k)
     influence = [tuple(row) for row in found.maps.tolist()]
     succ_rungs = [alphabet[c] for c in found.rung.tolist()]
-    succ_numbers = [number[k] for k in targets.tolist()]
-    bounds = bounds.tolist()
+    succ_numbers = [number[k] for k in targets]
     states, delta = [], []
-    for key in number:  # in order of their numbers
+    for key in queue:
         q = key // nrungs
         states.append(CodeSymbol(alphabet[key % nrungs], influence[q][0], influence[q]))
         delta.append(dict(zip(succ_rungs[bounds[q]:bounds[q + 1]],
@@ -511,7 +504,12 @@ def encode(automaton: CodingAutomaton, rungs: Sequence[RungConfig]
 
 def decode(automaton: CodingAutomaton, word: Sequence[int]
            ) -> tuple[RungConfig, ...]:
-    """Coordinatewise projection of a state word onto rung heights."""
+    """Coordinatewise projection of a state word onto rung heights; a
+    state index that is not an integer in ``0..len(automaton) - 1`` is
+    refused."""
+    word = [_length(i, "state", 0) for i in word]
+    if word and max(word) >= len(automaton):
+        raise ValidationError(f"state {max(word)} is outside 0..{len(automaton) - 1}")
     return tuple(automaton.states[i].rung for i in word)
 
 

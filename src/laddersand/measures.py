@@ -410,7 +410,7 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
 def sample_window_config(graph: Graph, halfwidth: int, seed: int, *,
                          max_states: int = DEFAULT_MAX_STATES) -> LadderConfig:
     """One stationary-chain sample laid out on ``[-halfwidth, halfwidth]``."""
-    halfwidth = _integer(halfwidth, "halfwidth")
+    halfwidth = _length(halfwidth, "halfwidth", 0)
     rows = sample_chain_windows(graph, 2 * halfwidth + 1, 1, seed,
                                 max_states=max_states)[0]
     return LadderConfig.from_rungs(rows, start=-halfwidth)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laddersand.burning import (full_burnable, is_rung_symbol, left_burnable,
+from laddersand.burning import (burn_table, full_burnable, is_rung_symbol, left_burnable,
                                 leftmost_schedule, max_rung, right_burnable,
                                 window_heights)
-from laddersand.census import (VARIANTS, _bareiss_det, _Prefix, _SequenceDFS, _engine,
+from laddersand.census import (VARIANTS, _bareiss_det, _SequenceDFS, _engine,
                                count_series, entropy_bounds, enum_rungs,
                                iter_left_burnable, iter_recurrent, recurrent_counts,
                                renewal_identity_check, single_rung_recurrent)
@@ -705,17 +705,14 @@ def _inline_right_step(dfs, state, tbl):
 @given(data=st.data())
 def test_right_step_is_its_entries(data):
     # every entry is one fixed point, and acceptance reads the entries
-    # it needs without taking the step; a state read entry by entry, in
-    # any order, over a chain of such states, is the whole step
+    # it needs without taking the step
     graph = builtin_graph(data.draw(st.sampled_from(
         ["point", "path2", "path3", "cycle3", "path4"])))
     dfs = _SequenceDFS(graph)
     n, full = dfs.n, dfs.full
     rungs = data.draw(st.lists(st.sampled_from(_stable_rungs(graph)),
                                min_size=1, max_size=5))
-    order = data.draw(st.permutations(range(1 << n)))
     for state in (tuple(full | 1 << n for _ in range(1 << n)), dfs.sink):
-        lazy = state
         for tbl in dfs.rows(rungs):
             child = dfs.right_step(state, tbl)
             assert child == _inline_right_step(dfs, state, tbl)
@@ -723,8 +720,6 @@ def test_right_step_is_its_entries(data):
             for ignite in (False, True):
                 assert dfs._accepts(state, tbl, ignite) == bool(
                     child[full] >> n and (not ignite or child[0] & full))
-            lazy = _Prefix(dfs, lazy, tbl)
-            assert [lazy[t] for t in order] == [child[t] for t in order]
             state = child
 
 
@@ -802,6 +797,25 @@ def test_the_engine_refuses_unstable_rungs_before_burning(path2, bad):
     assert dfs.accepts([(3, 3), (2.0, 3)])  # a height is compared by value
 
 
+@pytest.mark.parametrize("name", ["point", "path2", "cycle3", "path4"])
+def test_table_rows_are_bytes_of_the_burn_table(name):
+    # one byte an entry, as the table's uint8 holds it; the verdicts read
+    # off them are those of the reference engine's rows of Python ints
+    graph = builtin_graph(name)
+    dfs, ref = _SequenceDFS(graph), _RowMaskEngine(graph)
+    rungs = _stable_rungs(graph)
+    rows = dfs.rows(rungs)
+    assert all(type(row) is bytes and len(row) == 4 ** graph.n for row in rows)
+    assert [list(row) for row in rows] == burn_table(graph, rungs).tolist()
+    windows = [list(w) for w in itertools.islice(
+        itertools.product(rungs, repeat=3), 0, None, max(1, len(rungs) ** 3 // 400))]
+    for window in windows:
+        assert dfs.layers(window) == (ref.accepts(window, False),
+                                      ref.last_max_prefix(window),
+                                      ref.last_max_prefix(window[::-1]))
+        assert dfs.accepts(window) == ref.accepts(window, True)
+
+
 def test_the_engine_keeps_only_table_rows_between_calls(path2):
     # every call starts from the two seed states and takes its own steps
     dfs = _engine(path2)
@@ -818,38 +832,48 @@ def test_the_engine_keeps_only_table_rows_between_calls(path2):
 
 
 @pytest.mark.parametrize("name, n_max", [("path3", 3), ("cycle4", 2), ("path5", 2)])
-def test_walks_read_a_few_entries_per_child(name, n_max, monkeypatch):
-    # read entry by entry, a walk takes no whole step and about one entry
-    # for each child it tries, where a whole state takes 2**n
+def test_walks_step_each_state_and_rung_at_most_once(name, n_max, monkeypatch):
+    # a walk takes a whole step only to descend from a prefix shorter than
+    # n_max, once per distinct state of those prefixes and rung (its table
+    # row) within the call, and only tests the prefixes of n_max rungs
     graph = builtin_graph(name)
     dfs = _SequenceDFS(graph)
     rungs = single_rung_recurrent(graph)
-    dfs.rows(rungs)
-    entries = []
-    entry = _SequenceDFS._entry
+    steps = []
+    right_step = _SequenceDFS.right_step
 
-    def counted(self, state, tbl, t, z=0):
-        entries.append(t)
-        return entry(self, state, tbl, t, z)
+    def counted(self, state, tbl):
+        steps.append((state, tbl))
+        return right_step(self, state, tbl)
 
-    def refuse(*args):
-        raise AssertionError("a walk took a whole step")
-
-    monkeypatch.setattr(_SequenceDFS, "_entry", counted)
-    monkeypatch.setattr(_SequenceDFS, "right_step", refuse)
-    parents = sum(1 for p in dfs.walk(rungs, n_max - 1, ignite=False))
-    children = parents * len(rungs)
-    entries.clear()
+    monkeypatch.setattr(_SequenceDFS, "right_step", counted)
+    assert sum(1 for _ in dfs.walk(rungs, 1, ignite=False)) == len(rungs) + 1
+    assert steps == []
     walked = [tuple(p) for p in dfs.walk(rungs, n_max, ignite=False)]
     assert walked == [tuple(p) for p in _RowMaskEngine(graph).walk(rungs, n_max, False)]
-    assert len(entries) < 2 * children
+    assert len(set(steps)) == len(steps)
+    states = set()
+    for prefix in walked:
+        if len(prefix) < n_max:
+            state = dfs.source
+            for tbl in dfs.rows(prefix):
+                state = right_step(dfs, state, tbl)
+            states.add(state)
+    assert {state for state, _ in steps} <= states
+    assert 0 < len(steps) <= len(states) * len(rungs)
+
+
+def test_walks_on_five_vertices_yield_every_window():
+    path5 = builtin_graph("path5")
+    assert (sum(1 for _ in iter_recurrent(path5, 2))
+            == recurrent_counts(path5, 2)[1] == 90915)
+    assert (sum(1 for _ in iter_left_burnable(path5, 2))
+            == count_series(path5, "L", 2)[2] == 59891)
 
 
 @pytest.mark.parametrize("name", ["path3", "cycle4"])
 def test_a_walk_can_go_thousands_of_rungs_deep(name):
-    # a node reads the states below it only where their entries are
-    # missing, a few rungs down in a depth-first walk, so its reads do
-    # not nest as deep as the walk
+    # a walk keeps its path on lists, not on the Python call stack
     graph = builtin_graph(name)
     dfs = _SequenceDFS(graph)
     assert dfs.accepts(next(iter_recurrent(graph, 1500)), ignite=False)

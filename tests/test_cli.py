@@ -426,6 +426,16 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, argv, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("blast", "--graph", "path2", "--halfwidth", "-1"),
+    ("experiment", "cycle-topple", "--cycles", "3", "--halfwidth", "-1"),
+    ("mixture", "--graph", "path2", "--event", "3,3", "--halfwidths", "2,-1"),
+])
+def test_negative_halfwidths_are_refused_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: halfwidth must be >= 0\n")
+
+
 def _readme_flag_table():
     """The README's CLI table as {subcommand: the shared flags ticked}."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()

@@ -202,6 +202,20 @@ def test_encode_decode(auto2):
         encode(auto2, [])
 
 
+@pytest.mark.parametrize("word, message", [
+    ([99], "state 99 is outside 0..6"), ([0, -1], "state must be >= 0"),
+    ([1.0], "state=1.0 is not an integer"), ([7], "state 7 is outside 0..6"),
+])
+def test_decode_refuses_states_outside_the_automaton(auto2, word, message):
+    # an index past the end, a negative one (which read from the end) and
+    # a float are refused alike; numpy integers are integers
+    assert len(auto2) == 7
+    with pytest.raises(ValidationError) as refusal:
+        decode(auto2, word)
+    assert str(refusal.value) == message
+    assert decode(auto2, [np.int64(6), 0]) == (auto2.states[6].rung, auto2.states[0].rung)
+
+
 def test_encode_accepts_exactly_burnable(auto2, path2):
     from laddersand.burning import left_burnable, window_heights
     alphabet = enum_rungs(path2).rungs

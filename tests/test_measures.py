@@ -241,6 +241,14 @@ def test_samplers_refuse_seeds_that_are_not_non_negative_integers(path2, call):
         call(path2)
 
 
+def test_sample_window_config_refuses_a_negative_halfwidth(path2):
+    # it read as a window of width -1
+    with pytest.raises(ValidationError) as refusal:
+        sample_window_config(path2, -1, 0)
+    assert str(refusal.value) == "halfwidth must be >= 0"
+    assert len(sample_window_config(path2, 0, 0).window) == 1
+
+
 def test_measures_take_numpy_integers(path2):
     two, one, zero = np.int64(2), np.int64(1), np.int64(0)
     assert (sample_chain_windows(path2, two, one, zero)

@@ -26,16 +26,16 @@ Two engines decide burnability:
 * ``_burn_columns`` burns rungs between vertex sets declared burnt on
   their two sides, many at once.  Every window verdict the library
   computes for itself reads its :func:`burn_table` of every pair of
-  sets: the census engine and the coding construction
-  (:func:`laddersand.coding.rung_burn_table`).  The rung alphabet
-  (:func:`is_rung_symbol`, ``census.enum_rungs``) reads two pairs.
+  sets, through the census engine, which builds the coding automaton
+  too.  The rung alphabet (:func:`is_rung_symbol`,
+  ``census.enum_rungs``) reads two pairs.
 
 The rung-at-a-time schedule :func:`leftmost_schedule` and the one-rung
 primitives :func:`rung_burn`, :func:`first_rung_state` and
 :func:`advance_rung_state` (the pair of burnt set and influence map that
 makes the per-rung burning data a Markov chain) define the coding
 construction; it does not call them, and they are the reference that
-the table and the construction are tested against.
+the construction is tested against.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ def burn_table(graph: Graph, rungs: Sequence[RungConfig]) -> np.ndarray:
 def _rung_symbols(graph: Graph, rungs: Optional[Sequence[RungConfig]]) -> list[bool]:
     """Whether each rung is a symbol: its burn with the left side burnt is
     not empty, and as it touches the right copies they count too (as in
-    :func:`laddersand.coding.rung_burn_table`), so it must end full."""
+    :func:`rung_burn`), so it must end full."""
     full, left = graph.full_mask, graph.full_mask << graph.n
     alone, both = _burn_columns(graph, (left, left | graph.full_mask), rungs).T
     return ((alone != 0) & (both == full)).tolist()

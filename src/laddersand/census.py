@@ -25,9 +25,16 @@ together, and the states stay bounded as the windows grow.  Each length
 may draw its own rungs (the mixture pins an event's).  ``S``/``S0`` pair
 the left-seeded state with the right-seeded one.  A count is refused as
 soon as one length holds more than ``max_states`` states, the cap that
-bounds the coding automaton's states too.  The engine keeps its
-table rows between calls and nothing else.  The counts read nothing of
-the coding automaton, so they stay its independent check.
+bounds the coding automaton's states too.
+
+The coding automaton is built on the engine as well
+(:meth:`_SequenceDFS.fold`): every transfer state reachable from the
+left sink over the rung symbols with ignition, each layer of newly found
+states stepped under every rung at once by numpy gathers into the table
+rows.  The engine keeps its table rows between calls and nothing else.
+The brute counts read nothing of the automaton and step their states
+one at a time (:meth:`_SequenceDFS.right_step`, whose steps the fold's
+are tested against), so they stay its independent check.
 """
 
 from __future__ import annotations
@@ -37,12 +44,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
 from operator import contains
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .burning import (RungConfig, _require_table_vertices, _rung_symbols,
-                      burn_table, full_burnable, max_rung, window_heights)
+from .burning import (_CHUNK_ENTRIES, RungConfig, _require_table_vertices,
+                      _rung_symbols, burn_table, full_burnable, max_rung,
+                      window_heights)
 from .errors import FeasibilityError, ValidationError
 from .graphs import DEFAULT_MAX_STATES, Graph, _length, laplacian_entry
 
@@ -119,8 +127,8 @@ def single_rung_recurrent(graph: Graph) -> tuple[RungConfig, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The census engine: transfer states for walks and counts, a burnt-row
-# closure for single windows
+# The census engine: transfer states for walks, counts and the coding
+# automaton, a burnt-row closure for single windows
 # ---------------------------------------------------------------------------
 
 def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> None:
@@ -150,15 +158,29 @@ def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> N
                 dirty |= jbit << 1
 
 
+class _Fold(NamedTuple):
+    """The flagless transfer states (``states[q]``, ``uint8`` rows), the
+    state of each rung's child of the source (``first[c]``), and the step
+    of state ``src[k]`` under rung ``rung[k]`` to state ``dst[k]``, ordered
+    by source state and then rung (:meth:`_SequenceDFS.fold`)."""
+
+    states: np.ndarray
+    first: np.ndarray
+    src: np.ndarray
+    rung: np.ndarray
+    dst: np.ndarray
+
+
 class _SequenceDFS:
     """The census engine of one graph.  Walks and counts follow each
     prefix's transfer state (:meth:`right_step`), from the burnt left
     sink :attr:`source` or, right-seeded, from :attr:`sink`, taking each
     state's children whole through one memo per call (:meth:`_child`); a
-    count merges the prefixes that share a state.  The verdicts on a
-    single window extend its resting left-seeded burnt-row masks by a
-    closure instead (:meth:`_pass`).  It keeps nothing but table rows
-    from one call to the next."""
+    count merges the prefixes that share a state.  The coding automaton
+    is its transfer states found a layer at a time (:meth:`fold`).  The
+    verdicts on a single window extend its resting left-seeded burnt-row
+    masks by a closure instead (:meth:`_pass`).  It keeps nothing but
+    table rows from one call to the next."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -260,6 +282,88 @@ class _SequenceDFS:
         for t in range(1, 1 << self.n):
             out.append(self._entry(state, tbl, t, out[t & t - 1] & full))
         return tuple(out)
+
+    def _steps(self, flat: np.ndarray, states: np.ndarray, p: np.ndarray,
+               c: np.ndarray) -> np.ndarray:
+        """Row ``k`` is :meth:`right_step` of flagless state ``states[p[k]]``
+        under rung ``c[k]``, whose table row starts at ``c[k] * 4**n`` in
+        ``flat``, without flags.  Entry 0 settles first; every entry's
+        burn holds it, so every entry starts one round past it."""
+        n, size = self.n, 1 << self.n
+        base = c * (size * size)
+        # each entry as the set below, entry t of row k at k * size + t
+        below = (states[p].astype(np.intp) << n).reshape(-1)
+        rows = np.arange(0, len(p) * size, size)
+        cur = flat[base + below[rows]]
+        while not np.array_equal(nxt := flat[base + below[rows + cur]], cur):
+            cur = nxt
+        cells = base[:, None] + np.arange(size)
+        cur = flat[cells + below[rows + cur][:, None]]
+        rows = rows[:, None]
+        while not np.array_equal(nxt := flat[cells + below[rows + cur]], cur):
+            cur = nxt
+        return cur
+
+    def fold(self, rungs: Sequence[RungConfig], max_states: int) -> _Fold:
+        """Every transfer state reachable from :attr:`source` over the rung
+        symbols ``rungs``, a layer of newly found states at a time, each
+        layer stepped under every rung at once (:meth:`_steps`).  Every
+        symbol's child of the source is kept; a later child is kept when
+        its rung ignites (entry 0's first round is not empty) and it burns
+        every row under a burnt right end (entry ``full``).  The flag of a
+        kept state's entry is then whether the entry is ``full``, so states
+        are stored as ``uint8`` rows of entries without it.  The (rung,
+        state) pairs are counted as they are found, and the search is
+        refused as soon as there are more than ``max_states``."""
+        n, size, full = self.n, 1 << self.n, self.full
+        if len(rungs) > max_states:  # each rung's child of the source is a pair
+            raise FeasibilityError(f"automaton exceeded max_states={max_states}")
+        flat = np.frombuffer(b"".join(self.rows(rungs)), dtype=np.uint8)
+        table = flat.reshape(len(rungs), size * size)
+        index: dict[bytes, int] = {}
+        pairs: set[int] = set()  # state id * len(rungs) + rung
+
+        def intern(kids: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Ids of the states, numbered on first sight, and the states seen
+            for the first time; they are reached under ``cs``."""
+            buf = kids.tobytes()
+            ids, fresh = [], []
+            for row, at in enumerate(range(0, len(buf), size)):
+                key = buf[at:at + size]
+                if key not in index:
+                    index[key] = len(index)
+                    fresh.append(row)
+                ids.append(index[key])
+            ids = np.array(ids, dtype=np.intp)
+            pairs.update((ids * len(rungs) + cs).tolist())
+            if len(pairs) > max_states:
+                raise FeasibilityError(f"automaton exceeded max_states={max_states}")
+            return ids, kids[fresh]
+
+        every = np.arange(len(rungs))
+        source = np.full((1, size), full, dtype=np.uint8)
+        first, layer = intern(self._steps(flat, source, every * 0, every), every)
+        layers, src, rung, dst = [layer], [], [], []
+        offset = 0
+        chunk = max(1, _CHUNK_ENTRIES // size)
+        while len(layer):
+            pick, cs = np.nonzero(table[:, layer[:, 0].astype(np.intp) << n].T)
+            fresh = []
+            for lo in range(0, len(pick), chunk):
+                p, c = pick[lo:lo + chunk], cs[lo:lo + chunk]
+                kids = self._steps(flat, layer, p, c)
+                ok = kids[:, full] == full
+                ids, new = intern(kids[ok], c[ok])
+                src.append(p[ok] + offset)
+                rung.append(c[ok])
+                dst.append(ids)
+                fresh.append(new)
+            offset += len(layer)
+            layer = np.concatenate(fresh) if fresh else layer[:0]
+            layers.append(layer)
+        empty = np.zeros(0, dtype=np.intp)
+        return _Fold(np.concatenate(layers), first, np.concatenate(src or [empty]),
+                     np.concatenate(rung or [empty]), np.concatenate(dst or [empty]))
 
     def _accepted(self, state, row: dict, steps, ignite: bool) -> list[int]:
         """The positions in ``steps`` of the rungs whose child of ``state``

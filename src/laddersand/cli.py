@@ -186,9 +186,9 @@ def cmd_spectral(args, graph: Graph) -> Payload:
     }
     if spec.strictly_positive:
         chain = parry_chain(auto, spec)
-        doc["stationary"] = {"-".join(map(str, auto.states[i].rung)): p
-                             for i, p in enumerate(chain.stationary.tolist())
-                             if i in auto.inclusion.values()}
+        stationary = chain.stationary.tolist()
+        doc["stationary"] = {"-".join(map(str, c)): stationary[i]
+                             for c, i in auto.inclusion.items()}
         doc["entropy_rate"] = chain.entropy_rate()
     return _json_chunks(doc)
 

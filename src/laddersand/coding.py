@@ -8,19 +8,19 @@ under the one-rung advance; reading a rung from a state either yields a
 unique successor or is impossible, so the word coding a configuration
 is determined by its rungs and the correspondence is one-to-one.
 
-The construction runs on integer tables.  One table holds the one-rung
-burn for every rung and every pair of burnt sets declared on its left
-and right, the right-hand set counting once the burn reaches it
-(:func:`rung_burn_table`, read from the two-sided table
-:func:`~laddersand.burning.burn_table` that the census walks share;
-:func:`~laddersand.burning.rung_burn` is its reference).  A state's
-burnt set is its influence map's value at the empty set, and its
-successors depend on the map alone, so the closure is taken over maps,
-one layer of newly found maps at a time: each layer is advanced under
-every rung at once, both alternation fixed points becoming gathers into
-the table repeated until they settle.  The states, (rung, map) pairs,
-are then numbered in breadth-first order from the first-rung states,
-reading successors in alphabet order (:func:`build_coding`).
+The construction is the census engine's
+(:meth:`~laddersand.census._SequenceDFS.fold`).  The state the engine
+carries across a rung boundary, the transfer state, holds, for each
+vertex set ``t`` burnt beyond the rung, the rung's burn; the rung's
+burnt set and influence map are read off it.  The map counts ``t`` only
+once the burn touches it, so its value at ``t`` is the entry at ``t``
+where the entry at the empty set meets ``t``, and the entry at the empty
+set (the burnt set) elsewhere.  The engine steps each layer of newly
+found transfer states under every rung at once, by gathers into the
+one-rung burn table repeated until they settle.  The states, (rung,
+transfer state) pairs, are then numbered in breadth-first order from
+the first-rung states, reading successors in alphabet order
+(:func:`build_coding`).
 
 The transition matrix is transitive, its Perron data give the per-rung
 growth rate, and the maximal-entropy chain scaled out of them is what
@@ -65,10 +65,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .burning import _CHUNK_ENTRIES, InfluenceMap, RungConfig, burn_table
-from .census import enum_rungs
-from .errors import (FeasibilityError, InternalInvariantError,
-                     ValidationError)
+from .burning import InfluenceMap, RungConfig
+from .census import _engine, enum_rungs
+from .errors import ValidationError
 from .graphs import DEFAULT_MAX_STATES, Graph, _length, mask_to_vertices
 
 
@@ -298,135 +297,6 @@ class CodingAutomaton:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
 
 
-def rung_burn_table(graph: Graph, alphabet: Sequence[RungConfig]) -> np.ndarray:
-    """``table[c, left << n | right]`` is ``rung_burn(graph, left,
-    alphabet[c], right)``, for every rung and pair of declared burnt sets
-    at once, read from :func:`~laddersand.burning.burn_table`.
-
-    The right-hand copies count only once the burn touches them: the
-    burn with ``left`` alone stands where it misses ``right``, and where
-    it touches ``right`` the burn goes on to the one with both sides.
-    """
-    size = 1 << graph.n
-    both = burn_table(graph, alphabet).reshape(len(alphabet), size, size)
-    alone = both[:, :, :1]
-    right = np.arange(size, dtype=np.uint8)
-    return np.where(alone & right, both, alone).reshape(len(alphabet), size * size)
-
-
-def _settle(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
-            rounds: int, what: str) -> np.ndarray:
-    """Iterate ``step`` from ``start`` until no entry moves; the entries
-    are independent, so each reaches the fixed point it would alone."""
-    cur = start
-    for _ in range(rounds):
-        nxt = step(cur)
-        if np.array_equal(nxt, cur):
-            return cur
-        cur = nxt
-    raise InternalInvariantError(f"{what} alternation failed to settle")
-
-
-def _advance(flat: np.ndarray, n: int, maps: np.ndarray,
-             rungs: np.ndarray) -> np.ndarray:
-    """Row ``i`` of the result is the influence map that
-    :func:`~laddersand.burning.advance_rung_state` gives for map
-    ``maps[i]`` and rung ``rungs[i]``, read from the flattened one-rung
-    burn table."""
-    size = 1 << n
-    rows = np.arange(len(maps))
-    base = rungs * (size * size)
-    left = maps.astype(np.intp) << n  # each value as a set declared on the left
-    # the burnt set, starting from the map's value at the empty set
-    burnt = _settle(lambda a: flat[base + left[rows, a]], flat[base + left[:, 0]],
-                    size + 2, "burnt-set")
-    cells = base[:, None] + np.arange(size)
-    return _settle(
-        lambda b: flat[cells + np.take_along_axis(left, b.astype(np.intp), 1)],
-        flat[cells + left[rows, burnt][:, None]], size + 2, "influence")
-
-
-class _Maps(NamedTuple):
-    """The distinct influence maps (``maps[q]``), the map of each rung's
-    first-rung state (``first[c]``), and the advance of map ``src[k]``
-    under rung ``rung[k]`` to map ``dst[k]``, ordered by source map and
-    then rung."""
-
-    maps: np.ndarray
-    first: np.ndarray
-    src: np.ndarray
-    rung: np.ndarray
-    dst: np.ndarray
-
-
-def _discover(graph: Graph, alphabet: Sequence[RungConfig], table: np.ndarray,
-              max_states: int) -> _Maps:
-    """Every influence map reachable from a first rung, one layer of new
-    maps at a time, each layer advanced under every rung at once.
-
-    A state's burnt set is its map's value at the empty set and its
-    successors depend on the map alone, not on its rung, so the closure
-    runs on maps.  The states are the (rung, map) pairs that start a
-    window or that an advance reaches; they are counted as they are
-    found, and the search stops as soon as there are more than
-    ``max_states``.
-    """
-    n = graph.n
-    size = 1 << n
-    full = size - 1
-    flat = table.reshape(-1)
-    maxmask = np.array([sum(1 << x for x in range(n) if c[x] == graph.max_height[x])
-                        for c in alphabet])
-    index: dict[bytes, int] = {}
-    states: set[int] = set()  # map id * len(alphabet) + rung
-
-    def intern(maps: np.ndarray, rungs: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of the maps, numbered on first sight, and the maps seen for
-        the first time; the maps are reached under ``rungs``."""
-        buf = maps.tobytes()  # one byte per entry
-        ids, fresh = [], []
-        for row, at in enumerate(range(0, len(buf), size)):
-            key = buf[at:at + size]
-            if key not in index:
-                index[key] = len(index)
-                fresh.append(row)
-            ids.append(index[key])
-        ids = np.array(ids, dtype=np.int64)
-        states.update((ids * len(alphabet) + rungs).tolist())
-        if len(states) > max_states:
-            raise FeasibilityError(f"automaton exceeded max_states={max_states}")
-        return ids, maps[fresh]
-
-    first, layer = intern(table[:, (full << n) + np.arange(size)],
-                          np.arange(len(alphabet)))
-    layers = [layer]
-    src, rung, dst = [], [], []
-    offset = 0
-    chunk = max(1, _CHUNK_ENTRIES // size)
-    while len(layer):
-        # burning enters rung c only where the burnt set meets its maximal
-        # vertices
-        pick, cs = np.nonzero(layer[:, :1] & maxmask)
-        fresh = []
-        for lo in range(0, len(pick), chunk):
-            p, c = pick[lo:lo + chunk], cs[lo:lo + chunk]
-            infl = _advance(flat, n, layer[p], c)
-            # the extended window must still finish burning
-            ok = infl[:, full] == full
-            ids, new = intern(infl[ok], c[ok])
-            src.append(p[ok] + offset)
-            rung.append(c[ok])
-            dst.append(ids)
-            fresh.append(new)
-        offset += len(layer)
-        layer = np.concatenate(fresh) if fresh else layer[:0]
-        layers.append(layer)
-    empty = np.zeros(0, dtype=np.int64)
-    return _Maps(np.concatenate(layers), first, np.concatenate(src or [empty]),
-                 np.concatenate(rung or [empty]), np.concatenate(dst or [empty]))
-
-
 def build_coding(graph: Graph, *, max_states: int = DEFAULT_MAX_STATES
                  ) -> CodingAutomaton:
     """Closure of the one-rung advance from the states a window's first
@@ -436,32 +306,36 @@ def build_coding(graph: Graph, *, max_states: int = DEFAULT_MAX_STATES
     (the burnt set below touches one of its maximal-height vertices) and
     the advanced influence map still maps the full vertex set to itself;
     states failing that cannot occur in any burnable sequence.  The
-    advances are read from the one-rung burn table (:func:`_discover`);
-    a state is a (rung, map) pair, numbered in the order of a breadth
-    first search that reads successors in alphabet order.  ``max_states``
+    advances are the census engine's transfer-state steps
+    (:meth:`~laddersand.census._SequenceDFS.fold`); a state is a (rung,
+    transfer state) pair, its burnt set and influence map read off the
+    transfer state, numbered in the order of a breadth first search that
+    reads successors in alphabet order.  ``max_states``
     refuses exactly the automata with more states, as soon as the rung
     count or the states found so far exceed it.
     """
     max_states = _length(max_states, "max_states", 1)
     alphabet = enum_rungs(graph).rungs
     nrungs = len(alphabet)
-    if nrungs > max_states:  # each rung starts a state of its own
-        raise FeasibilityError(f"automaton exceeded max_states={max_states}")
-    found = _discover(graph, alphabet, rung_burn_table(graph, alphabet), max_states)
+    found = _engine(graph).fold(alphabet, max_states)
 
-    # a state is the key map * nrungs + rung, numbered breadth first from
-    # the start states in order of first sight among the successors
+    # a state is the key transfer state * nrungs + rung, numbered breadth
+    # first from the start states in order of first sight among the
+    # successors
     queue = (found.first * nrungs + np.arange(nrungs)).tolist()
     number = dict(zip(queue, range(nrungs)))
     targets = (found.dst * nrungs + found.rung).tolist()
-    bounds = np.searchsorted(found.src, np.arange(len(found.maps) + 1)).tolist()
+    bounds = np.searchsorted(found.src, np.arange(len(found.states) + 1)).tolist()
     for key in queue:
         q = key // nrungs
         for k in targets[bounds[q]:bounds[q + 1]]:
             if k not in number:
                 number[k] = len(queue)
                 queue.append(k)
-    influence = [tuple(row) for row in found.maps.tolist()]
+    # the right set counts once the burn with nothing there touches it
+    burnt = found.states[:, :1]
+    touched = burnt & np.arange(1 << graph.n, dtype=np.uint8)
+    influence = [tuple(row) for row in np.where(touched, found.states, burnt).tolist()]
     succ_rungs = [alphabet[c] for c in found.rung.tolist()]
     succ_numbers = [number[k] for k in targets]
     states, delta = [], []
@@ -730,7 +604,6 @@ def influence_maps_monotone(automaton: CodingAutomaton) -> bool:
 __all__ = [
     "CodeSymbol", "CodingAutomaton", "Lumping", "ParryChain", "SpectralData",
     "build_coding", "check_transitive", "decode", "encode",
-    "influence_maps_monotone", "parry_chain", "restrict", "rung_burn_table",
-    "spectral",
+    "influence_maps_monotone", "parry_chain", "restrict", "spectral",
     "DEFAULT_MAX_STATES",
 ]

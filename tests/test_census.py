@@ -723,6 +723,36 @@ def test_right_step_is_its_entries(data):
             state = child
 
 
+@pytest.mark.parametrize("name", ["point", "path2", "path3", "cycle3", "path4", "cycle4"])
+def test_fold_is_the_bfs_of_right_step(name):
+    # the states a breadth-first search of right_step reaches from the
+    # source, keeping the ignited children that burn every row, are the
+    # fold's once each entry's flag (entry == full) is restored, and every
+    # step of the fold is right_step's
+    graph = builtin_graph(name)
+    dfs = _SequenceDFS(graph)
+    n, full = dfs.n, dfs.full
+    rungs = enum_rungs(graph).rungs
+    tbls = dfs.rows(rungs)
+    found = dfs.fold(rungs, 10 ** 6)
+    states = [tuple(e | (e == full) << n for e in row) for row in found.states.tolist()]
+    reached, queue = set(), [dfs.source]
+    for state in queue:
+        for tbl in tbls:
+            if dfs._accepts(state, tbl, ignite=True):
+                child = dfs.right_step(state, tbl)
+                if child not in reached:
+                    reached.add(child)
+                    queue.append(child)
+    assert len(states) == len(set(states)) == {
+        "point": 1, "path2": 3, "path3": 15, "cycle3": 19, "path4": 111, "cycle4": 183}[name]
+    assert set(states) == reached
+    for c, q in enumerate(found.first.tolist()):
+        assert dfs.right_step(dfs.source, tbls[c]) == states[q]
+    for p, c, q in zip(found.src.tolist(), found.rung.tolist(), found.dst.tolist()):
+        assert dfs.right_step(states[p], tbls[c]) == states[q]
+
+
 def _check_against_reference(data, graph):
     dfs, ref = _SequenceDFS(graph), _RowMaskEngine(graph)
     symbols, recurrent = enum_rungs(graph).rungs, single_rung_recurrent(graph)

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from laddersand.cli import _SHARED_FLAGS, build_parser, main
-from laddersand.coding import CodingAutomaton, ParryChain
+from laddersand.burning import max_rung
+from laddersand.coding import (CodingAutomaton, ParryChain, build_coding, parry_chain,
+                               restrict)
 from laddersand.graphs import builtin_graph
 from laddersand.measures import _AutomatonBundle, sample_chain_windows
 
@@ -84,6 +86,20 @@ def test_spectral_cycle4(capsys):
     assert doc["states"] == 745
     assert doc["residual_right"] < 1e-12 and doc["residual_left"] < 1e-12
     assert doc["strictly_positive"] is True
+
+
+@pytest.mark.parametrize("name, flags", [("path2", ()), ("path3", ("--nonmax",))])
+def test_spectral_stationary_is_the_chains_at_the_start_states(capsys, name, flags):
+    code, out, _ = run(capsys, "spectral", "--graph", name, *flags)
+    assert code == 0
+    graph = builtin_graph(name)
+    auto = build_coding(graph)
+    if flags:
+        auto = restrict(auto, lambda c: c != max_rung(graph))
+    stationary = parry_chain(auto).stationary
+    assert json.loads(out)["stationary"] == {
+        "-".join(map(str, c)): float(stationary[i]) for c, i in auto.inclusion.items()}
+    assert len(auto.inclusion) == len(auto.alphabet) > 1
 
 
 def test_measure_all_methods(capsys):

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laddersand.burning import (advance_rung_state, first_rung_state, max_rung,
-                                rung_burn)
+from laddersand.burning import advance_rung_state, first_rung_state, max_rung
 from laddersand.census import (count_series, enum_rungs, iter_left_burnable,
                                recurrent_growth_rate)
 from laddersand.coding import (CodeSymbol, CodingAutomaton, _lump, build_coding,
                                check_transitive, decode, encode,
                                influence_maps_monotone, parry_chain, restrict,
-                               rung_burn_table, spectral)
+                               spectral)
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import Window, builtin_graph, make_graph
 from laddersand.measures import CylinderEvent, cylinder_prob, sample_chain_windows
@@ -534,19 +533,6 @@ def connected_graphs(draw, max_vertices=4):
 @given(graph=connected_graphs())
 def test_build_matches_reference_on_random_graphs(graph):
     _assert_same_as_reference(graph)
-
-
-@pytest.mark.parametrize("name", BUILTINS)
-def test_rung_burn_table_matches_rung_burn(name):
-    graph = builtin_graph(name)
-    alphabet = enum_rungs(graph).rungs
-    table = rung_burn_table(graph, alphabet)
-    size = 1 << graph.n
-    assert table.shape == (len(alphabet), size * size)
-    for c, rung in enumerate(alphabet):
-        assert table[c].tolist() == [rung_burn(graph, left, rung, right)
-                                     for left in range(size)
-                                     for right in range(size)]
 
 
 @pytest.mark.parametrize("name", BUILTINS)

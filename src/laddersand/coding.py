@@ -1,12 +1,18 @@
 """The rung-coding automaton and its maximal-entropy Markov chain.
 
-Left-burnable configurations are coded rung by rung.  The state carried
-across a rung boundary is the triple (rung heights, burnt set at the
-phase boundary, influence map), which is exactly the information the
-burning process needs about everything to its left.  States are closed
-under the one-rung advance; reading a rung from a state either yields a
-unique successor or is impossible, so the word coding a configuration
-is determined by its rungs and the correspondence is one-to-one.
+Left-burnable configurations are coded rung by rung, on a
+right-resolving labelled graph (Lind and Marcus, *An Introduction to
+Symbolic Dynamics and Coding*, 1995, ch. 3).  A state reads one rung,
+the label of every transition into it, and carries across the rung
+boundary an influence map, whose entry at the empty set is the burnt
+set at the phase boundary: exactly the information the burning process
+needs about everything to its left.  States are closed under the
+one-rung advance; reading a rung from a state either yields a unique
+successor or is impossible, so the word coding a configuration is
+determined by its rungs and the correspondence is one-to-one.  The
+automaton keeps each state's rung and influence map in two flat fields
+and its successors once (:class:`CodingAutomaton`); only this module
+reads the maps, and it writes a state's JSON form from the two fields.
 
 The construction is the census engine's
 (:meth:`~laddersand.census._SequenceDFS.fold`).  The state the engine
@@ -57,7 +63,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, islice
 from operator import or_
@@ -65,31 +71,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .burning import InfluenceMap, RungConfig
+from .burning import RungConfig
 from .census import _engine, enum_rungs
 from .errors import ValidationError
 from .graphs import DEFAULT_MAX_STATES, Graph, _length, mask_to_vertices
-
-
-@dataclass(frozen=True)
-class CodeSymbol:
-    """One automaton state: the rung heights, the vertex set burnt when
-    the next rung is first entered, and the influence map recording how
-    burnt sets declared on the next rung feed back through this one."""
-
-    rung: RungConfig
-    burnt: int
-    influence: InfluenceMap
-
-    def key(self) -> tuple:
-        return (self.rung, self.burnt, self.influence)
-
-    def to_json(self) -> dict:
-        return {
-            "rung": list(self.rung),
-            "burnt": list(mask_to_vertices(self.burnt)),
-            "influence": [list(mask_to_vertices(v)) for v in self.influence],
-        }
 
 
 class RowClasses(NamedTuple):
@@ -167,34 +152,49 @@ def _lump(adj: Sequence[Sequence[int]], init: Sequence[int]) -> Lumping:
     return Lumping(tuple(block), pairs)
 
 
-@dataclass
+@dataclass(eq=False)
 class CodingAutomaton:
-    """Deterministic presentation of the left-burnable rung sequences."""
+    """Deterministic presentation of the left-burnable rung sequences.
+
+    - ``graph`` is the base graph and ``alphabet`` its rung symbols.
+    - ``rungs[i]`` is the rung state ``i`` reads, the label of every
+      transition into it.
+    - ``influence[i]`` is state ``i``'s influence map, a ``uint8`` row
+      indexed by vertex-set mask: how burnt sets declared on the next
+      rung feed back through this one.  Its entry at the empty set
+      (column 0) is the burnt set when the next rung is first entered.
+    - ``inclusion[c]`` is the state a word with first rung ``c`` starts at.
+    - ``targets[i]`` are state ``i``'s successors, sorted.  Since each
+      reads its own rung they are its transitions too: ``delta[i]``
+      maps each successor's rung to the successor."""
 
     graph: Graph
     alphabet: tuple[RungConfig, ...]
-    states: tuple[CodeSymbol, ...]
+    rungs: tuple[RungConfig, ...]
+    influence: np.ndarray
     inclusion: dict[RungConfig, int]
-    delta: tuple[dict[RungConfig, int], ...]
-    targets: tuple[tuple[int, ...], ...] = field(init=False)
-
-    def __post_init__(self):
-        self.targets = tuple(tuple(sorted(d.values())) for d in self.delta)
+    targets: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.rungs)
+
+    @cached_property
+    def delta(self) -> tuple[dict[RungConfig, int], ...]:
+        """Per state, the successor reading each rung."""
+        rungs = self.rungs
+        return tuple({rungs[j]: j for j in row} for row in self.targets)
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The transitions as arrays of sources and targets, in row order."""
-        rows = np.repeat(np.arange(len(self.states)),
+        rows = np.repeat(np.arange(len(self)),
                          [len(row) for row in self.targets])
         cols = np.array([j for row in self.targets for j in row], dtype=np.intp)
         return rows, cols
 
     def matrix(self) -> np.ndarray:
         """The dense 0/1 transition matrix, a reference for tests."""
-        t = np.zeros((len(self.states),) * 2, dtype=np.int64)
+        t = np.zeros((len(self),) * 2, dtype=np.int64)
         t[self.edges] = 1
         return t
 
@@ -245,7 +245,7 @@ class CodingAutomaton:
     def prefix_pairs(self) -> PrefixPairs:
         """The states grouped by their start flag and by the ``(prefix
         block, count)`` pairs of the row classes whose row holds them."""
-        blocks: list[list[int]] = [[] for _ in self.states]
+        blocks: list[list[int]] = [[] for _ in self.rungs]
         for b, row in zip(self.prefix_lumping.block, self.row_classes.rows):
             for j in row:
                 blocks[j].append(b)
@@ -288,7 +288,10 @@ class CodingAutomaton:
         return {
             "graph": self.graph.to_json(),
             "alphabet": [list(c) for c in self.alphabet],
-            "states": [s.to_json() for s in self.states],
+            "states": [{"rung": list(c),
+                        "burnt": list(mask_to_vertices(f[0])),
+                        "influence": [list(mask_to_vertices(v)) for v in f]}
+                       for c, f in zip(self.rungs, self.influence.tolist())],
             "inclusion": {",".join(map(str, c)): i for c, i in self.inclusion.items()},
             "matrix": [list(row) for row in self.targets],
         }
@@ -308,11 +311,12 @@ def build_coding(graph: Graph, *, max_states: int = DEFAULT_MAX_STATES
     states failing that cannot occur in any burnable sequence.  The
     advances are the census engine's transfer-state steps
     (:meth:`~laddersand.census._SequenceDFS.fold`); a state is a (rung,
-    transfer state) pair, its burnt set and influence map read off the
-    transfer state, numbered in the order of a breadth first search that
-    reads successors in alphabet order.  ``max_states``
-    refuses exactly the automata with more states, as soon as the rung
-    count or the states found so far exceed it.
+    transfer state) pair, numbered in the order of a breadth first search
+    that reads successors in alphabet order.  Its rung is the pair's, and
+    its influence map, burnt set included, is read off the pair's
+    transfer state.  ``max_states`` refuses exactly the automata with
+    more states, as soon as the rung count or the states found so far
+    exceed it.
     """
     max_states = _length(max_states, "max_states", 1)
     alphabet = enum_rungs(graph).rungs
@@ -324,32 +328,27 @@ def build_coding(graph: Graph, *, max_states: int = DEFAULT_MAX_STATES
     # successors
     queue = (found.first * nrungs + np.arange(nrungs)).tolist()
     number = dict(zip(queue, range(nrungs)))
-    targets = (found.dst * nrungs + found.rung).tolist()
+    succ = (found.dst * nrungs + found.rung).tolist()
     bounds = np.searchsorted(found.src, np.arange(len(found.states) + 1)).tolist()
     for key in queue:
         q = key // nrungs
-        for k in targets[bounds[q]:bounds[q + 1]]:
+        for k in succ[bounds[q]:bounds[q + 1]]:
             if k not in number:
                 number[k] = len(queue)
                 queue.append(k)
+    succ = [number[k] for k in succ]
+    qs, cs = np.divmod(np.array(queue), nrungs)
     # the right set counts once the burn with nothing there touches it
     burnt = found.states[:, :1]
     touched = burnt & np.arange(1 << graph.n, dtype=np.uint8)
-    influence = [tuple(row) for row in np.where(touched, found.states, burnt).tolist()]
-    succ_rungs = [alphabet[c] for c in found.rung.tolist()]
-    succ_numbers = [number[k] for k in targets]
-    states, delta = [], []
-    for key in queue:
-        q = key // nrungs
-        states.append(CodeSymbol(alphabet[key % nrungs], influence[q][0], influence[q]))
-        delta.append(dict(zip(succ_rungs[bounds[q]:bounds[q + 1]],
-                              succ_numbers[bounds[q]:bounds[q + 1]])))
+    influence = np.where(touched, found.states, burnt)
     return CodingAutomaton(
         graph=graph,
         alphabet=alphabet,
-        states=tuple(states),
+        rungs=tuple(alphabet[c] for c in cs.tolist()),
+        influence=influence[qs],
         inclusion={c: i for i, c in enumerate(alphabet)},
-        delta=tuple(delta),
+        targets=tuple(tuple(sorted(succ[bounds[q]:bounds[q + 1]])) for q in qs.tolist()),
     )
 
 
@@ -362,7 +361,11 @@ def encode(automaton: CodingAutomaton, rungs: Sequence[RungConfig]
     if not seq:
         raise ValidationError("need at least one rung")
     for r in seq:
-        if r not in automaton.inclusion and r not in automaton.alphabet:
+        try:
+            known = r in automaton.inclusion
+        except TypeError:  # an unhashable height equals no height
+            known = False
+        if not known and r not in automaton.alphabet:
             raise ValidationError(f"rung {r} is not a valid rung symbol")
     state = automaton.inclusion.get(seq[0])
     if state is None:  # pragma: no cover - every alphabet rung starts a word
@@ -384,7 +387,7 @@ def decode(automaton: CodingAutomaton, word: Sequence[int]
     word = [_length(i, "state", 0) for i in word]
     if word and max(word) >= len(automaton):
         raise ValidationError(f"state {max(word)} is outside 0..{len(automaton) - 1}")
-    return tuple(automaton.states[i].rung for i in word)
+    return tuple(automaton.rungs[i] for i in word)
 
 
 def _levels(adj: Sequence[Sequence[int]], seeds: Sequence[int] = (0,)) -> list[int]:
@@ -520,19 +523,19 @@ def spectral(automaton: CodingAutomaton) -> SpectralData:
 def restrict(automaton: CodingAutomaton,
              keep: Callable[[RungConfig], bool]) -> CodingAutomaton:
     """Subautomaton over the states whose rung satisfies the predicate."""
-    kept = [i for i, s in enumerate(automaton.states) if keep(s.rung)]
+    kept = [i for i, c in enumerate(automaton.rungs) if keep(c)]
     if not kept:
         raise ValidationError("restriction keeps no states")
     remap = {old: new for new, old in enumerate(kept)}
-    states = tuple(automaton.states[i] for i in kept)
-    delta = tuple(
-        {c: remap[j] for c, j in automaton.delta[i].items() if j in remap}
-        for i in kept)
+    targets = tuple(tuple(remap[j] for j in automaton.targets[i] if j in remap)
+                    for i in kept)
     inclusion = {c: remap[i] for c, i in automaton.inclusion.items()
                  if i in remap and keep(c)}
     alphabet = tuple(c for c in automaton.alphabet if keep(c))
     return CodingAutomaton(graph=automaton.graph, alphabet=alphabet,
-                           states=states, inclusion=inclusion, delta=delta)
+                           rungs=tuple(automaton.rungs[i] for i in kept),
+                           influence=automaton.influence[kept],
+                           inclusion=inclusion, targets=targets)
 
 
 @dataclass(frozen=True)
@@ -588,21 +591,13 @@ def influence_maps_monotone(automaton: CodingAutomaton) -> bool:
     """Empirical check that every reachable influence map is monotone
     (larger declared set, larger feedback).  Reported as data; nothing
     in the construction assumes it."""
-    n = automaton.graph.n
-    full = automaton.graph.full_mask
-    for s in automaton.states:
-        f = s.influence
-        for a in range(full + 1):
-            fa = f[a]
-            for x in range(n):
-                b = a | (1 << x)
-                if fa & ~f[b]:
-                    return False
-    return True
+    f = automaton.influence
+    sets = np.arange(f.shape[1])
+    return not any((f & ~f[:, sets | 1 << x]).any() for x in range(automaton.graph.n))
 
 
 __all__ = [
-    "CodeSymbol", "CodingAutomaton", "Lumping", "ParryChain", "SpectralData",
+    "CodingAutomaton", "Lumping", "ParryChain", "SpectralData",
     "build_coding", "check_transitive", "decode", "encode",
     "influence_maps_monotone", "parry_chain", "restrict", "spectral",
     "DEFAULT_MAX_STATES",

@@ -103,8 +103,8 @@ class _AutomatonBundle:
         # the states reading each rung, where an event's walks start
         self.rung_states: dict[RungConfig, list[int]] = {
             c: [] for c in self.automaton.alphabet}
-        for i, s in enumerate(self.automaton.states):
-            self.rung_states[s.rung].append(i)
+        for i, c in enumerate(self.automaton.rungs):
+            self.rung_states[c].append(i)
         self._window_counts: dict[int, tuple] = {}
 
     @classmethod
@@ -168,7 +168,7 @@ class _AutomatonBundle:
                            alpha=1.0 / (lam * mean_gap))
         rows, cols = auto.edges
         # the restriction keeps the non-maximal states in order
-        inner = np.flatnonzero([s.rung != self.cmax for s in auto.states])
+        inner = np.flatnonzero([c != self.cmax for c in auto.rungs])
         # forward: lam-weighted flank prefixes ending at a non-maximal
         # state, through the prefix groups of the restriction
         pairs = nonmax.prefix_pairs
@@ -396,7 +396,7 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
     cum = chain.cumulative
     rng = np.random.default_rng(seed)
     firsts = rng.choice(len(auto), size=count, p=chain.stationary)
-    rungs = [s.rung for s in auto.states]
+    rungs = auto.rungs
     out = []
     for state, u in zip(firsts.tolist(), rng.random((count, width)).tolist()):
         window = [rungs[state]]
@@ -441,7 +441,7 @@ def sample_finite_exact(graph: Graph, n: int, m: int, seed: int,
             weights = [(suffix[rem][block[t]], t) for t in auto.targets[word[-1]]]
             state = _weighted_pick(rng, weights)
             word.append(state)
-        rows = [auto.states[i].rung for i in word]
+        rows = [auto.rungs[i] for i in word]
         out.append(LadderConfig.from_rungs(rows, start=n))
     return out
 

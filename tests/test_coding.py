@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from laddersand.burning import advance_rung_state, first_rung_state, max_rung
 from laddersand.census import (count_series, enum_rungs, iter_left_burnable,
                                recurrent_growth_rate)
-from laddersand.coding import (CodeSymbol, CodingAutomaton, _lump, build_coding,
+from laddersand.coding import (CodingAutomaton, _lump, build_coding,
                                check_transitive, decode, encode,
                                influence_maps_monotone, parry_chain, restrict,
                                spectral)
@@ -91,11 +91,15 @@ def _dense_transitivity(auto):
     return True, None
 
 
-def _toy(graph, *rows):
-    """An automaton whose state i has the successors rows[i]."""
-    states = (CodeSymbol((0,) * graph.n, 0, ()),) * len(rows)
-    return CodingAutomaton(graph=graph, alphabet=(), states=states, inclusion={},
-                           delta=tuple({(j,): j for j in row} for row in rows))
+def _toy(graph, *rows, influence=None):
+    """An automaton whose state i reads the rung (i,), has the successors
+    rows[i] and the influence map influence[i] (all empty by default)."""
+    if influence is None:
+        influence = [[0] * (1 << graph.n)] * len(rows)
+    return CodingAutomaton(graph=graph, alphabet=(),
+                           rungs=tuple((i,) for i in range(len(rows))),
+                           influence=np.array(influence, dtype=np.uint8),
+                           inclusion={}, targets=tuple(map(tuple, rows)))
 
 
 def test_transitive_matches_dense_powers(point, path2, path3, cycle3):
@@ -189,8 +193,9 @@ def test_parry_chain(auto2, path2):
 def test_encode_decode(auto2):
     word = encode(auto2, [(3, 1), (3, 2), (3, 3)])
     assert word is not None
-    mid = auto2.states[word[1]]
-    assert mid.rung == (3, 2) and mid.burnt != auto2.graph.full_mask
+    mid = word[1]
+    assert auto2.rungs[mid] == (3, 2)
+    assert auto2.influence[mid, 0] != auto2.graph.full_mask  # the burnt set
     assert decode(auto2, word) == ((3, 1), (3, 2), (3, 3))
 
     assert encode(auto2, [(3, 1), (1, 3)]) is None
@@ -199,6 +204,9 @@ def test_encode_decode(auto2):
         encode(auto2, [(2, 2)])
     with pytest.raises(ValidationError):
         encode(auto2, [])
+    # an unhashable height is refused like any other invalid rung
+    with pytest.raises(ValidationError, match="not a valid rung symbol"):
+        encode(auto2, [[[3], [1]]])
 
 
 @pytest.mark.parametrize("word, message", [
@@ -212,7 +220,7 @@ def test_decode_refuses_states_outside_the_automaton(auto2, word, message):
     with pytest.raises(ValidationError) as refusal:
         decode(auto2, word)
     assert str(refusal.value) == message
-    assert decode(auto2, [np.int64(6), 0]) == (auto2.states[6].rung, auto2.states[0].rung)
+    assert decode(auto2, [np.int64(6), 0]) == (auto2.rungs[6], auto2.rungs[0])
 
 
 def test_encode_accepts_exactly_burnable(auto2, path2):
@@ -270,15 +278,41 @@ def test_max_states_refuses_fast(name, cap):
     assert time.perf_counter() - start < 1.0
 
 
-def test_monotonicity_report(auto2, path3, cycle3):
-    # recorded as data; the construction never relies on it
-    results = {
-        "path2": influence_maps_monotone(auto2),
-        "path3": influence_maps_monotone(build_coding(path3)),
-        "cycle3": influence_maps_monotone(build_coding(cycle3)),
-    }
+def _monotone_by_entry(auto):
+    """Reference: every map's entry at a set lies in its entry at each
+    one-vertex extension of the set."""
+    return all(f[a] & ~f[a | 1 << x] == 0
+               for f in auto.influence.tolist() for a in range(len(f))
+               for x in range(auto.graph.n))
+
+
+def test_monotonicity_report(path2):
+    # recorded as data; the construction never relies on it.  Every
+    # builtin through cycle4 has monotone maps; in the toy's second map
+    # {0} goes to {0} but {0, 1} to {1}
+    results = {name: influence_maps_monotone(_automata(name)[1])
+               for name in ("path2", "path3", "cycle3", "path4", "cycle4")}
     print(f"influence-map monotonicity: {results}")
-    assert all(isinstance(v, bool) for v in results.values())
+    assert results == {name: _monotone_by_entry(_automata(name)[1])
+                       for name in results}
+    assert all(v is True for v in results.values())
+    toy = _toy(path2, [0, 1], [0], influence=[[0, 1, 2, 3], [0, 1, 2, 2]])
+    assert influence_maps_monotone(toy) is _monotone_by_entry(toy) is False
+
+
+@pytest.mark.parametrize("name", ["path2", "path3", "cycle3", "path4", "cycle4"])
+def test_restriction_keeps_the_state_fields_aligned(name):
+    # a state's rung labels every transition into it, and the restriction
+    # keeps each kept state's rung and influence map together
+    graph, auto, nonmax = _automata(name)
+    kept = [i for i, c in enumerate(auto.rungs) if c != max_rung(graph)]
+    states = auto.to_json()["states"]
+    assert nonmax.to_json()["states"] == [states[i] for i in kept]
+    for a in (auto, nonmax):
+        assert len(a.rungs) == len(a.influence) == len(a.targets) == len(a)
+        for i, row in enumerate(a.delta):
+            assert sorted(row.values()) == list(a.targets[i])
+            assert all(a.rungs[j] == c for c, j in row.items())
 
 
 def test_json_stable_across_builds(path2):
@@ -306,7 +340,7 @@ def test_burn_table_too_large_is_refused():
 # reference per-state sweeps: what the lumped counts replace
 
 def _word_counts_by_state(auto, n_max):
-    vec = [1] * len(auto.states)
+    vec = [1] * len(auto)
     counts = [sum(vec[i] for i in auto.start_states())]
     for _ in range(n_max - 1):
         vec = [sum(vec[t] for t in row) for row in auto.targets]
@@ -327,7 +361,7 @@ def _finite_dp_by_state(auto, event, halfwidth):
                     nxt[j] += v
             vec = nxt
         if k in fixed:
-            vec = [v if auto.states[i].rung == fixed[k] else 0
+            vec = [v if auto.rungs[i] == fixed[k] else 0
                    for i, v in enumerate(vec)]
     return Fraction(sum(vec), _word_counts_by_state(auto, len(window))[-1])
 
@@ -464,35 +498,41 @@ def test_finite_dp_matches_per_state_dp(data):
 # primitives that the batched construction replaces
 
 def _build_coding_by_rung(graph):
+    """The (rung, burnt set, influence map) triples numbered breadth
+    first, each one's successor per rung, and the automaton they make."""
     alphabet = enum_rungs(graph).rungs
     maxmask = {c: sum(1 << x for x in range(graph.n)
                       if c[x] == graph.max_height[x]) for c in alphabet}
     states, index = [], {}
 
     def add(sym):
-        if sym.key() not in index:
-            index[sym.key()] = len(states)
+        if sym not in index:
+            index[sym] = len(states)
             states.append(sym)
-        return index[sym.key()]
+        return index[sym]
 
     inclusion = {}
     for c in alphabet:
         burnt, infl = first_rung_state(graph, c)
-        inclusion[c] = add(CodeSymbol(c, burnt, infl))
+        inclusion[c] = add((c, burnt, infl))
     delta = []
     i = 0
     while i < len(states):
-        sym = states[i]
+        _, burnt_i, infl_i = states[i]
         row = {}
         for c in alphabet:
-            if sym.burnt & maxmask[c]:
-                burnt, infl = advance_rung_state(graph, sym.burnt, c, sym.influence)
+            if burnt_i & maxmask[c]:
+                burnt, infl = advance_rung_state(graph, burnt_i, c, infl_i)
                 if infl[graph.full_mask] == graph.full_mask:
-                    row[c] = add(CodeSymbol(c, burnt, infl))
+                    row[c] = add((c, burnt, infl))
         delta.append(row)
         i += 1
-    return CodingAutomaton(graph=graph, alphabet=alphabet, states=tuple(states),
-                           inclusion=inclusion, delta=tuple(delta))
+    auto = CodingAutomaton(graph=graph, alphabet=alphabet,
+                           rungs=tuple(c for c, _, _ in states),
+                           influence=np.array([f for _, _, f in states], dtype=np.uint8),
+                           inclusion=inclusion,
+                           targets=tuple(tuple(sorted(row.values())) for row in delta))
+    return states, tuple(delta), auto
 
 
 _REFERENCE = {}
@@ -502,10 +542,12 @@ def _assert_same_as_reference(graph):
     key = (graph.n, graph.edges)
     if key not in _REFERENCE:
         _REFERENCE[key] = _build_coding_by_rung(graph)
-    ref = _REFERENCE[key]
+    states, delta, ref = _REFERENCE[key]
     auto = build_coding(graph)
-    assert auto.states == ref.states
-    assert auto.delta == ref.delta
+    assert auto.rungs == tuple(c for c, _, _ in states)
+    assert auto.influence.tolist() == [list(f) for _, _, f in states]
+    assert auto.influence[:, 0].tolist() == [b for _, b, _ in states]
+    assert auto.delta == delta
     assert auto.inclusion == ref.inclusion
     assert auto.dumps() == ref.dumps()
 

@@ -289,14 +289,14 @@ def test_parry_walk_matches_dense_product(name):
     # products, masked to each rung's states over the whole automaton
     g = builtin_graph(name)
     bundle = _AutomatonBundle.get(g)
-    chain, states = parry_chain(bundle.automaton), bundle.automaton.states
+    chain, reads = parry_chain(bundle.automaton), bundle.automaton.rungs
     alphabet = bundle.automaton.alphabet
     rng = random.Random(3)
     for _ in range(60):
         rungs = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
-        vec = chain.stationary * np.array([s.rung == rungs[0] for s in states])
+        vec = chain.stationary * np.array([r == rungs[0] for r in reads])
         for c in rungs[1:]:
-            vec = (vec @ chain.matrix) * np.array([s.rung == c for s in states])
+            vec = (vec @ chain.matrix) * np.array([r == c for r in reads])
         value = cylinder_prob(g, CylinderEvent(rungs=rungs), "parry").value
         assert value == pytest.approx(float(vec.sum()), rel=1e-12, abs=1e-300)
 

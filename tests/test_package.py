@@ -13,7 +13,7 @@ def test_version():
 def test_top_level_workflow(path2):
     # the headline quantities, through the package namespace only
     auto = laddersand.build_coding(path2)
-    assert len(auto.states) == 7
+    assert len(auto) == 7
     counts = laddersand.count_series(path2, "L", 4)
     assert counts.values == (5, 19, 71, 265)
     spec = laddersand.spectral(auto)

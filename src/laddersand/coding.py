@@ -28,9 +28,9 @@ transfer state) pairs, are then numbered in breadth-first order from
 the first-rung states, reading successors in alphabet order
 (:func:`build_coding`).
 
-The transition matrix is transitive, its Perron data give the per-rung
+The transition matrix is transitive; its Perron data give the per-rung
 growth rate, and the maximal-entropy chain scaled out of them is what
-the measure samplers draw from, all read off the list of transitions.
+the measure samplers draw from, read off the list of transitions.
 
 Word counts run on two lumpings of the automaton rather than on its
 states, both computed on its row classes: a state's successors depend
@@ -55,7 +55,8 @@ of classes.  The quotients carry the Perron data too: the suffix
 quotient's Perron value and eigenvector, read on each state's block,
 are those of the transition matrix, and the prefix quotient's, summed
 over the classes whose row holds a state, give its left eigenvector
-(:func:`spectral`).
+(:func:`spectral`).  The transitivity certificate runs on the same row
+classes (:func:`check_transitive`).
 """
 
 from __future__ import annotations
@@ -285,12 +286,12 @@ class CodingAutomaton:
         return self.word_counts(n)[-1]
 
     def to_json(self) -> dict:
+        sets = [list(mask_to_vertices(m)) for m in range(1 << self.graph.n)]
         return {
             "graph": self.graph.to_json(),
             "alphabet": [list(c) for c in self.alphabet],
-            "states": [{"rung": list(c),
-                        "burnt": list(mask_to_vertices(f[0])),
-                        "influence": [list(mask_to_vertices(v)) for v in f]}
+            "states": [{"rung": list(c), "burnt": sets[f[0]],
+                        "influence": [sets[v] for v in f]}
                        for c, f in zip(self.rungs, self.influence.tolist())],
             "inclusion": {",".join(map(str, c)): i for c, i in self.inclusion.items()},
             "matrix": [list(row) for row in self.targets],
@@ -390,12 +391,11 @@ def decode(automaton: CodingAutomaton, word: Sequence[int]
     return tuple(automaton.rungs[i] for i in word)
 
 
-def _levels(adj: Sequence[Sequence[int]], seeds: Sequence[int] = (0,)) -> list[int]:
-    """Breadth-first distances from ``seeds`` under ``adj``, -1 where unreached."""
+def _levels(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Breadth-first distances from node 0 under ``adj``, -1 where unreached."""
     level = [-1] * len(adj)
-    for s in seeds:
-        level[s] = 0
-    order = list(seeds)
+    level[0] = 0
+    order = [0]
     for u in order:
         for v in adj[u]:
             if level[v] < 0:
@@ -405,18 +405,16 @@ def _levels(adj: Sequence[Sequence[int]], seeds: Sequence[int] = (0,)) -> list[i
 
 
 def _irreducible_levels(automaton: CodingAutomaton) -> Optional[list[int]]:
-    """Breadth-first levels from state 0 if every state is reached from
-    state 0 and reaches it back (the automaton is irreducible), else None.
-
-    The search back to state 0 runs over the row classes: a state other
-    than 0 reaches it exactly when a state of its row does, which
-    depends on its class alone, so it starts from the classes whose row
-    holds state 0."""
-    level = _levels(automaton.targets)
-    of, class_rows = automaton.row_classes
-    back = _levels(automaton.class_predecessors,
-                   [k for k, row in enumerate(class_rows) if 0 in row])
-    if min(level) < 0 or min((back[k] for k in of[1:]), default=0) < 0:
+    """Breadth-first levels of the row classes from class 0, which holds
+    state 0, if the automaton is irreducible, else None.  With ``T =
+    P·B`` (``P`` maps states to classes, ``B`` classes to rows), the
+    states are strongly connected exactly when the class graph ``B·P``
+    is and every state lies in some row, or there is only one state."""
+    of, rows = automaton.row_classes
+    if len(of) > 1 and len({j for row in rows for j in row}) < len(of):
+        return None
+    level = _levels([[of[j] for j in row] for row in rows])
+    if min(level) < 0 or min(_levels(automaton.class_predecessors)) < 0:
         return None
     return level
 
@@ -424,25 +422,25 @@ def _irreducible_levels(automaton: CodingAutomaton) -> Optional[list[int]]:
 def check_transitive(automaton: CodingAutomaton
                      ) -> tuple[bool, Optional[int]]:
     """Strong connectivity plus the smallest power of the transition
-    matrix with all entries positive (None if reducible or periodic).
-
-    The period is the gcd of ``level[i] + 1 - level[j]`` over the edges
-    ``i -> j``, with breadth-first levels from state 0.  At period 1 the
-    powers run as bitset rows, row ``p`` of state ``i`` holding the
-    states that walks of length ``p`` from ``i`` reach, until every row
-    is full, which a primitive matrix reaches."""
+    matrix with all entries positive (None if reducible or periodic),
+    both on the row classes.  ``T = P·B`` and ``B·P`` share their nonzero
+    spectrum, hence their period: the gcd of ``level[k] + 1 - level[k']``
+    over the class edges ``k -> k'``.  ``T^p = P·(B·P)^(p-1)·B`` is
+    positive exactly when each class's row of ``(B·P)^(p-1)·B`` is full;
+    those rows run as bitsets, ``reach[k]`` the states that walks of
+    length ``p`` from class ``k`` reach, until all are full."""
     level = _irreducible_levels(automaton)
     if level is None:
         return False, None
-    rows, cols = automaton.edges
-    level = np.array(level)
-    if np.gcd.reduce(level[rows] + 1 - level[cols]) != 1:
+    of, rows = automaton.row_classes
+    if math.gcd(*(level[k] + 1 - level[of[j]]
+                  for k, row in enumerate(rows) for j in row)) != 1:
         return True, None
-    full = (1 << len(automaton)) - 1
-    reach = [sum(1 << j for j in row) for row in automaton.targets]
+    full = (1 << len(of)) - 1
+    reach = [sum(1 << j for j in row) for row in rows]
     power = 1
     while reach.count(full) < len(reach):
-        reach = [reduce(or_, map(reach.__getitem__, row)) for row in automaton.targets]
+        reach = [reduce(or_, [reach[of[j]] for j in row]) for row in rows]
         power += 1
     return True, power
 

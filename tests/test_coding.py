@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from laddersand.burning import advance_rung_state, first_rung_state, max_rung
 from laddersand.census import (count_series, enum_rungs, iter_left_burnable,
                                recurrent_growth_rate)
-from laddersand.coding import (CodingAutomaton, _lump, build_coding,
-                               check_transitive, decode, encode,
+from laddersand.coding import (CodingAutomaton, _irreducible_levels, _lump,
+                               build_coding, check_transitive, decode, encode,
                                influence_maps_monotone, parry_chain, restrict,
                                spectral)
 from laddersand.errors import FeasibilityError, ValidationError
@@ -123,6 +123,28 @@ def test_transitive_matches_dense_powers(point, path2, path3, cycle3):
     assert [check_transitive(a) for a in autos[:10]] == [
         (True, None), (True, None), (False, None), (False, None), (True, 1),
         (True, 2), (True, 5), (True, 3), (False, None), (True, None)]
+
+
+@st.composite
+def _successor_relations(draw):
+    """Successor rows of 1-8 states, each drawn from a few shared rows,
+    so that states often share a row and some lie in no row."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n, unique=True),
+                         min_size=1, max_size=n))
+    return [sorted(draw(st.sampled_from(pool))) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_successor_relations())
+@example(rows=[[]]).via("a lone state without successors")
+@example(rows=[[0]]).via("a lone state with a self-loop")
+@example(rows=[[0], [0]]).via("a state in no row, on a strongly connected class graph")
+def test_transitive_matches_dense_powers_on_random_relations(rows):
+    auto = _toy(builtin_graph("path2"), *rows)
+    expected = _dense_transitivity(auto)
+    assert (_irreducible_levels(auto) is not None) == expected[0]
+    assert check_transitive(auto) == expected
 
 
 def test_transitive_path5_without_the_dense_matrix(monkeypatch):

@@ -433,8 +433,8 @@ def check_transitive(automaton: CodingAutomaton
     if level is None:
         return False, None
     of, rows = automaton.row_classes
-    if math.gcd(*(level[k] + 1 - level[of[j]]
-                  for k, row in enumerate(rows) for j in row)) != 1:
+    if math.gcd(*[level[k] + 1 - level[of[j]]
+                  for k, row in enumerate(rows) for j in row]) != 1:
         return True, None
     full = (1 << len(of)) - 1
     reach = [sum(1 << j for j in row) for row in rows]

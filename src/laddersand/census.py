@@ -4,37 +4,44 @@ Counts are exact integers.  One engine per graph (:class:`_SequenceDFS`)
 decides every window verdict the library computes for itself, reading
 each row's burn off the one-rung burn table
 (:func:`~laddersand.burning.burn_table`, whose rows it burns the first
-time a stable rung is read).  Walks and brute counts run on *transfer
-states*: for each vertex set held burnt right of a prefix, its last
-row's burn and whether every row burns.  Taking the burn's least fixed
-point one row at a time (Bekić's lemma), later rungs meet a prefix only
-through that state, and a rejected prefix has no accepted extension.
-A call takes each state's child after a rung once, whole, and keeps
-equal children as one.  The depth-first walk yields every accepted
-prefix in rung order, over the rung symbols with ignition (a prefix
-that cannot ignite its last rung is pruned) or over the single-rung
-recurrent rungs without it.  The verdicts on one window known in full
-push its rows on burnt-row masks in place by a closure instead, which
-reads far fewer table entries per rung than a whole state takes: one
-pass decides recurrence and the left boundary layer of
+time a stable rung is read).  It runs on *transfer states*: for each
+vertex set held burnt right of a prefix, its last row's burn and whether
+every row burns.  Taking the burn's least fixed point one row at a time
+(Bekić's lemma), later rungs meet a prefix only through that state, and
+a rejected prefix has no accepted extension.
+
+Walks, brute counts and the verdicts on single windows read one memo of
+steps that the engine keeps for its life: the states it has met,
+numbered, and per state the child after each table row read from it,
+or a mark that the child rejects.  That is the right-resolving
+presentation of the accepted prefixes (Lind and Marcus 1995, ch. 3),
+grown only as far as the engine reads it, so it is bounded by the
+transfer states reachable from the burnt left sink and the right-seeded
+sink over the rows read.  Each step is taken whole once, and the
+children at the last length a walk or count asks for are only tested,
+in the entries acceptance needs.  The depth-first walk yields every
+accepted prefix in rung order, over the rung symbols with ignition (a
+prefix that cannot ignite its last rung is pruned) or over the
+single-rung recurrent rungs without it.  One run over a window decides
+recurrence and the left boundary layer of
 :func:`laddersand.measures.boundary_layer`, one over the mirror the right.
 
 Brute counts (:meth:`_SequenceDFS.count`) go one length at a time over
-whole transfer states, so the prefixes sharing a state are counted
-together, and the states stay bounded as the windows grow.  Each length
-may draw its own rungs (the mixture pins an event's).  ``S``/``S0`` pair
-the left-seeded state with the right-seeded one.  A count is refused as
-soon as one length holds more than ``max_states`` states, the cap that
-bounds the coding automaton's states too.
+transfer states, so the prefixes sharing a state are counted together,
+and the states stay bounded as the windows grow.  Each length may draw
+its own rungs (the mixture pins an event's).  ``S``/``S0`` pair the
+left-seeded state with the right-seeded one.  A count is refused as soon
+as one length holds more than ``max_states`` states, the cap that bounds
+the coding automaton's states too.
 
 The coding automaton is built on the engine as well
 (:meth:`_SequenceDFS.fold`): every transfer state reachable from the
 left sink over the rung symbols with ignition, each layer of newly found
 states stepped under every rung at once by numpy gathers into the table
-rows.  The engine keeps its table rows between calls and nothing else.
-The brute counts read nothing of the automaton and step their states
-one at a time (:meth:`_SequenceDFS.right_step`, whose steps the fold's
-are tested against), so they stay its independent check.
+rows, without the memo.  The brute counts read nothing of the automaton
+and step their states one at a time (:meth:`_SequenceDFS.right_step`,
+whose steps the fold's are tested against), so they stay its
+independent check.
 """
 
 from __future__ import annotations
@@ -127,35 +134,10 @@ def single_rung_recurrent(graph: Graph) -> tuple[RungConfig, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The census engine: transfer states for walks, counts and the coding
-# automaton, a burnt-row closure for single windows
+# The census engine: transfer states, and one memo of their steps
 # ---------------------------------------------------------------------------
 
-def _close(burnt: list[int], tbls: Sequence, dirty: int, full: int, n: int) -> None:
-    """Burning closure over burnt-row masks: reprocess dirty rows (a
-    bitmask of row indices) until nothing new burns.  ``tbls[j]`` is the
-    one-rung burn table's row for the rung of row ``j``, indexed by
-    ``below << n | above``: a row's burn sees the burnt vertices beside
-    it and the open left end below row 0.  A row only grows and always
-    lies inside the burn of its current neighbours, so that burn is its
-    new value."""
-    top = len(burnt) - 1
-    while dirty:
-        jbit = dirty & -dirty
-        dirty ^= jbit
-        j = jbit.bit_length() - 1
-        row = burnt[j]
-        if row == full:
-            continue
-        below = burnt[j - 1] if j else full
-        above = burnt[j + 1] if j < top else 0
-        new = tbls[j][(below << n) | above]
-        if new != row:
-            burnt[j] = new
-            if j:
-                dirty |= jbit >> 1
-            if j < top:
-                dirty |= jbit << 1
+_DEAD = -1  # a memo child that was only tested and rejects
 
 
 class _Fold(NamedTuple):
@@ -172,15 +154,24 @@ class _Fold(NamedTuple):
 
 
 class _SequenceDFS:
-    """The census engine of one graph.  Walks and counts follow each
-    prefix's transfer state (:meth:`right_step`), from the burnt left
-    sink :attr:`source` or, right-seeded, from :attr:`sink`, taking each
-    state's children whole through one memo per call (:meth:`_child`); a
-    count merges the prefixes that share a state.  The coding automaton
-    is its transfer states found a layer at a time (:meth:`fold`).  The
-    verdicts on a single window extend its resting left-seeded burnt-row
-    masks by a closure instead (:meth:`_pass`).  It keeps nothing but
-    table rows from one call to the next."""
+    """The census engine of one graph.  Walks, counts and the verdicts on
+    single windows follow each prefix's transfer state (:meth:`right_step`)
+    from the burnt left sink :attr:`source` or, right-seeded, from
+    :attr:`sink`, through one memo of steps that lives as long as the
+    engine and is made on first use.  The memo numbers the states it has
+    met, ``source`` 0 and ``sink`` 1, and keeps two flags per state: it
+    ignites (entry 0 is not empty) and it accepts (entry ``full`` is
+    flagged).  Per state it keeps a dict from table row to the child's
+    number, or to :data:`_DEAD` where the child was only tested and does
+    not accept, so that no extension is accepted either.  A child that
+    does not accept is numbered only where it was needed whole: a
+    right-seeded count's state, or a run over a window that is not
+    recurrent.  The memo is bounded by the transfer states reachable from
+    the two seeds over the rows read.  The coding automaton is the
+    left-seeded part found a layer at a time (:meth:`fold`), which reads
+    and fills no memo."""
+
+    _kids: Optional[list[dict]] = None  # the memo, made on first use
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -210,57 +201,109 @@ class _SequenceDFS:
         self.tables.update(zip(missing, map(bytes, burn_table(self.graph, missing))))
         return [self.tables[c] for c in rungs]
 
-    def _pass(self, rungs: Sequence[RungConfig], tbls: Sequence[bytes],
-              ignite: bool, sink: bool = True) -> tuple[int, bool]:
-        """Push a window's rows one at a time on its resting burnt-row
-        masks, in place.  Returns the index of the last maximal rung among
-        the leading rows that ignite in turn, or -1 (a row's burn grows
-        from nothing, so its first round decides; with ``ignite`` the pass
-        stops at the first that does not, as no extension is then
-        left-burnable), and, with ``sink``, whether every row burns under a
-        fully burnt row above: left-burnability after an ignited pass,
-        recurrence after any (burning is order-free)."""
-        n, full, cmax = self.n, self.full, self.cmax
-        burnt: list[int] = []
-        last, lit = -1, True
+    def _memo(self) -> list[dict]:
+        """The memo's child dicts, made with the two seeds on first use."""
+        if self._kids is None:
+            self._kids, self._ids, self._states, self._flags = [], {}, [], []
+            self._id(self.source)
+            self._id(self.sink)
+        return self._kids
+
+    def _id(self, state: tuple[int, ...]) -> int:
+        """The number of a transfer state, given on first sight."""
+        s = self._ids.get(state)
+        if s is None:
+            s = self._ids[state] = len(self._states)
+            self._states.append(state)
+            self._kids.append({})
+            self._flags.append(bool(state[0] & self.full) | state[self.full] >> self.n << 1)
+        return s
+
+    def _step(self, s: int, tbl: bytes) -> int:
+        """The number of state ``s``'s child after table row ``tbl``, a
+        rejected one too, stepped whole (:meth:`right_step`) on first use."""
+        kids = self._kids[s]
+        kid = kids.get(tbl, _DEAD)
+        if kid == _DEAD:
+            kid = kids[tbl] = self._id(self.right_step(self._states[s], tbl))
+        return kid
+
+    def _take(self, s: int, tbls: Sequence[bytes], ignite: bool, whole: bool
+              ) -> list[tuple[int, Optional[int]]]:
+        """The positions ``k`` in ``tbls`` whose child of state ``s`` is
+        accepted, each with the child's number.  A child accepts when it
+        burns every row under a burnt right end (entry ``full``) and, with
+        ``ignite``, burns with nothing there (entry 0, not empty iff its
+        first round is not).  One the memo lacks is tested in those
+        entries' rounds (:meth:`_entry`); with ``whole`` an accepted one is
+        then stepped and a rejected one marked dead, otherwise it is kept
+        nowhere and its number is None."""
+        n, full = self.n, self.full
+        kids, state, flags = self._kids[s], self._states[s], self._flags
+        need = 3 if ignite else 2
+        first, out = (state[0] & full) << n, []
+        for k, tbl in enumerate(tbls):
+            kid = kids.get(tbl)
+            if kid is None:
+                if ignite and not tbl[first]:
+                    continue
+                y, z = -1, 0
+                while z != y:
+                    y, z = z, tbl[(state[z] & full) << n | full]
+                if y != full or not state[y] >> n:
+                    if whole:
+                        kids[tbl] = _DEAD
+                    continue
+                if whole:
+                    kid = kids[tbl] = self._id(self.right_step(state, tbl))
+                out.append((k, kid))
+            elif kid != _DEAD and flags[kid] & need == need:
+                out.append((k, kid))
+        return out
+
+    def _run(self, rungs: Sequence[RungConfig], tbls: Sequence[bytes], ignite: bool
+             ) -> tuple[int, bool]:
+        """Step a window's rows from :attr:`source` through the memo.
+        Returns the index of the last maximal rung among the leading rows
+        that ignite in turn, or -1, and whether the window is accepted:
+        recurrent, or with ``ignite`` left-burnable, in which case the run
+        stops at the first row that does not ignite (no extension is then
+        left-burnable).  Once no row can change either answer the run
+        stops."""
+        kids, flags, cmax = self._memo(), self._flags, self.cmax
+        s, last, lit = 0, -1, 1
         for k, (c, tbl) in enumerate(zip(rungs, tbls)):
-            row = tbl[(burnt[-1] if k else full) << n]  # the first round
-            if not row:
-                if ignite:
+            kid = kids[s].get(tbl, _DEAD)
+            s = self._step(s, tbl) if kid == _DEAD else kid
+            lit &= flags[s]
+            if not lit:
+                if ignite or not flags[s] & 2:
                     return last, False
-                lit = False
-            elif lit and c == cmax:
+            elif c == cmax:
                 last = k
-            burnt.append(row)
-            if row and k:
-                _close(burnt, tbls, 1 << k - 1, full, n)
-        if not sink:
-            return last, False
-        burnt.append(full)  # a full row is never reprocessed
-        _close(burnt, tbls, 1 << len(tbls) - 1, full, n)
-        return last, burnt.count(full) == len(burnt)
+        return last, flags[s] > 1
 
     def accepts(self, rungs: Sequence[RungConfig], ignite: bool = True) -> bool:
         """Left-burnability (with ``ignite``) or recurrence of a nonempty
-        rung sequence, in one pass."""
-        return self._pass(rungs, self.rows(rungs), ignite)[1]
+        rung sequence, in one run."""
+        return self._run(rungs, self.rows(rungs), ignite)[1]
 
     def last_max_prefix(self, rungs: Sequence[RungConfig]) -> int:
         """The index of the last maximal rung of a recurrent window that
-        ends a left-burnable prefix, or -1: the last one an ignited pass
-        pushes (left-burnability is closed under prefixes).  A pushed
-        maximal rung burns whole, and the window's ordinary burn reaches
+        ends a left-burnable prefix, or -1: the last one an ignited run
+        steps (left-burnability is closed under prefixes).  A maximal rung
+        that ignites burns whole, and the window's ordinary burn reaches
         the rows below it only through it and the left sink, so in that
         burn's order they all burn here too."""
-        return self._pass(rungs, self.rows(rungs), True, sink=False)[0]
+        return self._run(rungs, self.rows(rungs), True)[0]
 
     def layers(self, rungs: Sequence[RungConfig]) -> tuple[bool, int, int]:
         """Recurrence of a nonempty rung sequence and :meth:`last_max_prefix`
         of it and of its mirror image, its table rows read once; an
-        unignited pass pushes what an ignited one does."""
+        unignited run finds what an ignited one does."""
         tbls = self.rows(rungs)
-        left, recurrent = self._pass(rungs, tbls, False)
-        return recurrent, left, self._pass(rungs[::-1], tbls[::-1], True, sink=False)[0]
+        left, recurrent = self._run(rungs, tbls, False)
+        return recurrent, left, self._run(rungs[::-1], tbls[::-1], True)[0]
 
     def _entry(self, state, tbl: bytes, t: int, z: int = 0) -> int:
         """Entry ``t`` of :meth:`right_step`: the new row's burn is the least
@@ -365,74 +408,28 @@ class _SequenceDFS:
         return _Fold(np.concatenate(layers), first, np.concatenate(src or [empty]),
                      np.concatenate(rung or [empty]), np.concatenate(dst or [empty]))
 
-    def _accepted(self, state, row: dict, steps, ignite: bool) -> list[int]:
-        """The positions in ``steps`` of the rungs whose child of ``state``
-        burns every row under a burnt right end (entry ``full``) and, with
-        ``ignite``, burns with nothing there (entry 0, nonzero iff its
-        first round is): read off the child where ``row`` (:meth:`_child`)
-        has it, otherwise in :meth:`_entry`'s rounds."""
-        n, full = self.n, self.full
-        first, out = (state[0] & full) << n, []
-        for i, (c, tbl) in enumerate(steps):
-            child = row.get(c)
-            if child is not None:
-                if child and child[full] >> n:
-                    out.append(i)
-            elif not ignite or tbl[first]:
-                y, z = -1, 0
-                while z != y:
-                    y, z = z, tbl[(state[z] & full) << n | full]
-                if y == full and state[y] >> n:
-                    out.append(i)
-        return out
-
-    def _accepts(self, state, tbl: bytes, ignite: bool) -> bool:
-        """:meth:`_accepted` of one table row, by :meth:`_entry`."""
-        n, full = self.n, self.full
-        return bool((not ignite or tbl[(state[0] & full) << n])
-                    and self._entry(state, tbl, full) >> n)
-
-    def _child(self, row: dict, seen: dict, state, c: RungConfig, tbl: bytes,
-               ignite: Optional[bool] = None) -> tuple[int, ...]:
-        """The child of ``state`` after rung ``c`` (table row ``tbl``), kept
-        in ``row``, the call's memo of the state's children, which callers
-        read first: whole (:meth:`right_step`), as the copy in ``seen`` if
-        there is one, or ``()`` if ``ignite`` is given and it rejects."""
-        child = (self.right_step(state, tbl) if ignite is None
-                 or self._accepts(state, tbl, ignite) else None)
-        row[c] = child = seen.setdefault(child, child) if child else ()
-        return child
-
     def walk(self, rungs: Sequence[RungConfig], n_max: int, ignite: bool
              ) -> Iterator[list[RungConfig]]:
         """Every burnable sequence of at most ``n_max`` of the given
         rungs, the empty one first, depth first in their order, as the
-        walk's own path (copy what you keep).  A node's children are taken
-        by state (:meth:`_child`), but those of ``n_max`` rungs are only
-        tested, all at once (:meth:`_accepted`).  With ``ignite`` the
-        sequences are left-burnable, otherwise recurrent; either way a
-        prefix that is not burnable has no burnable extension."""
-        steps = list(zip(rungs, self.rows(rungs)))
-        moves: dict = {}  # state -> rung -> child, () when rejected
-        seen: dict = {}  # each distinct child once
+        walk's own path (copy what you keep).  A node's accepted children
+        are read off the memo (:meth:`_take`), and those of ``n_max`` rungs
+        are only tested.  With ``ignite`` the sequences are left-burnable,
+        otherwise recurrent; either way a prefix that is not burnable has
+        no burnable extension."""
+        tbls = self.rows(rungs)
+        self._memo()
         path: list[RungConfig] = []
         yield path
-        stack = [(self.source, moves.setdefault(self.source, {}), iter(steps))] if n_max else []
+        stack = [iter(self._take(0, tbls, ignite, n_max > 1))] if n_max else []
         while stack:
-            state, row, children = stack[-1]
-            if len(path) + 1 == n_max:  # its children have no children
-                row, children = None, [steps[i] for i in self._accepted(state, row, steps, ignite)]
-            for c, tbl in children:
-                if row is None:
-                    path.append(c)
-                    yield path
-                    path.pop()
-                elif child := (row[c] if c in row
-                               else self._child(row, seen, state, c, tbl, ignite)):
-                    path.append(c)
-                    yield path
-                    stack.append((child, moves.setdefault(child, {}), iter(steps)))
+            for k, kid in stack[-1]:
+                path.append(rungs[k])
+                yield path
+                if len(path) < n_max:
+                    stack.append(iter(self._take(kid, tbls, ignite, len(path) + 1 < n_max)))
                     break
+                path.pop()
             else:
                 stack.pop()
                 if path:
@@ -443,51 +440,44 @@ class _SequenceDFS:
               ) -> list[int]:
         """The number of burnable sequences of each length ``0..len(depths)``
         whose ``k``-th rung is one of ``depths[k - 1]``, counted one length
-        at a time by transfer state (:meth:`right_step`), all that later
-        rungs see of a prefix: a layer maps each state to its number of
-        accepted prefixes.  Children are taken by state (:meth:`_child`);
-        the last layer's are only tested, on the children taken already or
-        the entries acceptance needs (:meth:`_accepted`).  A rejected
-        prefix has no accepted extension.  With ``two_sided`` the state adds the right-seeded one
-        from :attr:`sink`, which is never dropped.  A layer of more than
-        ``max_states`` states (pairs, two-sided) is refused as soon as it
-        holds them; the layers of lengths below ``len(depths)`` are the ones
-        kept."""
-        n, full = self.n, self.full
+        at a time by transfer state, all that later rungs see of a prefix:
+        a layer maps each state to its number of accepted prefixes.  The
+        states' children are read off the memo (:meth:`_take`), and those
+        of the last length are only tested.  A rejected prefix has no
+        accepted extension.  With ``two_sided`` the state adds the
+        right-seeded one from :attr:`sink`, stepped whole and never dropped
+        (:meth:`_step`).  A layer of more than ``max_states`` states (pairs,
+        two-sided) is refused as soon as it holds them; the layers of
+        lengths below ``len(depths)`` are the ones kept."""
+        self._memo()
+        flags = self._flags
         counts = [1] + [0] * len(depths)
         # (left-seeded state, right-seeded state or None) -> prefixes
-        layer = {(self.source, self.sink if two_sided else None): 1}
-        lmoves: dict = {}  # state -> rung -> child, () when rejected
-        rmoves: dict = {}
-        seen: dict = {}  # each distinct child once
-
+        layer = {(0, 1 if two_sided else None): 1}
         for depth, rungs in enumerate(depths, start=1):
-            steps = list(zip(rungs, self.rows(rungs)))
+            tbls = self.rows(rungs)
             if depth == len(depths):
-                # the accepted rungs' positions, one set per state and side
-                lsets = {left: set(self._accepted(left, lmoves.get(left, {}), steps, ignite))
+                # the accepted rungs' positions as the bits of one int per
+                # state and side
+                lbits = {left: sum(1 << k for k, _ in self._take(left, tbls, ignite, False))
                          for left in {left for left, _ in layer}}
-                rsets = ({right: set(self._accepted(right, rmoves.get(right, {}), steps, False))
+                rbits = ({right: sum(1 << k for k, _ in self._take(right, tbls, False, False))
                           for right in {right for _, right in layer}} if two_sided
-                         else {None: set(range(len(steps)))})
-                counts[depth] = sum(mult * len(lsets[left] & rsets[right])
+                         else {None: (1 << len(tbls)) - 1})
+                counts[depth] = sum(mult * (lbits[left] & rbits[right]).bit_count()
                                     for (left, right), mult in layer.items())
                 break
             nxt: dict = {}
             for (left, right), mult in layer.items():
-                lrow, rrow = lmoves.setdefault(left, {}), rmoves.setdefault(right, {})
-                for c, tbl in steps:
-                    child = lrow[c] if c in lrow else self._child(lrow, seen, left, c, tbl, ignite)
-                    if child:
-                        key = child, (None if not two_sided else rrow[c] if c in rrow
-                                      else self._child(rrow, seen, right, c, tbl))
-                        nxt[key] = nxt.get(key, 0) + mult
+                for k, kid in self._take(left, tbls, ignite, True):
+                    key = kid, None if right is None else self._step(right, tbls[k])
+                    nxt[key] = nxt.get(key, 0) + mult
                 if len(nxt) > max_states:
                     raise FeasibilityError(f"brute count exceeded max_states={max_states} "
                                            f"transfer states at {depth} rungs")
             layer = nxt
             counts[depth] = sum(mult for (_, right), mult in layer.items()
-                                if right is None or right[full] >> n)
+                                if right is None or flags[right] > 1)
         return counts
 
 

@@ -4,10 +4,12 @@
 before they ran on transfer states: it keeps the left-seeded burning
 state of a prefix as burnt-row bitmasks and appends a rung by a closure
 over those rows, reading each row's burn from the one-rung burn table.
-The package still decides single windows by that closure.  It is kept
-verbatim so that the tests can require the package's engine to give the
-same walks and verdicts, and the brute counts can be checked against an
-engine they share no code with.
+The package decided single windows by that closure too, until its
+verdicts moved onto the census engine's memo of transfer-state steps;
+this file is now the only burnt-row closure, kept as the oracle.  It is
+kept verbatim so that the tests can require the package's engine to
+give the same walks and verdicts, and the brute counts can be checked
+against an engine they share no code with.
 """
 
 from __future__ import annotations

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from laddersand.burning import (burn_table, full_burnable, is_rung_symbol, left_burnable,
                                 leftmost_schedule, max_rung, right_burnable,
                                 window_heights)
-from laddersand.census import (VARIANTS, _bareiss_det, _SequenceDFS, _engine,
+from laddersand.census import (_DEAD, VARIANTS, _bareiss_det, _SequenceDFS, _engine,
                                count_series, entropy_bounds, enum_rungs,
                                iter_left_burnable, iter_recurrent, recurrent_counts,
                                renewal_identity_check, single_rung_recurrent)
 from laddersand.coding import build_coding, restrict
 from laddersand.errors import FeasibilityError, ValidationError
 from laddersand.graphs import builtin_graph, laplacian_entry
-from laddersand.measures import _AutomatonBundle, boundary_layer
+from laddersand.measures import _AutomatonBundle, boundary_layer, sample_chain_windows
 from laddersand.toppling import LadderConfig
 from reference_census import _RowMaskEngine
 from test_coding import connected_graphs
@@ -705,21 +705,27 @@ def _inline_right_step(dfs, state, tbl):
 @given(data=st.data())
 def test_right_step_is_its_entries(data):
     # every entry is one fixed point, and acceptance reads the entries
-    # it needs without taking the step
+    # it needs without taking the step: tested, then taken into the memo
+    # and read back off it
     graph = builtin_graph(data.draw(st.sampled_from(
         ["point", "path2", "path3", "cycle3", "path4"])))
     dfs = _SequenceDFS(graph)
     n, full = dfs.n, dfs.full
     rungs = data.draw(st.lists(st.sampled_from(_stable_rungs(graph)),
                                min_size=1, max_size=5))
+    dfs._memo()
     for state in (tuple(full | 1 << n for _ in range(1 << n)), dfs.sink):
         for tbl in dfs.rows(rungs):
             child = dfs.right_step(state, tbl)
             assert child == _inline_right_step(dfs, state, tbl)
             assert child == tuple(dfs._entry(state, tbl, t) for t in range(1 << n))
+            s = dfs._id(state)
             for ignite in (False, True):
-                assert dfs._accepts(state, tbl, ignite) == bool(
-                    child[full] >> n and (not ignite or child[0] & full))
+                accepted = bool(child[full] >> n and (not ignite or child[0] & full))
+                for whole in (False, True):
+                    taken = dfs._take(s, [tbl], ignite, whole)
+                    assert [k for k, _ in taken] == ([0] if accepted else [])
+                assert all(dfs._states[kid] == child for _, kid in taken)
             state = child
 
 
@@ -739,8 +745,8 @@ def test_fold_is_the_bfs_of_right_step(name):
     reached, queue = set(), [dfs.source]
     for state in queue:
         for tbl in tbls:
-            if dfs._accepts(state, tbl, ignite=True):
-                child = dfs.right_step(state, tbl)
+            child = dfs.right_step(state, tbl)
+            if child[full] >> n and child[0] & full:
                 if child not in reached:
                     reached.add(child)
                     queue.append(child)
@@ -839,6 +845,10 @@ def test_table_rows_are_bytes_of_the_burn_table(name):
     assert [list(row) for row in rows] == burn_table(graph, rungs).tolist()
     windows = [list(w) for w in itertools.islice(
         itertools.product(rungs, repeat=3), 0, None, max(1, len(rungs) ** 3 // 400))]
+    _check_windows_against_reference(dfs, ref, windows)
+
+
+def _check_windows_against_reference(dfs, ref, windows):
     for window in windows:
         assert dfs.layers(window) == (ref.accepts(window, False),
                                       ref.last_max_prefix(window),
@@ -846,26 +856,87 @@ def test_table_rows_are_bytes_of_the_burn_table(name):
         assert dfs.accepts(window) == ref.accepts(window, True)
 
 
-def test_the_engine_keeps_only_table_rows_between_calls(path2):
-    # every call starts from the two seed states and takes its own steps
-    dfs = _engine(path2)
-    kept = dict(vars(dfs))
-    for variant in VARIANTS:
-        count_series(path2, variant, 5)
-    windows = list(iter_recurrent(path2, 3))
-    list(iter_left_burnable(path2, 3))
-    for w in windows[:50]:
-        boundary_layer(path2, LadderConfig.from_rungs(w, start=0))
-    assert _engine(path2) is dfs
-    assert vars(dfs).keys() == kept.keys()
-    assert all(vars(dfs)[k] is v for k, v in kept.items())
+@pytest.mark.parametrize("name, width", [("path2", 64), ("path4", 64), ("cycle4", 64),
+                                         ("path5", 16)])
+def test_long_windows_match_the_reference_engine(name, width):
+    # chain-sampled windows (left-burnable), mirror images of others
+    # (right-burnable), joins of the two, and windows with one stable rung
+    # swapped in or with a second rung that ends a prefix that is not
+    # recurrent, read after a count of two rungs has marked those
+    # prefixes' children dead in the memo
+    graph = builtin_graph(name)
+    dfs, ref = _SequenceDFS(graph), _RowMaskEngine(graph)
+    recurrent = single_rung_recurrent(graph)
+    dfs.count([recurrent, recurrent, []], ignite=False)
+    left = [list(w) for w in sample_chain_windows(graph, width, 12, seed=29)]
+    right = [list(w)[::-1] for w in sample_chain_windows(graph, width, 12, seed=30)]
+    stable = _stable_rungs(graph)
+    windows = left + right
+    for k, (a, b) in enumerate(zip(left, right)):
+        cut = (k * 5 + 3) % width
+        windows.append(a[:cut] + b[cut:])
+        windows.append(a[:cut] + [stable[k * 7 % len(stable)]] + a[cut + 1:])
+        turned = recurrent[k:] + recurrent[:k]
+        dead = next((c for c in turned if not ref.accepts([a[0], c], False)), None)
+        if dead is not None:
+            windows.append(a[:1] + [dead] + a[2:])
+    assert len(windows) > 4 * len(left)
+    _check_windows_against_reference(dfs, ref, windows)
+
+
+@pytest.mark.parametrize("name", ["path2", "cycle3"])
+def test_the_engine_keeps_one_memo_of_right_steps(name, monkeypatch):
+    # an engine that has only read table rows and folded holds no memo;
+    # counts, walks and boundary layers then fill one memo, which the same
+    # calls repeated read without a step, and whose every entry is
+    # right_step of its state (or, marked dead, a child that rejects)
+    graph = builtin_graph(name)
+    _engine.cache_clear()
+    dfs = _engine(graph)
+    dfs.fold(enum_rungs(graph).rungs, 10 ** 6)
+    assert "_kids" not in vars(dfs)
+
+    def calls():
+        counts = [count_series(graph, variant, 4).values for variant in VARIANTS]
+        walks = [list(iter_recurrent(graph, 3)), list(iter_left_burnable(graph, 3))]
+        layers = [boundary_layer(graph, LadderConfig.from_rungs(w, start=0))
+                  for w in walks[0][::7]]
+        return counts, walks, layers
+
+    first = calls()
+    steps = []
+    right_step = _SequenceDFS.right_step
+
+    def counted(self, state, tbl):
+        steps.append((state, tbl))
+        return right_step(self, state, tbl)
+
+    monkeypatch.setattr(_SequenceDFS, "right_step", counted)
+    assert calls() == first
+    assert steps == [] and _engine(graph) is dfs
+    n, full = dfs.n, dfs.full
+    assert dfs._states[:2] == [dfs.source, dfs.sink]
+    assert len(dfs._kids) == len(dfs._ids) == len(dfs._flags) == len(dfs._states)
+    dead = 0
+    for s, (state, kids) in enumerate(zip(dfs._states, dfs._kids)):
+        assert dfs._ids[state] == s
+        assert dfs._flags[s] == bool(state[0] & full) | state[full] >> n << 1
+        for tbl, kid in kids.items():
+            child = right_step(dfs, state, tbl)
+            if kid == _DEAD:
+                dead += 1
+                assert not child[full] >> n
+            else:
+                assert dfs._states[kid] == child
+    assert dead > 0
 
 
 @pytest.mark.parametrize("name, n_max", [("path3", 3), ("cycle4", 2), ("path5", 2)])
 def test_walks_step_each_state_and_rung_at_most_once(name, n_max, monkeypatch):
     # a walk takes a whole step only to descend from a prefix shorter than
     # n_max, once per distinct state of those prefixes and rung (its table
-    # row) within the call, and only tests the prefixes of n_max rungs
+    # row) within the engine's life, and only tests the prefixes of n_max
+    # rungs
     graph = builtin_graph(name)
     dfs = _SequenceDFS(graph)
     rungs = single_rung_recurrent(graph)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
 from operator import contains
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -261,7 +261,7 @@ class _SequenceDFS:
                 out.append((k, kid))
         return out
 
-    def _run(self, rungs: Sequence[RungConfig], tbls: Sequence[bytes], ignite: bool
+    def _run(self, rungs: Iterable[RungConfig], tbls: Iterable[bytes], ignite: bool
              ) -> tuple[int, bool]:
         """Step a window's rows from :attr:`source` through the memo.
         Returns the index of the last maximal rung among the leading rows
@@ -283,27 +283,18 @@ class _SequenceDFS:
                 last = k
         return last, flags[s] > 1
 
-    def accepts(self, rungs: Sequence[RungConfig], ignite: bool = True) -> bool:
-        """Left-burnability (with ``ignite``) or recurrence of a nonempty
-        rung sequence, in one run."""
-        return self._run(rungs, self.rows(rungs), ignite)[1]
-
-    def last_max_prefix(self, rungs: Sequence[RungConfig]) -> int:
-        """The index of the last maximal rung of a recurrent window that
-        ends a left-burnable prefix, or -1: the last one an ignited run
-        steps (left-burnability is closed under prefixes).  A maximal rung
+    def layers(self, rungs: Sequence[RungConfig]) -> tuple[bool, int, int]:
+        """Recurrence of a nonempty rung sequence, and the index of the last
+        maximal rung of it and of its mirror image that ends a
+        left-burnable prefix, or -1, its table rows read once.  That rung
+        is the last one an ignited run steps (left-burnability is closed
+        under prefixes); an unignited run finds it too.  A maximal rung
         that ignites burns whole, and the window's ordinary burn reaches
         the rows below it only through it and the left sink, so in that
         burn's order they all burn here too."""
-        return self._run(rungs, self.rows(rungs), True)[0]
-
-    def layers(self, rungs: Sequence[RungConfig]) -> tuple[bool, int, int]:
-        """Recurrence of a nonempty rung sequence and :meth:`last_max_prefix`
-        of it and of its mirror image, its table rows read once; an
-        unignited run finds what an ignited one does."""
         tbls = self.rows(rungs)
         left, recurrent = self._run(rungs, tbls, False)
-        return recurrent, left, self._run(rungs[::-1], tbls[::-1], True)[0]
+        return recurrent, left, self._run(reversed(rungs), reversed(tbls), True)[0]
 
     def _entry(self, state, tbl: bytes, t: int, z: int = 0) -> int:
         """Entry ``t`` of :meth:`right_step`: the new row's burn is the least

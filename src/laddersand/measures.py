@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -463,8 +463,7 @@ def _weighted_pick(rng: random.Random, weights: list[tuple[int, int]]) -> int:
 # Boundary layers and the finite-window mixture
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryLayers:
+class BoundaryLayers(NamedTuple):
     """Positions splitting a recurrent window into a left-burnable part
     and a right-burnable part, with the hatted variants skipping the
     extreme maximal rung.  Sentinels ``n-1`` / ``m+1`` mean "none"."""
@@ -489,7 +488,7 @@ def boundary_layer(graph: Graph, config: LadderConfig) -> BoundaryLayers:
     if heights.shape != (len(window), graph.n):
         raise ValidationError(f"heights of shape {heights.shape} do not fit "
                               f"{len(window)} rungs of {graph.n} vertices")
-    rungs = [tuple(row) for row in heights.tolist()]
+    rungs = list(map(tuple, heights.tolist()))
     engine = _engine(graph)
     try:
         recurrent, left, right = engine.layers(rungs)
@@ -501,14 +500,17 @@ def boundary_layer(graph: Graph, config: LadderConfig) -> BoundaryLayers:
                               f"outside stable range 1..{top[x]}") from None
     if not recurrent:
         raise ValidationError("configuration is not recurrent")
-    # an index of -1 (no such rung) gives the sentinel
-    sigma_left, sigma_right = window.n + left, window.m - right
-    maxes = [k for k, c in zip(window.rungs, rungs) if c == engine.cmax]
-    hat_right = next((k for k in reversed(maxes) if k < sigma_right), window.n - 1)
-    hat_left = next((k for k in maxes if k > sigma_left), window.m + 1)
-    return BoundaryLayers(sigma_left=sigma_left, sigma_right=sigma_right,
-                          hat_left=hat_left, hat_right=hat_right,
-                          overlap=sigma_left >= sigma_right)
+    # an index of -1 (no such rung) gives a layer's sentinel, and a hat
+    # that finds no maximal rung beyond its layer finds the one padded
+    # past the window's end, at the hat's sentinel
+    n, m, cmax = window.n, window.m, engine.cmax
+    sigma_left, sigma_right = n + left, m - right
+    ends = [cmax, *rungs, cmax]  # ends[k + 1] is rung n + k
+    hat_left = n - 1 + ends.index(cmax, left + 2)
+    ends.reverse()  # now ends[k + 1] is rung m - k
+    hat_right = m + 1 - ends.index(cmax, right + 2)
+    return BoundaryLayers(sigma_left, sigma_right, hat_left, hat_right,
+                          sigma_left >= sigma_right)
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,13 @@ def _stable_rungs(graph):
     return list(itertools.product(*[range(1, m + 1) for m in graph.max_height]))
 
 
+def _engine_run(dfs, rungs, ignite=True):
+    """One engine run over a nonempty window: the index of the last maximal
+    rung that ends a left-burnable prefix, or -1, and whether the window
+    is left-burnable (with ``ignite``) or recurrent."""
+    return dfs._run(rungs, dfs.rows(rungs), ignite)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_engine_matches_burning_oracles(data):
@@ -350,13 +357,13 @@ def test_engine_matches_burning_oracles(data):
     dfs = _SequenceDFS(graph)
     seq = data.draw(st.lists(st.sampled_from(_stable_rungs(graph)),
                              min_size=1, max_size=5))
-    assert (dfs.accepts(seq, ignite=False)
+    assert (_engine_run(dfs, seq, False)[1]
             == full_burnable(graph, window_heights(seq)).success)
     symbols = data.draw(st.lists(st.sampled_from(enum_rungs(graph).rungs),
                                  min_size=1, max_size=5))
-    assert dfs.accepts(symbols) == leftmost_schedule(graph, symbols).success
-    for rungs, ignite, verdict in ((seq, False, dfs.accepts(seq, ignite=False)),
-                                   (symbols, True, dfs.accepts(symbols))):
+    assert _engine_run(dfs, symbols)[1] == leftmost_schedule(graph, symbols).success
+    for rungs, ignite in ((seq, False), (symbols, True)):
+        verdict = _engine_run(dfs, rungs, ignite)[1]
         walked = [tuple(p) for p in dfs.walk(rungs, len(rungs), ignite)]
         assert (tuple(rungs) in walked) == verdict
 
@@ -551,7 +558,7 @@ def test_two_sided_counts_burn_no_window(path2, path3, monkeypatch):
         raise AssertionError("a two-sided count walked or re-burnt a window")
 
     monkeypatch.setattr(_SequenceDFS, "walk", refuse)
-    monkeypatch.setattr(_SequenceDFS, "accepts", refuse)
+    monkeypatch.setattr(_SequenceDFS, "_run", refuse)
     assert count_series(path2, "S", 6).values == (5, 17, 59, 205, 713, 2481)
     assert count_series(path2, "S0", 6).values == (4, 8, 14, 24, 42, 76)
     assert count_series(path3, "S", 3).values == (22, 258, 2944)
@@ -774,9 +781,9 @@ def _check_against_reference(data, graph):
                                        max_size=8))
             # a maximal rung last ends the prefixes that ignite it
             for window in (rungs, rungs + [ref.cmax]):
-                assert dfs.last_max_prefix(window) == ref.last_max_prefix(window)
+                assert _engine_run(dfs, window)[0] == ref.last_max_prefix(window)
             for ignite in (True, False):
-                assert dfs.accepts(rungs, ignite) == ref.accepts(rungs, ignite)
+                assert _engine_run(dfs, rungs, ignite)[1] == ref.accepts(rungs, ignite)
 
 
 @settings(max_examples=40, deadline=None)
@@ -825,12 +832,12 @@ def test_layers_match_the_reference_engine_on_random_graphs(graph, data):
 def test_the_engine_refuses_unstable_rungs_before_burning(path2, bad):
     # the refused rung, and the good one read beside it, leave no table row
     dfs = _SequenceDFS(path2)
-    for call in (lambda w: dfs.accepts(w), lambda w: dfs.accepts(w, ignite=False),
-                 dfs.last_max_prefix, dfs.layers, lambda w: list(dfs.walk(w, 2, True))):
+    for call in (lambda w: _engine_run(dfs, w), lambda w: _engine_run(dfs, w, False),
+                 dfs.layers, lambda w: list(dfs.walk(w, 2, True))):
         with pytest.raises(ValidationError, match="is not a stable rung"):
             call([(3, 3), bad])
         assert dfs.tables == {}
-    assert dfs.accepts([(3, 3), (2.0, 3)])  # a height is compared by value
+    assert _engine_run(dfs, [(3, 3), (2.0, 3)])[1]  # a height is compared by value
 
 
 @pytest.mark.parametrize("name", ["point", "path2", "cycle3", "path4"])
@@ -853,7 +860,7 @@ def _check_windows_against_reference(dfs, ref, windows):
         assert dfs.layers(window) == (ref.accepts(window, False),
                                       ref.last_max_prefix(window),
                                       ref.last_max_prefix(window[::-1]))
-        assert dfs.accepts(window) == ref.accepts(window, True)
+        assert _engine_run(dfs, window)[1] == ref.accepts(window, True)
 
 
 @pytest.mark.parametrize("name, width", [("path2", 64), ("path4", 64), ("cycle4", 64),
@@ -977,8 +984,8 @@ def test_a_walk_can_go_thousands_of_rungs_deep(name):
     # a walk keeps its path on lists, not on the Python call stack
     graph = builtin_graph(name)
     dfs = _SequenceDFS(graph)
-    assert dfs.accepts(next(iter_recurrent(graph, 1500)), ignite=False)
-    assert dfs.accepts(next(iter_left_burnable(graph, 1500)))
+    assert _engine_run(dfs, next(iter_recurrent(graph, 1500)), False)[1]
+    assert _engine_run(dfs, next(iter_left_burnable(graph, 1500)))[1]
 
 
 @pytest.mark.parametrize("name", ["point", "path2", "path3", "cycle3", "path4", "cycle4"])

@@ -621,11 +621,17 @@ def test_perron_data_match_dense_eigenvalues(name):
             assert vec == pytest.approx(ref / ref.sum(), rel=1e-12)
 
 
-@pytest.mark.parametrize("name", BUILTINS + ["path5", "cycle5"])
+# the star K_{1,4} and the bull (a triangle with two pendant edges)
+FIVE_VERTEX_EDGES = {"star5": [(0, 1), (0, 2), (0, 3), (0, 4)],
+                     "bull": [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)]}
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["path5", "cycle5", "star5", "bull"])
 def test_growth_rate_at_most_recurrent_growth_rate(name):
     # every left-burnable window is recurrent, and the left-burnable ones
     # already grow at the recurrent rate: the limit has maximal entropy
-    graph = builtin_graph(name)
+    graph = (make_graph(5, FIVE_VERTEX_EDGES[name], name=name)
+             if name in FIVE_VERTEX_EDGES else builtin_graph(name))
     rho = spectral(build_coding(graph)).rho
     assert rho == pytest.approx(recurrent_growth_rate(graph), rel=1e-13)
 

@@ -529,6 +529,54 @@ def test_boundary_layer_matches_its_definition_on_long_windows(name):
     assert neither >= 30
 
 
+@pytest.mark.parametrize("name", ["path2", "path3", "cycle3"])
+def test_boundary_layer_hats_at_the_window_ends(name):
+    # each hat search starts one past its layer's index, so a maximal rung
+    # first or last, no maximal rung or only maximal ones, and a layer at
+    # -1 or at the last index are where an off-by-one would show
+    graph = builtin_graph(name)
+    cmax = max_rung(graph)
+    left = [list(w) for w in sample_chain_windows(graph, 5, 12, seed=11)]
+    no_max = [list(w) for w in iter_recurrent(graph, 2) if cmax not in w][::7]
+    windows = [[cmax] * k for k in range(1, 5)]
+    for w in left + [w[::-1] for w in left] + no_max:
+        windows += [w, [cmax] + w, w + [cmax], [cmax] + w + [cmax]]
+    seen = set()
+    for i, rungs in enumerate(windows):
+        config = LadderConfig.from_rungs(rungs, start=i % 5 - 2)
+        try:
+            expected = _boundary_layer_definition(graph, config)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="not recurrent"):
+                boundary_layer(graph, config)
+            continue
+        layers = boundary_layer(graph, config)
+        assert layers == expected
+        n, m = config.window.n, config.window.m
+        cases = {
+            "first max": rungs[0] == cmax, "last max": rungs[-1] == cmax,
+            "no max": cmax not in rungs, "all max": rungs == [cmax] * len(rungs),
+            "left -1": layers.sigma_left == n - 1, "left last": layers.sigma_left == m,
+            "right -1": layers.sigma_right == m + 1, "right last": layers.sigma_right == n,
+            "hat_left none": layers.hat_left == m + 1, "hat_left last": layers.hat_left == m,
+            "hat_right none": layers.hat_right == n - 1, "hat_right first": layers.hat_right == n,
+        }
+        seen |= {case for case, holds in cases.items() if holds}
+    assert seen == set(cases)
+
+
+def test_boundary_layers_is_a_named_tuple():
+    layers = BoundaryLayers(sigma_left=1, sigma_right=2, hat_left=3, hat_right=0,
+                            overlap=False)
+    assert BoundaryLayers._fields == ("sigma_left", "sigma_right", "hat_left",
+                                      "hat_right", "overlap")
+    assert layers == (1, 2, 3, 0, False) == BoundaryLayers(1, 2, 3, 0, False)
+    sigma_left, sigma_right, *_ = layers
+    assert (sigma_left, sigma_right) == (layers.sigma_left, layers.sigma_right)
+    with pytest.raises(AttributeError):
+        layers.sigma_left = 0
+
+
 def test_boundary_layer_rejects_heights_outside_the_stable_range(path2):
     for bad in (0, 4):
         cfg = LadderConfig.from_rungs([(3, 3), (bad, 3), (3, 3)], start=0)

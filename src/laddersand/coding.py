@@ -30,7 +30,7 @@ the first-rung states, reading successors in alphabet order
 
 The transition matrix is transitive; its Perron data give the per-rung
 growth rate, and the maximal-entropy chain scaled out of them is what
-the measure samplers draw from, read off the list of transitions.
+the measure samplers draw from, read off the row classes.
 
 Word counts run on two lumpings of the automaton rather than on its
 states, both computed on its row classes: a state's successors depend
@@ -66,7 +66,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import or_
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -553,11 +553,16 @@ class ParryChain:
 
     @cached_property
     def cumulative(self) -> list[list[float]]:
-        """Each state's cumulative out-edge probabilities, in target
-        order; the last is 1.0, so every draw lands on an edge."""
-        prob = iter(self.prob.tolist())
-        return [list(accumulate(islice(prob, len(row))))[:-1] + [1.0]
-                for row in self.automaton.targets]
+        """Per row class ``k``, the running sum of ``right`` over the
+        class's successor row ``automaton.row_classes.rows[k]``.  Every
+        member ``i`` of the class has that row and the same ``right[i]``,
+        read off the class's suffix block, so the increment at a state
+        ``j`` of the row, over the last entry, is the probability
+        ``right[j] / (rho right[i])`` of the edge from ``i`` to ``j``,
+        normalised to sum 1 over the row."""
+        right = self.right
+        return [list(accumulate([right[j] for j in row]))
+                for row in self.automaton.row_classes.rows]
 
     @cached_property
     def matrix(self) -> np.ndarray:

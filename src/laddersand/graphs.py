@@ -198,8 +198,8 @@ def _length(value, name: str, least: int) -> int:
 
 def _seed(value) -> int:
     """A random seed as a non-negative ``int``.  ``random.Random`` takes a
-    negative seed as its absolute value and numpy refuses it untyped, so
-    negative seeds are refused, and so are booleans."""
+    negative seed as its absolute value, so that ``-s`` and ``s`` would
+    draw one stream; negative seeds are refused, and so are booleans."""
     if isinstance(value, bool):
         raise ValidationError(f"seed={value!r} is not an integer")
     return _length(value, "seed", 0)

@@ -34,11 +34,12 @@ same engine, never burning or listing a window.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -388,20 +389,31 @@ def sample_chain_windows(graph: Graph, width: int, count: int, seed: int, *,
                          max_states: int = DEFAULT_MAX_STATES
                          ) -> list[tuple[RungConfig, ...]]:
     """Draw rung windows from the stationary maximal-entropy chain and
-    project states onto their rungs; deterministic per seed."""
+    project states onto their rungs; deterministic per seed.
+
+    Every draw comes from one ``random.Random(seed)`` stream: first the
+    ``count`` start states, by ``choices`` on the running sum of the
+    stationary law, then the windows in turn, one ``random()`` per step.
+    A step from a state of row class ``k`` bisects ``random()`` times
+    the last entry of ``chain.cumulative[k]`` in that list and takes the
+    successor at that place in the class's row, which it does with the
+    Parry probability."""
     width, count = _length(width, "width", 1), _length(count, "count", 1)
     seed = _seed(seed)
     bundle = _AutomatonBundle.get(graph, max_states)
     auto, chain = bundle.automaton, bundle.chain
-    cum = chain.cumulative
-    rng = np.random.default_rng(seed)
-    firsts = rng.choice(len(auto), size=count, p=chain.stationary)
-    rungs = auto.rungs
+    of, rows = auto.row_classes
+    cum, rungs = chain.cumulative, auto.rungs
+    rng = random.Random(seed)
+    draw = rng.random
     out = []
-    for state, u in zip(firsts.tolist(), rng.random((count, width)).tolist()):
+    for state in rng.choices(range(len(auto)), k=count,
+                             cum_weights=list(accumulate(chain.stationary.tolist()))):
         window = [rungs[state]]
-        for x in u[1:]:
-            state = auto.targets[state][bisect_left(cum[state], x)]
+        for _ in range(width - 1):
+            k = of[state]
+            sums = cum[k]
+            state = rows[k][bisect_left(sums, draw() * sums[-1])]
             window.append(rungs[state])
         out.append(tuple(window))
     return out
@@ -421,42 +433,32 @@ def sample_finite_exact(graph: Graph, n: int, m: int, seed: int,
                         ) -> list[LadderConfig]:
     """Exactly uniform samples of the left-burnable configurations on
     the window ``[n, m]``, by sequential draws proportional to integer
-    suffix path counts in the automaton."""
+    suffix path counts in the automaton: a state's successors are its
+    row class's row, weighted by the counts of their suffix blocks, and
+    each pick bisects ``randrange`` of the weights' total in their
+    running sum."""
     count, seed = _length(count, "count", 1), _seed(seed)
     length = len(Window(n, m))
     bundle = _AutomatonBundle.get(graph, max_states)
     auto = bundle.automaton
+    of, rows = auto.row_classes
     # suffix[l][b]: words of length l + 1 starting in suffix block b
     suffix = auto.suffix_counts(length)
     block = auto.suffix_lumping.block
     rng = random.Random(seed)
     starts = auto.start_states()
+    first = list(accumulate(suffix[length - 1][block[s]] for s in starts))
     out = []
     for _ in range(count):
-        weights = [(suffix[length - 1][block[s]], s) for s in starts]
-        state = _weighted_pick(rng, weights)
+        state = starts[bisect_right(first, rng.randrange(first[-1]))]
         word = [state]
-        for step in range(1, length):
-            rem = length - 1 - step
-            weights = [(suffix[rem][block[t]], t) for t in auto.targets[word[-1]]]
-            state = _weighted_pick(rng, weights)
+        for counts in reversed(suffix[:-1]):
+            row = rows[of[state]]
+            sums = list(accumulate(counts[block[t]] for t in row))
+            state = row[bisect_right(sums, rng.randrange(sums[-1]))]
             word.append(state)
-        rows = [auto.rungs[i] for i in word]
-        out.append(LadderConfig.from_rungs(rows, start=n))
+        out.append(LadderConfig.from_rungs([auto.rungs[i] for i in word], start=n))
     return out
-
-
-def _weighted_pick(rng: random.Random, weights: list[tuple[int, int]]) -> int:
-    total = sum(w for w, _ in weights)
-    if total <= 0:
-        raise ValidationError("no admissible continuation")
-    r = rng.randrange(total)
-    acc = 0
-    for w, item in weights:
-        acc += w
-        if r < acc:
-            return item
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import laddersand
 from laddersand.burning import (full_burnable, left_burnable, max_rung,
                                 right_burnable, window_heights)
 from laddersand.census import (_SequenceDFS, _engine, count_series, enum_rungs,
@@ -881,36 +886,36 @@ def test_measures_path_builds_no_dense_matrix(name, monkeypatch):
 # its index in enum_rungs(graph).rungs, one base-36 digit
 PINNED_CHAIN_DRAWS = {
     ("path2", 513, 1, 0): [
-        "4044433344014314312413332334332433134413131234301144041234041041"
-        "3141134234244423434234413440111444431441323433040144014123411411"
-        "1334312344243412344234104134140424441144314114434444113312343133"
-        "0140114113133404412430443444104433131324404143414434334014144323"
-        "4344141124124441344423344434314304042431434430434344112343131143"
-        "3404113114130444313043330432334331134114331043141241433043241414"
-        "4244344344140424404141413434344443131413334132433432413314334331"
-        "1343243424440434311341041011411133133324311333244234441041444334"
-        "3",
+        "4424323433431431444413433124443414304234044114131442413413334343"
+        "3242411133301111114241444343244440433413114141130443304332440441"
+        "1144041113113044113441340441132432431141301404141114333243041132"
+        "3424324041133344313444143044241130140434141424123343314104334440"
+        "1433432413041431304412413104304124434413324444323404404242433244"
+        "1424014424124014112414412443413331311444041443340440404411134343"
+        "3344444133434244430431011423431140424433142424310431312344333113"
+        "3414444343414234404434433101114241244424440430114041040114411341"
+        "0",
     ],
     ("path2", 513, 1, 7): [
-        "4411401141112434434113043343331043124411434340434130411423433312"
-        "4244131431444311431433241014314040443244133134414011423434331111"
-        "1431142343443234404341433341240444133331433310444314443404041130"
-        "4130443433130111411134144144133304344134410413424241243424311124"
-        "4310141101414312343044432434113441143344442414432424432432334144"
-        "1344101413234414040413244441241041143131313332334114414133404304"
-        "3444434341141431413014414334243413134040142433043404330411412343"
-        "4334332423434314233430443333324112342434424433014312334424311340"
-        "1",
+        "2430410404042341343234411114133240413243244313343141234304434133"
+        "3233430434412404110141234244441244411113310424433330111142430411"
+        "1041110141111144330411410141304443124434114444441310411342333411"
+        "1134433404444314144244311144144313101434233411131244124423433041"
+        "0143331334131143344243332434344134411241044413314414244412411130"
+        "4241330111410141233414330432443401442434113111041141311040141341"
+        "4244243414332404014101141112424443141104331304040411334334244133"
+        "0114441334443433104114333330114330140431443243433041413041333133"
+        "3",
     ],
     ("cycle3", 24, 5, 0): [
-        "sorko6iu4x9hvdg1hpoofrrx", "epfhridivwelsntfgio47biv",
-        "3p7hsb3ta5xdpawe6twgwigo", "1dprijvprqoprwx19vrhxvth",
-        "wswcvhw2bw1x1bvw47eegxli",
+        "wgsdhmrxcpwbvxtvdrvph6po", "vwxhuitk4xgtp0xuidvalixt",
+        "ih4piw6pqttkqxmxnutdaaop", "eh5bacecpvfxc6ecxwltpxws",
+        "o4wiotbr7bset6bqblnxp1wo",
     ],
     ("cycle3", 24, 5, 7): [
-        "s0ddxdcihikrxoxa8x3eihwo", "xib1ipae0ebcdvuwr5xivenl",
-        "vd7tfrwnwp7gbg6dlxdvp7tw", "dleawkevoltgb2hvksr1p1hx",
-        "fsivempsisv7w0b7hgt1wsir",
+        "ge3v2x4hgt7bowltx39w77dt", "aalwekb3ipgdmxdsqilvvrdx",
+        "s7gr7i2bbvvdqwlttwhp3xox", "5dtfx1uh73bhbfgbhkd6eige",
+        "pvx79ibimw0xeloxiop3aba6",
     ],
 }
 
@@ -925,6 +930,124 @@ def test_chain_draws_pinned(key):
     windows = sample_chain_windows(graph, width, count, seed)
     assert (["".join(digits[alphabet.index(r)] for r in w) for w in windows]
             == PINNED_CHAIN_DRAWS[key])
+
+
+# sample_finite_exact(graph, n, m, seed, count=3), each configuration
+# written as its heights, rung by rung
+PINNED_EXACT_DRAWS = {
+    ("path2", -8, 8, 0): ["3233333313333332323333233232313323",
+                          "2333233233233223331333323223323231",
+                          "3323323333333133331333333333133332"],
+    ("path2", -8, 8, 7): ["3323313233233323323313233313333232",
+                          "1333323323332323333332132323331333",
+                          "3233233233233323333132332323322333"],
+    ("path2", 1, 6, 0): ["333133133333", "323133333233", "333331332331"],
+    ("path2", 1, 6, 7): ["233323321333", "333223323313", "322313333232"],
+    ("cycle3", -8, 8, 0): [
+        "143443413422443241443224434434433341343442234442414",
+        "234324434343434144343444413424442441244244341414433",
+        "424412423443343234412443442334341444424341432414444"],
+    ("cycle3", -8, 8, 7): [
+        "243143244424214244334344234144243441244431344314432",
+        "434143334443343241443334324424241344443442234432143",
+        "432343424444413344314234244334343342433334234234443"],
+    ("cycle3", 1, 6, 0): ["343432143434424442", "344344422442432324",
+                          "423244334244444224"],
+    ("cycle3", 1, 6, 7): ["341344344144343224", "343224324424143344",
+                          "344432144434224314"],
+    ("cycle4", -8, 8, 0): [
+        "23432334434344134442423443214433343243434344134334334223213444244222",
+        "44414142442423444234444241344343344423424432334233244244144424343244",
+        "32432444143334342243334233414243134443443243434333144442343243444122"],
+    ("cycle4", -8, 8, 7): [
+        "34224232424344142344224243412444344423442413444244433134334443224242",
+        "22342343344242144442344424334134432144424332433314142244324244433441",
+        "34312434314344414144442142424434424243234331421432444343231444344144"],
+    ("cycle4", 1, 6, 0): ["432424433343444342324123", "424444443244343323443341",
+                          "343244424441343433413344"],
+    ("cycle4", 1, 6, 7): ["433233432241434342442142", "334413344434334414434423",
+                          "224343422344444134341424"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_EXACT_DRAWS),
+                         ids=lambda key: f"{key[0]}-[{key[1]},{key[2]}]-seed{key[3]}")
+def test_exact_draws_pinned(key):
+    name, n, m, seed = key
+    configs = sample_finite_exact(builtin_graph(name), n, m, seed, count=3)
+    assert (["".join(map(str, c.heights.ravel().tolist())) for c in configs]
+            == PINNED_EXACT_DRAWS[key])
+
+
+@pytest.mark.parametrize("name", ["point", "path2", "path3", "cycle3", "path4", "cycle4"])
+def test_class_tables_give_the_parry_law(name):
+    # a state's step law, read off its row class's running sums of the
+    # right vector, is the chain's edge probability
+    chain = _AutomatonBundle.get(builtin_graph(name)).chain
+    auto = chain.automaton
+    of, rows = auto.row_classes
+    assert len(chain.cumulative) == len(rows)
+    law = []
+    for i, targets in enumerate(auto.targets):
+        sums = chain.cumulative[of[i]]
+        assert rows[of[i]] == targets and len(sums) == len(targets)
+        law += [(b - a) / sums[-1] for a, b in zip([0.0] + sums[:-1], sums)]
+    assert np.abs(np.array(law) - chain.prob).max() <= 1e-12
+
+
+def _chi_square_bound(df: int, z: float = 3.719) -> float:
+    """The upper ``z``-sigma quantile of chi-square with ``df`` degrees of
+    freedom, by the Wilson-Hilferty cube (``z`` = 3.719: p = 1e-4)."""
+    c = 2 / (9 * df)
+    return df * (1 - c + z * math.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize("name, n, seed", [("path2", 20000, 23), ("cycle3", 60000, 24)])
+def test_two_rung_chain_frequencies_match_parry(name, n, seed):
+    graph = builtin_graph(name)
+    alphabet = enum_rungs(graph).rungs
+    seen = Counter(sample_chain_windows(graph, 2, n, seed))
+    cells, pooled = [], [0, 0.0]
+    for a in alphabet:
+        for b in alphabet:
+            expected = n * cylinder_prob(graph, CylinderEvent((a, b)), "parry").value
+            if expected >= 5:
+                cells.append((seen.pop((a, b), 0), expected))
+            else:  # sparse cells pooled into one
+                pooled[0] += seen.pop((a, b), 0)
+                pooled[1] += expected
+    assert not seen  # every sampled window is a two-rung cylinder
+    if pooled[1] > 0:
+        cells.append(tuple(pooled))
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    assert stat < _chi_square_bound(len(cells) - 1), (stat, len(cells))
+
+
+_NO_NUMPY_RANDOM = """
+import contextlib, io, sys, tempfile
+import laddersand
+from laddersand.cli import main
+g = laddersand.builtin_graph("path2")
+laddersand.sample_chain_windows(g, 8, 4, 1)
+laddersand.sample_window_config(g, 4, 2)
+laddersand.sample_finite_exact(g, -2, 2, 3, count=2)
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["sample", "--graph", "cycle3", "--width", "6", "--count", "3", "--seed", "4"],
+                 ["sample", "--graph", "path2", "--exact-window", "1", "4", "--seed", "5"],
+                 ["blast", "--graph", "path2", "--halfwidth", "4", "--seed", "6"],
+                 ["experiment", "cycle-topple", "--cycles", "3,4", "--halfwidth", "3",
+                  "--count", "2", "--seed", "7", "--out", tmp + "/cycle.json"]):
+        assert main(argv) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_no_sampler_or_sampling_command_imports_numpy_random():
+    src = str(Path(laddersand.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_equal_graphs_share_one_bundle_and_one_engine(monkeypatch):
